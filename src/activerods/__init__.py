@@ -23,9 +23,8 @@ from .asymptotics import (InnerExpansion, ResidualReport, a_coeffs,
                           build_inner, composite_refined, composite_simple,
                           corrector_ode_mismatch, p0_coeffs, residual_report,
                           wall_layer)
-from .decomposition import (Decomposition, EnergyTrace, decompose,
-                            default_tests, energy_step, reconstruct,
-                            solve_limit_noD, weak_pairings)
+from .decomposition import (Decomposition, decompose, default_tests,
+                            energy_step, reconstruct, weak_pairings)
 from .particles import (ParticleEnsemble, em_step, histogram, run_particles,
                         sample_initial, tv_distance)
 from .config import RunConfig, bulk_exp_field, load_config, parse_config
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActiveRodsError", "AngularCoefficient", "AssumptionViolationError",
-    "BulkWallState", "ConfigurationError", "Decomposition", "EnergyTrace",
+    "BulkWallState", "ConfigurationError", "Decomposition",
     "FitError", "FullSolverConfig", "GridError", "InnerExpansion",
     "LineField", "ModelParams", "NumericalFailureError", "ParticleEnsemble",
     "PhaseField", "PhiGrid", "ResidualReport", "ResolventProblem",
@@ -53,8 +52,8 @@ __all__ = [
     "parse_config", "phi_cfl_dt", "phi_derivative", "phi_substep",
     "poly_exp_cell_averages", "profile_rows", "reconstruct",
     "residual_report", "resolve_dt", "resolvent_solve", "run_full",
-    "run_limit", "run_particles", "sample_initial", "solve_limit_noD",
-    "steady_layer", "step_full", "step_limit", "sup_abs", "sweep_epsilon",
+    "run_limit", "run_particles", "sample_initial", "steady_layer",
+    "step_full", "step_limit", "sup_abs", "sweep_epsilon",
     "trace_wall", "tv_distance", "validate_assumptions", "wall_layer",
     "weak_pairing_sweep", "write_csv",
 ]

@@ -123,7 +123,9 @@ def _cmd_sweep(args) -> int:
            [r.row() for r in records])
     try:
         order = fit_order(records)
+        refined = fit_order(records, "l1_error_refined")
         print(f"fitted order {order:.4f} over {len(records)} epsilons")
+        print(f"refined-composite fitted order {refined:.4f}")
     except FitError as exc:
         print(f"no order fit: {exc}")
     return 0

@@ -9,7 +9,7 @@ Sections and keys:
     [time]        dt (float or "auto"), splitting (lie | strang)
     [experiment]  epsilon_list, snapshot_times, seeds (comma lists),
                   n_particles, particle_dt, initial (bulk_exp | steady_layer)
-    [output]      directory, formats (csv)
+    [output]      directory
 
 Unknown sections or keys are rejected. The environment variable
 ACTIVERODS_OUT_DIR overrides [output] directory; a CLI --out flag
@@ -36,7 +36,7 @@ _KNOWN_KEYS = {
     "time": {"dt", "splitting"},
     "experiment": {"epsilon_list", "snapshot_times", "seeds", "n_particles",
                    "particle_dt", "initial"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 _INITIAL_CHOICES = ("bulk_exp", "steady_layer")
@@ -73,7 +73,6 @@ class RunConfig:
     splitting: str = "lie"
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
     out_dir: str = "out"
-    formats: str = "csv"
 
     def __post_init__(self):
         if self.V is None:
@@ -256,30 +255,30 @@ def parse_config(text: str) -> RunConfig:
             ex.snapshot_times = _floats(sec["snapshot_times"])
         if "seeds" in sec:
             ex.seeds = _ints(sec["seeds"])
+            if not ex.seeds:
+                raise ConfigurationError("seeds must list at least one seed")
         if "n_particles" in sec:
             ex.n_particles = _int("experiment", "n_particles",
                                   sec["n_particles"])
+            if ex.n_particles <= 0:
+                raise ConfigurationError(
+                    f"n_particles must be > 0, got {ex.n_particles}")
         if "particle_dt" in sec:
             ex.particle_dt = _float("experiment", "particle_dt",
                                     sec["particle_dt"])
+            if not ex.particle_dt > 0:
+                raise ConfigurationError(
+                    f"particle_dt must be > 0, got {ex.particle_dt}")
         if "initial" in sec:
             ex.initial = sec["initial"].strip()
 
     out_dir = "out"
-    formats = "csv"
-    if cp.has_section("output"):
-        sec = cp["output"]
-        if "directory" in sec:
-            out_dir = sec["directory"].strip()
-        if "formats" in sec:
-            formats = sec["formats"].strip().lower()
-            if formats != "csv":
-                raise ConfigurationError(
-                    f"only csv output is supported, got {formats!r}")
+    if cp.has_section("output") and "directory" in cp["output"]:
+        out_dir = cp["output"]["directory"].strip()
 
     return RunConfig(epsilon=epsilon, D=D, T=T, V=V, Phi=Phi, grid=g,
                      dt=dt, splitting=splitting, experiment=ex,
-                     out_dir=out_dir, formats=formats)
+                     out_dir=out_dir)
 
 
 def load_config(path: str) -> RunConfig:

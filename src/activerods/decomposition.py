@@ -17,15 +17,13 @@ making the discrete orthogonality exact to round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import AngularCoefficient, ModelParams
+from .coefficients import AngularCoefficient
 from .errors import ConfigurationError, NumericalFailureError
-from .full_solver import FullSolverConfig
 from .grids import PhaseField, eval_on_nodes, exp_cell_integrals, norms
-from .limit_solver import BulkWallState, run_limit
 
 
 @dataclass
@@ -33,13 +31,6 @@ class Decomposition:
     m: np.ndarray
     u: PhaseField
     epsilon: float
-
-
-@dataclass
-class EnergyTrace:
-    times: list = field(default_factory=list)
-    E: list = field(default_factory=list)
-    dissipation: list = field(default_factory=list)
 
 
 def decompose(f: PhaseField, V: AngularCoefficient, eps: float) -> Decomposition:
@@ -124,28 +115,3 @@ def default_tests(phi_grid) -> list:
         ("sin", np.sin(phi_grid.nodes)),
     ]
 
-
-@dataclass
-class LimitTrajectory:
-    times: list
-    states: list
-    m_profiles: list   # V * rho_wall at each time
-
-
-def solve_limit_noD(init: BulkWallState, params: ModelParams,
-                    cfg: FullSolverConfig | None = None,
-                    snapshot_times=None) -> LimitTrajectory:
-    """Run the limiting system at D = 0 and identify the weak-limit
-    amplitude m := V * rho_wall at each snapshot."""
-    if params.D != 0:
-        raise ConfigurationError(
-            f"zero-diffusion solve requires D = 0, got D = {params.D}")
-    cfg = cfg or FullSolverConfig()
-    if snapshot_times is None:
-        snapshot_times = [0.0, params.T]
-    snaps = run_limit(init, params, cfg, snapshot_times)
-    V_nodes = eval_on_nodes(params.V, init.bulk.phi_grid)
-    times = [t for t, _ in snaps]
-    states = [s for _, s in snaps]
-    m_profiles = [V_nodes * s.wall for s in states]
-    return LimitTrajectory(times=times, states=states, m_profiles=m_profiles)

@@ -40,7 +40,6 @@ class FullSolverConfig:
     dt: object = "auto"          # positive float, or "auto" for the CFL bound
     splitting: str = "lie"       # "lie" (y then phi) or "strang"
     safety: float = 0.9
-    linear_tol: float = 1e-12    # direct tridiagonal solve; kept <= 1e-10
 
     def __post_init__(self):
         if self.splitting not in ("lie", "strang"):
@@ -52,10 +51,6 @@ class FullSolverConfig:
                 raise ConfigurationError(f"dt must be positive or 'auto', got {self.dt!r}")
         if not (0 < self.safety <= 1):
             raise ConfigurationError(f"safety must be in (0, 1], got {self.safety}")
-        if self.linear_tol > 1e-10:
-            raise ConfigurationError(
-                f"linear_tol must be <= 1e-10, got {self.linear_tol}"
-            )
 
 
 def phi_cfl_dt(params: ModelParams, phi_grid: PhiGrid, safety: float = 0.9):
@@ -156,43 +151,49 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
     return out
 
 
-class _FullStepper:
-    """Precomputed kernels for repeated steps with fixed params/grids."""
+def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,
+                   cfg: FullSolverConfig):
+    """The Lie (y then phi) or Strang (half phi, y, half phi) splitting
+    of an implicit y-substep with the explicit angular substep, as a
+    step(state, dt) callable.
 
-    def __init__(self, params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
-                 cfg: FullSolverConfig):
-        validate_assumptions(params.V)
-        self.params = params
-        self.cfg = cfg
-        self.y_grid = y_grid
-        self.phi_grid = phi_grid
-        self.V_nodes = eval_on_nodes(params.V, phi_grid)
-        self.Phi_face = np.asarray(
-            params.Phi(phi_grid.faces), dtype=float) * np.ones(phi_grid.n_phi)
-        self.a, self.b = _fitted_flux_coeffs(self.V_nodes, params.epsilon, y_grid)
+    The state is a tuple of angle-last arrays: (f,) for the kinetic
+    model, (bulk, wall) for the limiting system. y_step(state, dt)
+    advances the whole tuple at once; each array then takes its own
+    angular substep."""
+    Phi_face = np.asarray(
+        params.Phi(phi_grid.faces), dtype=float) * np.ones(phi_grid.n_phi)
 
-    def step(self, values: np.ndarray, dt: float) -> np.ndarray:
-        cfg = self.cfg
-        h = self.phi_grid.h
-        D = self.params.D
-        if cfg.splitting == "lie":
-            out = _implicit_y_step(values, self.a, self.b, self.y_grid.widths, dt)
-            out = phi_substep(out, self.Phi_face, D, h, dt, cfg.safety)
-        else:
-            out = phi_substep(values, self.Phi_face, D, h, 0.5 * dt, cfg.safety)
-            out = _implicit_y_step(out, self.a, self.b, self.y_grid.widths, dt)
-            out = phi_substep(out, self.Phi_face, D, h, 0.5 * dt, cfg.safety)
-        return out
+    def phi_step(state, dt):
+        return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt,
+                                 cfg.safety) for v in state)
+
+    if cfg.splitting == "lie":
+        return lambda state, dt: phi_step(y_step(state, dt), dt)
+    return lambda state, dt: phi_step(
+        y_step(phi_step(state, 0.5 * dt), dt), 0.5 * dt)
+
+
+def _full_stepper(params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
+                  cfg: FullSolverConfig):
+    """Split step of the kinetic model on the state (f,)."""
+    validate_assumptions(params.V)
+    a, b = _fitted_flux_coeffs(eval_on_nodes(params.V, phi_grid),
+                               params.epsilon, y_grid)
+    return _split_stepper(
+        lambda state, dt: (
+            _implicit_y_step(state[0], a, b, y_grid.widths, dt),),
+        params, phi_grid, cfg)
 
 
 def step_full(f: PhaseField, params: ModelParams, cfg: FullSolverConfig,
               dt: float | None = None) -> PhaseField:
     """One split step of the kinetic problem. dt defaults to the
     configured (or CFL-resolved) step."""
-    stepper = _FullStepper(params, f.y_grid, f.phi_grid, cfg)
+    step = _full_stepper(params, f.y_grid, f.phi_grid, cfg)
     if dt is None:
         dt = resolve_dt(params, f.phi_grid, cfg)
-    out = stepper.step(f.values, dt)
+    (out,) = step((f.values,), dt)
     _check_health(out, f.y_grid, f.phi_grid)
     return PhaseField(out, f.y_grid, f.phi_grid)
 
@@ -206,7 +207,13 @@ def _check_health(values: np.ndarray, y_grid: YGrid, phi_grid: PhiGrid):
         raise NumericalFailureError(f"total mass went negative: {mass}")
 
 
-def _plan_snapshots(snapshot_times, T: float):
+def _march(step, state: tuple, snapshot_times, T: float, dt_target: float,
+           check) -> list:
+    """Advance state from t = 0, landing exactly on every requested time.
+
+    Each segment between snapshots takes ceil(span / dt_target) equal
+    steps and ends with check(state). Returns a list of (t, state copy)
+    pairs, one per requested time (t = 0 gives a copy of the input)."""
     times = sorted(set(float(t) for t in snapshot_times))
     if not times:
         raise ConfigurationError("need at least one snapshot time")
@@ -214,7 +221,19 @@ def _plan_snapshots(snapshot_times, T: float):
         raise ConfigurationError(
             f"snapshot times must lie in [0, T={T}], got {times}"
         )
-    return times
+    out = []
+    t = 0.0
+    for t_next in times:
+        span = t_next - t
+        if span > 1e-14:
+            n = max(1, math.ceil(span / dt_target - 1e-12))
+            dt = span / n
+            for _ in range(n):
+                state = step(state, dt)
+            check(state)
+            t = t_next
+        out.append((t_next, tuple(v.copy() for v in state)))
+    return out
 
 
 def run_full(f0: PhaseField, params: ModelParams, cfg: FullSolverConfig,
@@ -224,24 +243,12 @@ def run_full(f0: PhaseField, params: ModelParams, cfg: FullSolverConfig,
     Returns a list of (t, PhaseField) pairs, one per requested time
     (including t = 0 if requested, which returns a copy of f0).
     """
-    times = _plan_snapshots(snapshot_times, params.T)
-    stepper = _FullStepper(params, f0.y_grid, f0.phi_grid, cfg)
-    dt_target = resolve_dt(params, f0.phi_grid, cfg)
-
-    out = []
-    t = 0.0
-    values = f0.values.copy()
-    for t_next in times:
-        span = t_next - t
-        if span > 1e-14:
-            n = max(1, math.ceil(span / dt_target - 1e-12))
-            dt = span / n
-            for _ in range(n):
-                values = stepper.step(values, dt)
-            _check_health(values, f0.y_grid, f0.phi_grid)
-            t = t_next
-        out.append((t_next, PhaseField(values.copy(), f0.y_grid, f0.phi_grid)))
-    return out
+    y_grid, phi_grid = f0.y_grid, f0.phi_grid
+    snaps = _march(_full_stepper(params, y_grid, phi_grid, cfg), (f0.values,),
+                   snapshot_times, params.T,
+                   resolve_dt(params, phi_grid, cfg),
+                   lambda state: _check_health(state[0], y_grid, phi_grid))
+    return [(t, PhaseField(f, y_grid, phi_grid)) for t, (f,) in snaps]
 
 
 def steady_layer(V, eps: float, y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:

@@ -14,8 +14,8 @@ density w(phi):
 Discretely the bulk y-step is implicit upwind-from-above (an upper
 bidiagonal solve) and the wall source is defined as exactly the
 discrete flux through the wall face, so the combined mass telescopes to
-machine precision. The angular treatment is shared with the full
-solver.
+machine precision. The splitting, the angular substep and the march
+to snapshot times are shared with the full solver.
 
 The operator spot checks (coercivity gap, regularized resolvent bound)
 live on a separate uniform whole-line y grid, because the underlying
@@ -31,9 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .coefficients import ModelParams, eval_coeff, mu0, validate_assumptions
+from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
-from .full_solver import (FullSolverConfig, _plan_snapshots, phi_substep,
+from .full_solver import (FullSolverConfig, _march, _split_stepper,
                           resolve_dt)
 from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes,
                     phi_derivative)
@@ -64,92 +64,59 @@ class BulkWallState:
         return bulk_mass + float(np.sum(self.wall) * h)
 
 
-class _LimitStepper:
-    def __init__(self, params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
-                 cfg: FullSolverConfig):
-        validate_assumptions(params.V)
-        self.params = params
-        self.cfg = cfg
-        self.y_grid = y_grid
-        self.phi_grid = phi_grid
-        self.V_nodes = eval_on_nodes(params.V, phi_grid)
-        self.Phi_face = np.asarray(
-            eval_coeff(params.Phi, phi_grid.faces, 0), dtype=float
-        ) * np.ones(phi_grid.n_phi)
+def _upwind_y_step(bulk: np.ndarray, wall: np.ndarray, V_nodes: np.ndarray,
+                   widths: np.ndarray, dt: float):
+    """Implicit upwind-from-above sweep plus exact wall source.
 
-    def _y_step(self, bulk: np.ndarray, wall: np.ndarray, dt: float):
-        """Implicit upwind-from-above sweep plus exact wall source.
+    Row i of the backward-Euler system reads
+    f_i (1 + r_i) - r_i f_{i+1} = f_i_old, r_i = dt V / w_i, with
+    f_n = 0 (zero inflow at the top). Solved top-down; the wall then
+    gains exactly dt * V * f_0_new, the discrete outgoing flux.
+    """
+    n_y = bulk.shape[0]
+    r = dt * V_nodes[None, :] / widths[:, None]
+    out = np.empty_like(bulk)
+    out[n_y - 1] = bulk[n_y - 1] / (1.0 + r[n_y - 1])
+    for i in range(n_y - 2, -1, -1):
+        out[i] = (bulk[i] + r[i] * out[i + 1]) / (1.0 + r[i])
+    return out, wall + dt * V_nodes * out[0]
 
-        Row i of the backward-Euler system reads
-        f_i (1 + r_i) - r_i f_{i+1} = f_i_old, r_i = dt V / w_i, with
-        f_n = 0 (zero inflow at the top). Solved top-down; the wall then
-        gains exactly dt * V * f_0_new, the discrete outgoing flux.
-        """
-        n_y = bulk.shape[0]
-        r = dt * self.V_nodes[None, :] / self.y_grid.widths[:, None]
-        out = np.empty_like(bulk)
-        out[n_y - 1] = bulk[n_y - 1] / (1.0 + r[n_y - 1])
-        for i in range(n_y - 2, -1, -1):
-            out[i] = (bulk[i] + r[i] * out[i + 1]) / (1.0 + r[i])
-        wall_new = wall + dt * self.V_nodes * out[0]
-        return out, wall_new
 
-    def step(self, bulk: np.ndarray, wall: np.ndarray, dt: float):
-        cfg = self.cfg
-        h = self.phi_grid.h
-        D = self.params.D
-        if cfg.splitting == "lie":
-            bulk, wall = self._y_step(bulk, wall, dt)
-            bulk = phi_substep(bulk, self.Phi_face, D, h, dt, cfg.safety)
-            wall = phi_substep(wall, self.Phi_face, D, h, dt, cfg.safety)
-        else:
-            bulk = phi_substep(bulk, self.Phi_face, D, h, 0.5 * dt, cfg.safety)
-            wall = phi_substep(wall, self.Phi_face, D, h, 0.5 * dt, cfg.safety)
-            bulk, wall = self._y_step(bulk, wall, dt)
-            bulk = phi_substep(bulk, self.Phi_face, D, h, 0.5 * dt, cfg.safety)
-            wall = phi_substep(wall, self.Phi_face, D, h, 0.5 * dt, cfg.safety)
-        return bulk, wall
+def _limit_stepper(params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
+                   cfg: FullSolverConfig):
+    """Split step of the limiting system on the state (bulk, wall)."""
+    validate_assumptions(params.V)
+    V_nodes = eval_on_nodes(params.V, phi_grid)
+    return _split_stepper(
+        lambda state, dt: _upwind_y_step(*state, V_nodes, y_grid.widths, dt),
+        params, phi_grid, cfg)
+
+
+def _check_finite(state):
+    if not all(np.isfinite(v).all() for v in state):
+        raise NumericalFailureError("limit solver produced non-finite values")
 
 
 def step_limit(s: BulkWallState, params: ModelParams, dt: float,
                cfg: FullSolverConfig | None = None) -> BulkWallState:
     """One split step of the coupled bulk-wall system."""
-    cfg = cfg or FullSolverConfig()
-    stepper = _LimitStepper(params, s.bulk.y_grid, s.bulk.phi_grid, cfg)
-    bulk, wall = stepper.step(s.bulk.values, s.wall, dt)
-    if not np.isfinite(bulk).all() or not np.isfinite(wall).all():
-        raise NumericalFailureError("limit solver produced non-finite values")
-    return BulkWallState(
-        PhaseField(bulk, s.bulk.y_grid, s.bulk.phi_grid), wall)
+    y_grid, phi_grid = s.bulk.y_grid, s.bulk.phi_grid
+    step = _limit_stepper(params, y_grid, phi_grid, cfg or FullSolverConfig())
+    bulk, wall = step((s.bulk.values, s.wall), dt)
+    _check_finite((bulk, wall))
+    return BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall)
 
 
 def run_limit(s0: BulkWallState, params: ModelParams, cfg: FullSolverConfig,
               snapshot_times) -> list:
     """Integrate the limiting system, landing exactly on the requested
     times. Returns a list of (t, BulkWallState) pairs."""
-    times = _plan_snapshots(snapshot_times, params.T)
-    stepper = _LimitStepper(params, s0.bulk.y_grid, s0.bulk.phi_grid, cfg)
-    dt_target = resolve_dt(params, s0.bulk.phi_grid, cfg)
-
-    out = []
-    t = 0.0
-    bulk = s0.bulk.values.copy()
-    wall = s0.wall.copy()
-    for t_next in times:
-        span = t_next - t
-        if span > 1e-14:
-            n = max(1, math.ceil(span / dt_target - 1e-12))
-            dt = span / n
-            for _ in range(n):
-                bulk, wall = stepper.step(bulk, wall, dt)
-            if not np.isfinite(bulk).all() or not np.isfinite(wall).all():
-                raise NumericalFailureError(
-                    "limit solver produced non-finite values")
-            t = t_next
-        out.append((t_next, BulkWallState(
-            PhaseField(bulk.copy(), s0.bulk.y_grid, s0.bulk.phi_grid),
-            wall.copy())))
-    return out
+    y_grid, phi_grid = s0.bulk.y_grid, s0.bulk.phi_grid
+    snaps = _march(_limit_stepper(params, y_grid, phi_grid, cfg),
+                   (s0.bulk.values, s0.wall), snapshot_times, params.T,
+                   resolve_dt(params, phi_grid, cfg), _check_finite)
+    return [(t, BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall))
+            for t, (bulk, wall) in snaps]
 
 
 def manufactured_state(t: float, a0: float, a1: float, D: float,

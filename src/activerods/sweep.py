@@ -84,10 +84,22 @@ def reference_limit_state(cfg: RunConfig, n_y: int | None = None):
     return snaps[-1][1]
 
 
+def _paired_solve(cfg: RunConfig, eps: float):
+    """Kinetic and limiting solves to T at one epsilon, on that epsilon's
+    grids. Returns (f_T, s_T, params)."""
+    y_grid, phi_grid = cfg.build_grids(eps)
+    params = cfg.model_params(epsilon=eps)
+    scfg = cfg.solver_config()
+    f0 = cfg.initial_field(y_grid, phi_grid, eps)
+    f_T = run_full(f0, params, scfg, [cfg.T])[-1][1]
+    s0 = cfg.initial_limit_state(y_grid, phi_grid)
+    s_T = run_limit(s0, params, scfg, [cfg.T])[-1][1]
+    return f_T, s_T, params
+
+
 def sweep_epsilon(cfg: RunConfig, reference_n_y: int | None = None) -> list:
     """One SweepRecord per epsilon in cfg.experiment.epsilon_list."""
     eps_list = _check_ladder(cfg.experiment.epsilon_list)
-    scfg = cfg.solver_config()
 
     ref_state = reference_limit_state(cfg, reference_n_y)
     inner_ref = build_inner(ref_state, cfg.model_params())
@@ -95,15 +107,8 @@ def sweep_epsilon(cfg: RunConfig, reference_n_y: int | None = None) -> list:
     records = []
     prev_err = None
     for eps in eps_list:
-        y_grid, phi_grid = cfg.build_grids(eps)
-        params = cfg.model_params(epsilon=eps)
-
-        f0 = cfg.initial_field(y_grid, phi_grid, eps)
-        f_T = run_full(f0, params, scfg, [cfg.T])[-1][1]
-
-        s0 = cfg.initial_limit_state(y_grid, phi_grid)
-        s_T = run_limit(s0, params, scfg, [cfg.T])[-1][1]
-
+        f_T, s_T, params = _paired_solve(cfg, eps)
+        y_grid, phi_grid = f_T.y_grid, f_T.phi_grid
         f_bar = composite_simple(s_T, eps, cfg.V)
         f_hat = composite_refined(s_T, inner_ref, eps, cfg.V)
 
@@ -163,21 +168,13 @@ def weak_pairing_sweep(cfg: RunConfig) -> list:
     if cfg.D != 0.0:
         raise ConfigurationError("weak pairing sweep requires D = 0")
     eps_list = _check_ladder(cfg.experiment.epsilon_list)
-    scfg = cfg.solver_config()
 
     records = []
     for eps in eps_list:
-        y_grid, phi_grid = cfg.build_grids(eps)
-        params = cfg.model_params(epsilon=eps)
-        V_nodes = eval_on_nodes(cfg.V, phi_grid)
-
-        f0 = cfg.initial_field(y_grid, phi_grid, eps)
-        f_T = run_full(f0, params, scfg, [cfg.T])[-1][1]
+        f_T, s_T, _ = _paired_solve(cfg, eps)
+        phi_grid = f_T.phi_grid
         dec = decompose(f_T, cfg.V, eps)
-
-        s0 = cfg.initial_limit_state(y_grid, phi_grid)
-        s_T = run_limit(s0, params, scfg, [cfg.T])[-1][1]
-        m_limit = V_nodes * s_T.wall
+        m_limit = eval_on_nodes(cfg.V, phi_grid) * s_T.wall
 
         tests = default_tests(phi_grid)
         pair_full = weak_pairings(dec, tests)

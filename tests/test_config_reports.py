@@ -41,7 +41,6 @@ initial = steady_layer
 
 [output]
 directory = results
-formats = csv
 """
 
 
@@ -88,6 +87,9 @@ def test_parse_defaults():
     "[model]\nepsilon = 0.1\n[output]\nformats = json\n",
     "[model]\nepsilon = 0.1\n[experiment]\ninitial = bogus\n",
     "[model]\nepsilon = 0.1\n[experiment]\nseeds = 1.5\n",
+    "[model]\nepsilon = 0.1\n[experiment]\nseeds =\n",
+    "[model]\nepsilon = 0.1\n[experiment]\nn_particles = 0\n",
+    "[model]\nepsilon = 0.1\n[experiment]\nparticle_dt = 0\n",
     "[model]\nepsilon = 0.1\nV.family = shifted_sine\n",
 ])
 def test_parse_rejects(text):

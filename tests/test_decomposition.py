@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from activerods import (BulkWallState, ConfigurationError, Decomposition,
-                        FullSolverConfig, ModelParams, PhaseField,
-                        build_phi_grid, build_y_grid, decompose,
-                        default_tests, energy_step, eval_on_nodes,
+from activerods import (ConfigurationError, Decomposition, FullSolverConfig,
+                        ModelParams, PhaseField, build_phi_grid, build_y_grid,
+                        decompose, default_tests, energy_step, eval_on_nodes,
                         exp_cell_averages, norms, reconstruct, run_full,
-                        solve_limit_noD, steady_layer, weak_pairings)
+                        steady_layer, weak_pairings)
 
 from conftest import const, shifted_sine
 
@@ -97,25 +96,6 @@ def test_weak_pairings_frozen():
     # bare arrays work too
     bare = weak_pairings(dec, [np.ones(64)])
     assert bare[0] == pytest.approx(2.0 * math.pi, rel=1e-12)
-
-
-def test_solve_limit_noD_wall_growth():
-    yg = build_y_grid(8.0, 128, 4.0, 64)
-    pg = build_phi_grid(8)
-    params = ModelParams(epsilon=0.0, D=0.0, T=0.5, V=const(1.0),
-                         Phi=const(0.0), allow_zero_epsilon=True)
-    bulk0 = np.exp(-yg.centers)[:, None] * np.ones((1, 8))
-    init = BulkWallState(PhaseField(bulk0, yg, pg), np.zeros(8))
-    traj = solve_limit_noD(init, params, FullSolverConfig(dt=0.005),
-                           [0.0, 0.25, 0.5])
-    assert traj.times == [0.0, 0.25, 0.5]
-    for t, m in zip(traj.times, traj.m_profiles):
-        np.testing.assert_allclose(m, 1.0 - math.exp(-t), atol=0.02)
-
-    params_D = ModelParams(epsilon=0.0, D=0.1, T=0.5, V=const(1.0),
-                           Phi=const(0.0), allow_zero_epsilon=True)
-    with pytest.raises(ConfigurationError):
-        solve_limit_noD(init, params_D)
 
 
 @settings(max_examples=25, deadline=None)

@@ -119,8 +119,6 @@ def test_solver_config_validation():
         FullSolverConfig(dt="later")
     with pytest.raises(ConfigurationError):
         FullSolverConfig(safety=0.0)
-    with pytest.raises(ConfigurationError):
-        FullSolverConfig(linear_tol=1e-9)
 
 
 def test_subcycle_cap():
@@ -148,6 +146,19 @@ def test_strang_step_conserves(small_grids):
     out = step_full(f0, params, FullSolverConfig(dt=0.01, splitting="strang"))
     assert np.all(np.isfinite(out.values))
     assert norms(out)["mass"] == pytest.approx(norms(f0)["mass"], rel=1e-12)
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+def test_run_full_one_step_matches_step_full(small_grids, splitting):
+    yg, pg = small_grids
+    params = ModelParams(epsilon=0.05, D=0.2, T=0.5, V=shifted_sine(1.0, 0.5),
+                         Phi=shear(0.5))
+    f0 = steady_layer(params.V, params.epsilon, yg, pg)
+    cfg = FullSolverConfig(dt=0.01, splitting=splitting)
+    (t, f), = run_full(f0, params, cfg, [0.01])
+    assert t == 0.01
+    np.testing.assert_array_equal(f.values,
+                                  step_full(f0, params, cfg, 0.01).values)
 
 
 @settings(max_examples=25, deadline=None)

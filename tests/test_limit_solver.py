@@ -49,8 +49,26 @@ def test_combined_mass_conserved():
     bulk0 = np.exp(-yg.centers)[:, None] * np.ones((1, 16))
     s0 = BulkWallState(PhaseField(bulk0, yg, pg), np.zeros(16))
     m0 = s0.combined_mass()
-    snaps = run_limit(s0, params, FullSolverConfig(dt=0.002), [0.4])
-    assert abs(snaps[-1][1].combined_mass() - m0) <= 1e-12 * m0
+    for splitting in ("lie", "strang"):
+        cfg = FullSolverConfig(dt=0.002, splitting=splitting)
+        snaps = run_limit(s0, params, cfg, [0.4])
+        assert abs(snaps[-1][1].combined_mass() - m0) <= 1e-12 * m0
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+def test_run_limit_one_step_matches_step_limit(splitting):
+    yg = build_y_grid(4.0, 48, 0.4, 16)
+    pg = build_phi_grid(16)
+    params = ModelParams(epsilon=0.0, D=0.2, T=0.4, V=shifted_sine(1.0, 0.5),
+                         Phi=shear(0.5), allow_zero_epsilon=True)
+    bulk0 = np.exp(-yg.centers)[:, None] * (1.0 + 0.3 * np.cos(pg.nodes))
+    s0 = BulkWallState(PhaseField(bulk0, yg, pg), 0.2 + 0.1 * np.sin(pg.nodes))
+    cfg = FullSolverConfig(dt=0.01, splitting=splitting)
+    (t, s), = run_limit(s0, params, cfg, [0.01])
+    assert t == 0.01
+    one = step_limit(s0, params, 0.01, cfg)
+    np.testing.assert_array_equal(s.bulk.values, one.bulk.values)
+    np.testing.assert_array_equal(s.wall, one.wall)
 
 
 def test_manufactured_state_values():

@@ -1,5 +1,8 @@
+import glob
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from activerods import (ConfigurationError, FitError, SweepRecord, fit_order,
                         parse_config, sweep_epsilon, weak_pairing_sweep)
 from activerods.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STEADY_TEXT = """
 [model]
@@ -272,3 +277,30 @@ def test_cli_out_dir_precedence(cli_config, tmp_path, monkeypatch):
     flag_dir = str(tmp_path / "flag")
     assert main(["particles", "--config", cli_config, "--out", flag_dir]) == 0
     assert os.path.exists(os.path.join(flag_dir, "particles.csv"))
+
+
+def _run_python(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_empty_seeds_exits_2(tmp_path):
+    path = tmp_path / "no_seeds.ini"
+    path.write_text(CLI_TEXT + "seeds =\n")
+    proc = _run_python(["-m", "activerods.cli", "particles", "--config",
+                        str(path), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "seeds" in proc.stderr
+
+
+@pytest.mark.parametrize("script", sorted(
+    os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "scripts",
+                                                        "*.py"))))
+def test_script_help(script):
+    proc = _run_python([os.path.join("scripts", script), "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
