@@ -8,52 +8,45 @@ from .coefficients import (AngularCoefficient, ModelParams,
 from .errors import (ActiveRodsError, AssumptionViolationError,
                      ConfigurationError, FitError, GridError,
                      NumericalFailureError)
-from .grids import (PhaseField, PhiGrid, YGrid, aggregate_phi,
-                    build_phi_grid, build_y_grid, eval_on_nodes,
-                    exp_cell_averages, exp_cell_integrals, layer_pairing,
-                    norms, overlap_average_y, phi_derivative,
+from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
+                    eval_on_nodes, exp_cell_averages, exp_cell_integrals,
+                    layer_pairing, norms, overlap_average_y, phi_derivative,
                     poly_exp_cell_averages, trace_wall)
-from .full_solver import (FullSolverConfig, phi_cfl_dt, phi_substep,
-                          resolve_dt, run_full, steady_layer, step_full)
+from .full_solver import (FullSolverConfig, phi_substep, run_full,
+                          steady_layer, step_full)
 from .limit_solver import (BulkWallState, LineField, ResolventProblem,
-                           ResolventSolution, WholeLineGrid, build_line_grid,
-                           coercivity_gap, manufactured_state, resolvent_solve,
-                           run_limit, step_limit)
-from .asymptotics import (InnerExpansion, ResidualReport, a_coeffs,
-                          build_inner, composite_refined, composite_simple,
-                          corrector_ode_mismatch, p0_coeffs, residual_report,
-                          wall_layer)
+                           build_line_grid, coercivity_gap, manufactured_state,
+                           resolvent_solve, run_limit, step_limit)
+from .asymptotics import (a_coeffs, build_inner, composite_refined,
+                          composite_simple, corrector_ode_mismatch, p0_coeffs,
+                          residual_report, wall_layer)
 from .decomposition import (Decomposition, decompose, default_tests,
                             energy_step, reconstruct, weak_pairings)
 from .particles import (ParticleEnsemble, em_step, histogram, run_particles,
                         sample_initial, tv_distance)
-from .config import RunConfig, bulk_exp_field, load_config, parse_config
+from .config import bulk_exp_field, load_config, parse_config
 from .reports import field_rows, format_value, profile_rows, write_csv
-from .sweep import (SweepRecord, WeakPairingRecord, fit_order, sweep_epsilon,
-                    weak_pairing_sweep)
+from .sweep import SweepRecord, fit_order, sweep_epsilon, weak_pairing_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActiveRodsError", "AngularCoefficient", "AssumptionViolationError",
-    "BulkWallState", "ConfigurationError", "Decomposition",
-    "FitError", "FullSolverConfig", "GridError", "InnerExpansion",
-    "LineField", "ModelParams", "NumericalFailureError", "ParticleEnsemble",
-    "PhaseField", "PhiGrid", "ResidualReport", "ResolventProblem",
-    "ResolventSolution", "RunConfig", "SweepRecord", "WeakPairingRecord",
-    "WholeLineGrid", "YGrid", "a_coeffs", "aggregate_phi", "build_inner",
-    "build_line_grid", "build_phi_grid", "build_y_grid", "bulk_exp_field",
-    "coercivity_gap", "composite_refined", "composite_simple",
-    "corrector_ode_mismatch", "decompose", "default_tests", "em_step",
-    "energy_step", "epsilon_from_physical", "eval_on_nodes",
+    "BulkWallState", "ConfigurationError", "Decomposition", "FitError",
+    "FullSolverConfig", "GridError", "LineField", "ModelParams",
+    "NumericalFailureError", "ParticleEnsemble", "PhaseField",
+    "ResolventProblem", "SweepRecord", "a_coeffs", "aggregate_phi",
+    "build_inner", "build_line_grid", "build_phi_grid", "build_y_grid",
+    "bulk_exp_field", "coercivity_gap", "composite_refined",
+    "composite_simple", "corrector_ode_mismatch", "decompose", "default_tests",
+    "em_step", "energy_step", "epsilon_from_physical", "eval_on_nodes",
     "exp_cell_averages", "exp_cell_integrals", "field_rows", "fit_order",
     "format_value", "histogram", "layer_pairing", "load_config",
     "manufactured_state", "mu0", "norms", "overlap_average_y", "p0_coeffs",
-    "parse_config", "phi_cfl_dt", "phi_derivative", "phi_substep",
-    "poly_exp_cell_averages", "profile_rows", "reconstruct",
-    "residual_report", "resolve_dt", "resolvent_solve", "run_full",
-    "run_limit", "run_particles", "sample_initial", "steady_layer",
-    "step_full", "step_limit", "sup_abs", "sweep_epsilon",
-    "trace_wall", "tv_distance", "validate_assumptions", "wall_layer",
-    "weak_pairing_sweep", "write_csv",
+    "parse_config", "phi_derivative", "phi_substep", "poly_exp_cell_averages",
+    "profile_rows", "reconstruct", "residual_report", "resolvent_solve",
+    "run_full", "run_limit", "run_particles", "sample_initial", "steady_layer",
+    "step_full", "step_limit", "sup_abs", "sweep_epsilon", "trace_wall",
+    "tv_distance", "validate_assumptions", "wall_layer", "weak_pairing_sweep",
+    "write_csv",
 ]

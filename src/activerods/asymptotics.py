@@ -177,28 +177,19 @@ def build_inner(state: BulkWallState, params: ModelParams) -> InnerExpansion:
 
 
 def composite_simple(state: BulkWallState, eps: float,
-                     V: AngularCoefficient,
-                     y_grid: YGrid | None = None) -> PhaseField:
+                     V: AngularCoefficient) -> PhaseField:
     """Leading composite: wall layer carrying the wall density plus the
-    bulk density, on the bulk's grids (or a supplied y grid)."""
-    y_grid = y_grid or state.bulk.y_grid
-    phi_grid = state.bulk.phi_grid
+    bulk density, on the bulk's grids."""
+    y_grid, phi_grid = state.bulk.y_grid, state.bulk.phi_grid
     layer = wall_layer(state.wall, V, eps, y_grid, phi_grid)
-    if y_grid is state.bulk.y_grid:
-        bulk_vals = state.bulk.values
-    else:
-        from .grids import overlap_average_y
-        bulk_vals = overlap_average_y(state.bulk.y_grid.faces,
-                                      state.bulk.values, y_grid.faces)
-    return PhaseField(layer.values + bulk_vals, y_grid, phi_grid)
+    return PhaseField(layer.values + state.bulk.values, y_grid, phi_grid)
 
 
 def composite_refined(state: BulkWallState, inner: InnerExpansion, eps: float,
-                      V: AngularCoefficient,
-                      y_grid: YGrid | None = None) -> PhaseField:
+                      V: AngularCoefficient) -> PhaseField:
     """Refined composite: the leading composite plus the cubic corrector
     layer m3(y/eps) e^{-V y/eps}, cell-averaged in closed form."""
-    base = composite_simple(state, eps, V=V, y_grid=y_grid)
+    base = composite_simple(state, eps, V)
     V_nodes = eval_on_nodes(V, base.phi_grid)
     coeffs = np.stack([inner.c0, inner.c1, inner.c2, inner.c3])
     corr = poly_exp_cell_averages(coeffs, V_nodes, eps, base.y_grid)

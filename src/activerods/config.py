@@ -11,14 +11,15 @@ Sections and keys:
                   n_particles, particle_dt, initial (bulk_exp | steady_layer)
     [output]      directory
 
-Unknown sections or keys are rejected. The environment variable
-ACTIVERODS_OUT_DIR overrides [output] directory; a CLI --out flag
-overrides both.
+Unknown sections or keys and non-finite numbers are rejected. The
+environment variable ACTIVERODS_OUT_DIR overrides [output] directory; a
+CLI --out flag overrides both.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,9 +146,12 @@ def bulk_exp_field(y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
 
 def _floats(text: str) -> list:
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        vals = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise ConfigurationError(f"expected a list of numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigurationError(f"expected finite numbers, got {text!r}")
+    return vals
 
 
 def _ints(text: str) -> list:
@@ -160,9 +164,12 @@ def _ints(text: str) -> list:
 
 def _float(section: str, key: str, text: str) -> float:
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         raise ConfigurationError(f"[{section}] {key} = {text!r} is not a number")
+    if not math.isfinite(val):
+        raise ConfigurationError(f"[{section}] {key} = {text!r} is not finite")
+    return val
 
 
 def _int(section: str, key: str, text: str) -> int:

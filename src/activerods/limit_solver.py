@@ -11,11 +11,13 @@ density w(phi):
 
     d_t w + d_phi(Phi w - D d_phi w) = V rho|_{y=0}.
 
-Discretely the bulk y-step is implicit upwind-from-above (an upper
-bidiagonal solve) and the wall source is defined as exactly the
-discrete flux through the wall face, so the combined mass telescopes to
-machine precision. The splitting, the angular substep and the march
-to snapshot times are shared with the full solver.
+Discretely the bulk y-step is implicit upwind-from-above, an upper
+bidiagonal system that goes through the full solver's LAPACK
+tridiagonal column solve with a zero sub-diagonal, and the wall source
+is defined as exactly the discrete flux through the wall face, so the
+combined mass telescopes to machine precision. The splitting, the
+angular substep and the march to snapshot times are shared with the
+full solver.
 
 The operator spot checks (coercivity gap, regularized resolvent bound)
 live on a separate uniform whole-line y grid, because the underlying
@@ -33,8 +35,8 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
-from .full_solver import (FullSolverConfig, _march, _split_stepper,
-                          resolve_dt)
+from .full_solver import (FullSolverConfig, _march, _solve_columns,
+                          _split_stepper, resolve_dt)
 from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes,
                     phi_derivative)
 
@@ -70,15 +72,13 @@ def _upwind_y_step(bulk: np.ndarray, wall: np.ndarray, V_nodes: np.ndarray,
 
     Row i of the backward-Euler system reads
     f_i (1 + r_i) - r_i f_{i+1} = f_i_old, r_i = dt V / w_i, with
-    f_n = 0 (zero inflow at the top). Solved top-down; the wall then
-    gains exactly dt * V * f_0_new, the discrete outgoing flux.
+    f_n = 0 (zero inflow at the top): an upper bidiagonal system, solved
+    by _solve_columns with a zero sub-diagonal, which makes it the
+    top-down back-substitution. The wall then gains exactly
+    dt * V * f_0_new, the discrete outgoing flux.
     """
-    n_y = bulk.shape[0]
     r = dt * V_nodes[None, :] / widths[:, None]
-    out = np.empty_like(bulk)
-    out[n_y - 1] = bulk[n_y - 1] / (1.0 + r[n_y - 1])
-    for i in range(n_y - 2, -1, -1):
-        out[i] = (bulk[i] + r[i] * out[i + 1]) / (1.0 + r[i])
+    out = _solve_columns(np.zeros_like(r), 1.0 + r, -r, bulk)
     return out, wall + dt * V_nodes * out[0]
 
 
@@ -263,36 +263,29 @@ def resolvent_solve(p: ResolventProblem, params: ModelParams) -> ResolventSoluti
     V_nodes = eval_on_nodes(params.V, phi_grid)
     Phi_nodes = eval_on_nodes(params.Phi, phi_grid)
 
-    def idx(iy, jp):
-        return iy * n_p + (jp % n_p)
-
-    rows, cols, data = [], [], []
-    rhs_vec = np.zeros(n_y * n_p)
-    for iy in range(n_y):
-        boundary = iy == 0 or iy == n_y - 1
-        for jp in range(n_p):
-            k = idx(iy, jp)
-            if boundary:
-                rows.append(k); cols.append(k); data.append(1.0)
-                continue
-            rhs_vec[k] = p.rhs.values[iy, jp]
-            V = V_nodes[jp]
-            # lam + diffusion diagonals
-            rows.append(k); cols.append(k)
-            data.append(p.lam + 2.0 * p.eps_reg / hy ** 2
-                        + 2.0 * params.D / hp ** 2)
-            # V d_y - eps_reg d_y^2, centered
-            rows.append(k); cols.append(idx(iy + 1, jp))
-            data.append(V / (2.0 * hy) - p.eps_reg / hy ** 2)
-            rows.append(k); cols.append(idx(iy - 1, jp))
-            data.append(-V / (2.0 * hy) - p.eps_reg / hy ** 2)
-            # d_phi(Phi u), centered, and -D d_phi^2
-            rows.append(k); cols.append(idx(iy, jp + 1))
-            data.append(Phi_nodes[(jp + 1) % n_p] / (2.0 * hp)
-                        - params.D / hp ** 2)
-            rows.append(k); cols.append(idx(iy, jp - 1))
-            data.append(-Phi_nodes[(jp - 1) % n_p] / (2.0 * hp)
-                        - params.D / hp ** 2)
+    # Interior rows carry five entries each, in the order diagonal, y + 1,
+    # y - 1, phi + 1, phi - 1, with the same (n_p, 5) band on every row;
+    # the Dirichlet end rows are identity rows.
+    k = np.arange(n_y * n_p).reshape(n_y, n_p)
+    inner = k[1:-1]
+    nbrs = np.stack([inner, inner + n_p, inner - n_p,
+                     np.roll(inner, -1, axis=1), np.roll(inner, 1, axis=1)],
+                    axis=-1)
+    dy2, dp2 = p.eps_reg / hy ** 2, params.D / hp ** 2
+    band = np.stack([
+        np.full(n_p, p.lam + 2.0 * dy2 + 2.0 * dp2),
+        # V d_y - eps_reg d_y^2, centered
+        V_nodes / (2.0 * hy) - dy2,
+        -V_nodes / (2.0 * hy) - dy2,
+        # d_phi(Phi u), centered, and -D d_phi^2
+        np.roll(Phi_nodes, -1) / (2.0 * hp) - dp2,
+        -np.roll(Phi_nodes, 1) / (2.0 * hp) - dp2], axis=-1)
+    rows = np.concatenate([k[0], np.repeat(inner.ravel(), 5), k[-1]])
+    cols = np.concatenate([k[0], nbrs.ravel(), k[-1]])
+    data = np.concatenate([np.ones(n_p), np.tile(band.ravel(), n_y - 2),
+                           np.ones(n_p)])
+    rhs_vec = p.rhs.values.flatten()
+    rhs_vec[:n_p] = rhs_vec[-n_p:] = 0.0
     A = sp.csr_matrix((data, (rows, cols)), shape=(n_y * n_p, n_y * n_p))
     try:
         u_vec = spla.spsolve(A, rhs_vec)

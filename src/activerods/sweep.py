@@ -71,12 +71,10 @@ def _check_ladder(eps_list) -> list:
     return eps
 
 
-def reference_limit_state(cfg: RunConfig, n_y: int | None = None):
+def reference_limit_state(cfg: RunConfig):
     """Limiting system solved to T on a fine uniform y grid (same angular
     resolution as the sweep rows)."""
-    n = int(n_y) if n_y is not None else max(2 * cfg.grid.n_y, 512)
-    if n % 2:
-        n += 1
+    n = max(2 * cfg.grid.n_y, 512)
     y_grid = build_y_grid(cfg.grid.y_max, n, cfg.grid.y_max / 2.0, n // 2)
     phi_grid = build_phi_grid(cfg.grid.n_phi)
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
@@ -97,11 +95,11 @@ def _paired_solve(cfg: RunConfig, eps: float):
     return f_T, s_T, params
 
 
-def sweep_epsilon(cfg: RunConfig, reference_n_y: int | None = None) -> list:
+def sweep_epsilon(cfg: RunConfig) -> list:
     """One SweepRecord per epsilon in cfg.experiment.epsilon_list."""
     eps_list = _check_ladder(cfg.experiment.epsilon_list)
 
-    ref_state = reference_limit_state(cfg, reference_n_y)
+    ref_state = reference_limit_state(cfg)
     inner_ref = build_inner(ref_state, cfg.model_params())
 
     records = []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from activerods import (AngularCoefficient, ModelParams, build_phi_grid,
                         build_y_grid)
@@ -30,3 +31,47 @@ def small_grids():
 def unit_params():
     return ModelParams(epsilon=0.05, D=0.0, T=0.5, V=const(1.0),
                        Phi=const(0.0))
+
+
+def round_off_bound(diag):
+    """Relative round-off allowance of a conservative y-solve. Scaled by
+    the cell widths, its M-matrix has unit column sums and a non-negative
+    inverse, so its condition number in the width-weighted L1 norm is
+    max(2 diag - 1); a backward-stable solve errs by a few ulps of that."""
+    return 16 * np.finfo(float).eps * float(np.max(2.0 * diag - 1.0))
+
+
+def patchy_values(seed, shape):
+    """Uniform [0, 1) values with about half the cells empty, so that a
+    negative weight in an update shows up as a negative cell."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, size=shape) * (rng.random(shape) < 0.5)
+
+
+# Strictly positive speeds from every family that has them (wall_drive
+# needs g > |v_prop|), and angular drifts of every family and sign.
+positive_speeds = st.one_of(
+    st.builds(const, st.floats(0.1, 3.0)),
+    st.builds(shifted_sine, st.floats(0.1, 2.0), st.floats(0.0, 1.0)),
+    st.builds(lambda g, frac: wall_drive(g, frac * g),
+              st.floats(0.1, 2.0), st.floats(-0.95, 0.95)))
+
+angular_drifts = st.one_of(
+    st.builds(const, st.floats(-2.0, 2.0)),
+    st.builds(shifted_sine, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+    st.builds(shear, st.floats(-2.0, 2.0)),
+    st.builds(wall_drive, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def graded_y_grids(draw):
+    """Uniform wall block plus a geometric stretch of ratio 1.02 to 1.3;
+    y_max is chosen so that build_y_grid recovers that ratio."""
+    layer_cells = draw(st.integers(8, 24))
+    n_stretch = draw(st.integers(4, 32))
+    layer_width = draw(st.floats(0.05, 1.0))
+    ratio = draw(st.floats(1.02, 1.3))
+    k = np.arange(1, n_stretch + 1)
+    y_max = layer_width * (1.0 + np.sum(ratio ** k) / layer_cells)
+    return build_y_grid(y_max, layer_cells + n_stretch, layer_width,
+                        layer_cells)

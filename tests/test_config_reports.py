@@ -91,6 +91,16 @@ def test_parse_defaults():
     "[model]\nepsilon = 0.1\n[experiment]\nn_particles = 0\n",
     "[model]\nepsilon = 0.1\n[experiment]\nparticle_dt = 0\n",
     "[model]\nepsilon = 0.1\nV.family = shifted_sine\n",
+    "[model]\nepsilon = nan\n",
+    "[model]\nepsilon = 0.1\nD = nan\n",
+    "[model]\nepsilon = 0.1\nD = inf\n",
+    "[model]\nepsilon = 0.1\nT = inf\n",
+    "[model]\nepsilon = 0.1\nPhi.family = paper_shear\n"
+    "Phi.params.gamma = nan\n",
+    "[model]\nepsilon = 0.1\nPhi.family = paper_shear\n"
+    "Phi.params.gamma = -inf\n",
+    "[model]\nepsilon = 0.1\n[time]\ndt = nan\n",
+    "[model]\nepsilon = 0.1\n[experiment]\nsnapshot_times = 0 inf\n",
 ])
 def test_parse_rejects(text):
     with pytest.raises(ConfigurationError):

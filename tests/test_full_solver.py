@@ -6,10 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from activerods import (AssumptionViolationError, ConfigurationError,
                         FullSolverConfig, ModelParams, NumericalFailureError,
-                        PhaseField, build_phi_grid, build_y_grid, norms,
-                        phi_substep, run_full, steady_layer, step_full)
+                        PhaseField, build_phi_grid, build_y_grid,
+                        eval_on_nodes, norms, phi_substep, run_full,
+                        steady_layer, step_full)
+from activerods.full_solver import _fitted_flux_coeffs, _implicit_y_step
+from activerods.limit_solver import _upwind_y_step
 
-from conftest import const, shear, shifted_sine, wall_drive
+from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
+                      patchy_values, round_off_bound, shear, shifted_sine,
+                      wall_drive)
 
 
 def test_steady_layer_mass():
@@ -129,6 +134,17 @@ def test_subcycle_cap():
         phi_substep(vals, Phi_face, 1e9, h, 0.1)
 
 
+def test_phi_substep_positive_where_drift_diverges():
+    # Phi = -sin(phi) on four nodes: the cell at phi = pi drains through
+    # both of its faces, so its outflow rate is twice max|Phi| / h
+    pg = build_phi_grid(4)
+    vals = np.array([[0.0, 0.0, 1.0, 0.0]])
+    for dt in np.linspace(0.1, 4.0, 40):
+        out = phi_substep(vals, -np.sin(pg.faces), 0.0, pg.h, dt)
+        assert np.min(out) >= 0.0
+        assert np.sum(out) == pytest.approx(1.0, rel=1e-14)
+
+
 def test_speed_sign_assumption_enforced(small_grids):
     yg, pg = small_grids
     params = ModelParams(epsilon=0.05, D=0.0, T=0.5, V=wall_drive(0.5, 1.0),
@@ -161,16 +177,80 @@ def test_run_full_one_step_matches_step_full(small_grids, splitting):
                                   step_full(f0, params, cfg, 0.01).values)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_step_preserves_mass_and_positivity(seed):
-    yg = build_y_grid(4.0, 32, 0.4, 8)
-    pg = build_phi_grid(8)
-    rng = np.random.default_rng(seed)
-    vals = rng.uniform(0.0, 1.0, size=(32, 8))
-    f = PhaseField(vals, yg, pg)
-    params = ModelParams(epsilon=0.05, D=0.1, T=0.5, V=shifted_sine(1.0, 0.5),
-                         Phi=shear(0.5))
-    out = step_full(f, params, FullSolverConfig(dt=0.05))
-    assert norms(out)["mass"] == pytest.approx(norms(f)["mass"], rel=1e-12)
+@settings(max_examples=200, deadline=None)
+@given(graded_y_grids(), st.integers(4, 16), positive_speeds, angular_drifts,
+       st.floats(0.0, 1.0), st.floats(0.005, 0.5), st.floats(1e-3, 2.0),
+       st.sampled_from(["lie", "strang"]), st.integers(0, 2 ** 32 - 1))
+def test_step_preserves_mass_and_positivity(yg, n_phi, V, Phi, D, eps, dt,
+                                            splitting, seed):
+    pg = build_phi_grid(n_phi)
+    f = PhaseField(patchy_values(seed, (yg.n_y, n_phi)), yg, pg)
+    params = ModelParams(epsilon=eps, D=D, T=0.5, V=V, Phi=Phi)
+    out = step_full(f, params, FullSolverConfig(dt=dt, splitting=splitting))
+    a, b = _fitted_flux_coeffs(eval_on_nodes(V, pg), eps, yg)
+    rel = round_off_bound(1.0 + dt / yg.widths[:, None] * (a[1:] + b[:-1]))
+    assert norms(out)["mass"] == pytest.approx(norms(f)["mass"],
+                                               rel=max(rel, 1e-12))
     assert np.min(out.values) >= -1e-12
+
+
+def _thomas_reference(values, a, b, widths, dt):
+    """Row-loop Thomas solve of the fitted-flux backward-Euler system."""
+    n_y = values.shape[0]
+    r = dt / widths[:, None]
+    diag = 1.0 + r * (a[1:, :] + b[:-1, :])
+    lower = -r * a[:-1, :]
+    upper = -r * b[1:, :]
+    cp = np.empty_like(values)
+    dp = np.empty_like(values)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = values[0] / diag[0]
+    for i in range(1, n_y):
+        denom = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom
+        dp[i] = (values[i] - lower[i] * dp[i - 1]) / denom
+    out = np.empty_like(values)
+    out[n_y - 1] = dp[n_y - 1]
+    for i in range(n_y - 2, -1, -1):
+        out[i] = dp[i] - cp[i] * out[i + 1]
+    return out
+
+
+def _upwind_reference(bulk, wall, V_nodes, widths, dt):
+    """Row-loop top-down back-substitution of the limit y-step."""
+    n_y = bulk.shape[0]
+    r = dt * V_nodes[None, :] / widths[:, None]
+    out = np.empty_like(bulk)
+    out[n_y - 1] = bulk[n_y - 1] / (1.0 + r[n_y - 1])
+    for i in range(n_y - 2, -1, -1):
+        out[i] = (bulk[i] + r[i] * out[i + 1]) / (1.0 + r[i])
+    return out, wall + dt * V_nodes * out[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_y_grids(), st.integers(4, 16), positive_speeds,
+       st.floats(0.005, 0.5), st.floats(1e-4, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_y_steps_match_row_loop_references(yg, n_phi, V, eps, dt, seed):
+    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.0, 1.0, size=(yg.n_y, n_phi))
+    wall = rng.uniform(0.0, 1.0, size=n_phi)
+    w = yg.widths[:, None]
+    mass = np.sum(vals * w)
+
+    # LAPACK pivots, which reorders the fitted-flux arithmetic
+    a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
+    tol = round_off_bound(1.0 + dt / w * (a[1:] + b[:-1]))
+    ref = _thomas_reference(vals, a, b, yg.widths, dt)
+    out = _implicit_y_step(vals, a, b, yg.widths, dt)
+    assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
+    assert abs(np.sum(out * w) - mass) <= tol * mass
+
+    # with a zero sub-diagonal it does the reference's arithmetic exactly
+    tol = round_off_bound(1.0 + dt * V_nodes / w)
+    bulk, wall_new = _upwind_y_step(vals, wall, V_nodes, yg.widths, dt)
+    ref_bulk, ref_wall = _upwind_reference(vals, wall, V_nodes, yg.widths, dt)
+    np.testing.assert_array_equal(bulk, ref_bulk)
+    np.testing.assert_array_equal(wall_new, ref_wall)
+    total = mass + np.sum(wall)
+    assert abs(np.sum(bulk * w) + np.sum(wall_new) - total) <= tol * total

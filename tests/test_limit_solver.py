@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from activerods import (BulkWallState, ConfigurationError, FullSolverConfig,
                         LineField, ModelParams, NumericalFailureError,
                         PhaseField, ResolventProblem, build_line_grid,
                         build_phi_grid, build_y_grid, coercivity_gap,
-                        manufactured_state, resolvent_solve, run_limit,
-                        step_limit)
+                        eval_on_nodes, manufactured_state, mu0,
+                        resolvent_solve, run_limit, step_limit)
 
-from conftest import const, shear, shifted_sine
+from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
+                      patchy_values, round_off_bound, shear, shifted_sine,
+                      wall_drive)
 
 
 def _uniform_grids(n_y=128, n_phi=16, y_max=8.0):
@@ -69,6 +74,25 @@ def test_run_limit_one_step_matches_step_limit(splitting):
     one = step_limit(s0, params, 0.01, cfg)
     np.testing.assert_array_equal(s.bulk.values, one.bulk.values)
     np.testing.assert_array_equal(s.wall, one.wall)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_y_grids(), st.integers(4, 16), positive_speeds, angular_drifts,
+       st.floats(0.0, 1.0), st.floats(1e-3, 2.0),
+       st.sampled_from(["lie", "strang"]), st.integers(0, 2 ** 32 - 1))
+def test_step_limit_preserves_mass_and_positivity(yg, n_phi, V, Phi, D, dt,
+                                                  splitting, seed):
+    pg = build_phi_grid(n_phi)
+    vals = patchy_values(seed, (yg.n_y + 1, n_phi))
+    s = BulkWallState(PhaseField(vals[1:], yg, pg), vals[0])
+    params = ModelParams(epsilon=0.0, D=D, T=0.5, V=V, Phi=Phi,
+                         allow_zero_epsilon=True)
+    out = step_limit(s, params, dt, FullSolverConfig(splitting=splitting))
+    rel = round_off_bound(1.0 + dt * eval_on_nodes(V, pg) / yg.widths[:, None])
+    assert out.combined_mass() == pytest.approx(s.combined_mass(),
+                                                rel=max(rel, 1e-12))
+    assert np.min(out.bulk.values) >= -1e-12
+    assert np.min(out.wall) >= -1e-12
 
 
 def test_manufactured_state_values():
@@ -168,3 +192,53 @@ def test_line_grid_validation():
     pg = build_phi_grid(8)
     with pytest.raises(ConfigurationError):
         LineField(np.zeros((8, 101)), grid, pg)
+
+
+def _loop_assembled_resolvent(p, params):
+    """Row-loop COO assembly of the resolvent system, as (matrix, rhs)."""
+    n_y, n_p = p.rhs.line_grid.n_y, p.rhs.phi_grid.n_phi
+    hy, hp = p.rhs.line_grid.h, p.rhs.phi_grid.h
+    V_nodes = eval_on_nodes(params.V, p.rhs.phi_grid)
+    Phi_nodes = eval_on_nodes(params.Phi, p.rhs.phi_grid)
+
+    def idx(iy, jp):
+        return iy * n_p + (jp % n_p)
+
+    rows, cols, data = [], [], []
+    rhs_vec = np.zeros(n_y * n_p)
+    for iy in range(n_y):
+        for jp in range(n_p):
+            k = idx(iy, jp)
+            if iy == 0 or iy == n_y - 1:
+                rows.append(k); cols.append(k); data.append(1.0)
+                continue
+            rhs_vec[k] = p.rhs.values[iy, jp]
+            V = V_nodes[jp]
+            entries = [
+                (k, p.lam + 2.0 * p.eps_reg / hy ** 2
+                 + 2.0 * params.D / hp ** 2),
+                (idx(iy + 1, jp), V / (2.0 * hy) - p.eps_reg / hy ** 2),
+                (idx(iy - 1, jp), -V / (2.0 * hy) - p.eps_reg / hy ** 2),
+                (idx(iy, jp + 1), Phi_nodes[(jp + 1) % n_p] / (2.0 * hp)
+                 - params.D / hp ** 2),
+                (idx(iy, jp - 1), -Phi_nodes[(jp - 1) % n_p] / (2.0 * hp)
+                 - params.D / hp ** 2)]
+            for col, val in entries:
+                rows.append(k); cols.append(col); data.append(val)
+    A = sp.csr_matrix((data, (rows, cols)), shape=(n_y * n_p, n_y * n_p))
+    return A, rhs_vec
+
+
+@pytest.mark.parametrize("n_phi", [4, 5, 16])
+def test_resolvent_matches_loop_assembly(n_phi):
+    grid = build_line_grid(6.0, 61)
+    pg = build_phi_grid(n_phi)
+    rhs = LineField(np.exp(-grid.nodes[:, None] ** 2)
+                    * (1.0 + np.cos(pg.nodes) + np.sin(2 * pg.nodes))[None, :],
+                    grid, pg)
+    params = ModelParams(epsilon=0.05, D=0.3, T=1.0, V=wall_drive(1.0, 0.5),
+                         Phi=shear(1.0))
+    p = ResolventProblem(mu0(params.Phi) + 1.0, 1e-2, rhs)
+    A, rhs_vec = _loop_assembled_resolvent(p, params)
+    u = spla.spsolve(A, rhs_vec).reshape(grid.n_y, n_phi)
+    np.testing.assert_array_equal(resolvent_solve(p, params).u.values, u)

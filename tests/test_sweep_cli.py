@@ -297,6 +297,23 @@ def test_cli_empty_seeds_exits_2(tmp_path):
     assert "seeds" in proc.stderr
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("run-full", "D = 0.0", "D = nan"),
+    ("run-limit", "D = 0.0", "D = inf"),
+    ("composite", "gamma = 0.5", "gamma = nan"),
+    ("particles", "T = 0.1", "T = inf")])
+def test_cli_nonfinite_config_exits_2(command, old, new, tmp_path, capsys):
+    text = CLI_TEXT.replace(old, new)
+    assert new in text
+    path = tmp_path / "nonfinite.ini"
+    path.write_text(text)
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "not finite" in err
+
+
 @pytest.mark.parametrize("script", sorted(
     os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "scripts",
                                                         "*.py"))))
