@@ -24,13 +24,16 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import acceptance
 from .asymptotics import build_inner, composite_refined, composite_simple, \
     residual_report
 from .coefficients import mu0
 from .config import RunConfig, load_config
 from .decomposition import decompose, default_tests, energy_step, weak_pairings
-from .errors import ActiveRodsError, ConfigurationError, FitError
+from .errors import (ActiveRodsError, ConfigurationError, FitError,
+                     NumericalFailureError)
 from .full_solver import run_full
 from .grids import norms
 from .limit_solver import run_limit
@@ -51,6 +54,14 @@ def _out_dir(cfg: RunConfig, args) -> str:
 
 def _wrote(path: str, n_rows: int):
     print(f"wrote {path} ({n_rows} rows)")
+
+
+def _require_finite(what: str, *values):
+    """Refuse to write results that overflowed or went NaN."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericalFailureError(
+            f"{what} produced non-finite values; the coefficients may be "
+            "too large for double precision")
 
 
 def _write(cfg, args, name, header, rows) -> str:
@@ -104,13 +115,15 @@ def _cmd_composite(args) -> int:
     inner = build_inner(s_T, cfg.model_params())
     f_bar = composite_simple(s_T, cfg.epsilon, cfg.V)
     f_hat = composite_refined(s_T, inner, cfg.epsilon, cfg.V)
+    resid = residual_report(s_T, inner, cfg.model_params())
+    _require_finite("composite", f_bar.values, f_hat.values, resid.l1_R,
+                    resid.l1_r)
     rows = []
     for i in range(y_grid.n_y):
         for j in range(phi_grid.n_phi):
             rows.append((y_grid.centers[i], phi_grid.nodes[j],
                          f_bar.values[i, j], f_hat.values[i, j]))
     _write(cfg, args, "composite.csv", ("y", "phi", "f_bar", "f_hat"), rows)
-    resid = residual_report(s_T, inner, cfg.model_params())
     _write(cfg, args, "residual.csv", ("epsilon", "l1_R", "l1_r"),
            [(resid.epsilon, resid.l1_R, resid.l1_r)])
     return 0
@@ -119,6 +132,8 @@ def _cmd_composite(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     records = sweep_epsilon(cfg)
+    # the last column, order_vs_prev, is NaN by design on the first row
+    _require_finite("sweep", [r.row()[:-1] for r in records])
     _write(cfg, args, "sweep.csv", SWEEP_COLUMNS,
            [r.row() for r in records])
     try:

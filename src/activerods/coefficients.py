@@ -86,35 +86,56 @@ def eval_coeff(coeff: AngularCoefficient, phi, order: int = 0):
     phi = np.asarray(phi, dtype=float)
     p = coeff.params
     fam = coeff.family
-    if fam == "constant":
-        v = float(p["value"])
-        out = np.full_like(phi, v if order == 0 else 0.0)
+    if order == 0:
+        out = _values(coeff, np.sin(phi), np.empty_like(phi))
+    elif fam == "constant":
+        out = np.zeros_like(phi)
     elif fam == "shifted_sine":
-        g0, a = float(p["g0"]), float(p["a"])
-        if order == 0:
-            out = g0 + a * (1.0 + np.sin(phi))
-        elif order == 1:
+        a = float(p["a"])
+        if order == 1:
             out = a * np.cos(phi)
         else:
             out = -a * np.sin(phi)
     elif fam == "paper_shear":
         gamma = float(p["gamma"])
-        if order == 0:
-            out = -gamma * np.sin(phi) ** 2
-        elif order == 1:
+        if order == 1:
             out = -gamma * np.sin(2.0 * phi)
         else:
             out = -2.0 * gamma * np.cos(2.0 * phi)
     else:  # wall_drive
-        g, v_prop = float(p["g"]), float(p["v_prop"])
-        if order == 0:
-            out = g - v_prop * np.sin(phi)
-        elif order == 1:
+        v_prop = float(p["v_prop"])
+        if order == 1:
             out = -v_prop * np.cos(phi)
         else:
             out = v_prop * np.sin(phi)
     if out.ndim == 0:
         return float(out)
+    return out
+
+
+def _values(coeff: AngularCoefficient, sin_phi, out: np.ndarray) -> np.ndarray:
+    """Order-0 values of coeff from a precomputed sin(phi), written into
+    out and returned.
+
+    Every family is a polynomial of degree <= 2 in sin(phi), so callers
+    that need several coefficients at the same angles share one sine.
+    The in-place ufuncs keep each formula's rounding, e.g. shifted_sine
+    is g0 + a * (1 + sin(phi)) to the last bit.
+    """
+    p = coeff.params
+    fam = coeff.family
+    if fam == "constant":
+        out[...] = float(p["value"])
+    elif fam == "shifted_sine":
+        np.add(sin_phi, 1.0, out=out)
+        out *= float(p["a"])
+        out += float(p["g0"])
+    elif fam == "paper_shear":
+        np.square(sin_phi, out=out)
+        out *= -float(p["gamma"])
+    else:  # wall_drive
+        np.multiply(sin_phi, float(p["v_prop"]), out=out)
+        np.subtract(float(p["g"]), out, out=out)
     return out
 
 

@@ -75,3 +75,18 @@ def graded_y_grids(draw):
     y_max = layer_width * (1.0 + np.sum(ratio ** k) / layer_cells)
     return build_y_grid(y_max, layer_cells + n_stretch, layer_width,
                         layer_cells)
+
+
+def coeff_value_reference(coeff, phi):
+    """Order-0 family formulas as written out per family, each with its
+    own sin(phi): the reference the shared-sine evaluation must match
+    bitwise."""
+    phi = np.asarray(phi, dtype=float)
+    p = {k: float(v) for k, v in coeff.params.items()}
+    if coeff.family == "constant":
+        return np.full_like(phi, p["value"])
+    if coeff.family == "shifted_sine":
+        return p["g0"] + p["a"] * (1.0 + np.sin(phi))
+    if coeff.family == "paper_shear":
+        return -p["gamma"] * np.sin(phi) ** 2
+    return p["g"] - p["v_prop"] * np.sin(phi)

@@ -10,7 +10,8 @@ from activerods import (AngularCoefficient, AssumptionViolationError,
                         validate_assumptions)
 from activerods.coefficients import eval_coeff
 
-from conftest import const, shear, shifted_sine, wall_drive
+from conftest import (coeff_value_reference, const, shear, shifted_sine,
+                      wall_drive)
 
 
 def test_shifted_sine_value():
@@ -147,3 +148,12 @@ def test_vectorized_eval():
     vals = eval_coeff(V, phi)
     assert vals.shape == phi.shape
     assert vals[0] == pytest.approx(1.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("idx", range(len(_FAMILIES)))
+def test_order0_matches_family_formulas(idx):
+    c = _FAMILIES[idx]
+    phi = np.random.default_rng(idx).uniform(-20.0, 20.0, 1001)
+    np.testing.assert_array_equal(eval_coeff(c, phi),
+                                  coeff_value_reference(c, phi))
+    assert eval_coeff(c, 0.7) == float(coeff_value_reference(c, 0.7))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +7,74 @@ import pytest
 from activerods import (ConfigurationError, ModelParams,
                         NumericalFailureError, ParticleEnsemble, PhaseField,
                         build_phi_grid, build_y_grid, em_step, histogram,
-                        norms, run_particles, sample_initial, tv_distance)
+                        norms, run_particles, sample_initial, sup_abs,
+                        tv_distance)
+from activerods import particles
 
-from conftest import const, shifted_sine
+from conftest import (coeff_value_reference, const, shear, shifted_sine,
+                      wall_drive)
+
+
+# -- whole-array references ---------------------------------------------------
+# The one-shot em_step and the histogram2d histogram that the chunked step
+# and the bincount histogram replaced, kept as the references they must
+# match bitwise.
+
+def _mix64_reference(x):
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _uniforms_reference(seed, stride, n, slot, channel):
+    keys = np.uint64(seed % (1 << 64)) ^ (
+        np.arange(n, dtype=np.uint64) * np.uint64(stride % (1 << 64)))
+    counter = slot * 4 + channel + 1
+    offset = np.uint64((0x9E3779B97F4A7C15 * counter) % (1 << 64))
+    bits = _mix64_reference(keys + offset)
+    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def em_step_reference(e, params, dt, y_max=None):
+    bound = 0.1 / max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
+    assert dt <= bound * (1.0 + 1e-12)
+    slot = e.step + 1
+    u1 = _uniforms_reference(e.seed, e.stream_stride, e.n, slot, 0)
+    u2 = _uniforms_reference(e.seed, e.stream_stride, e.n, slot, 1)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z_y, z_p = r * np.cos(theta), r * np.sin(theta)
+    V = coeff_value_reference(params.V, e.phi)
+    Phi = coeff_value_reference(params.Phi, e.phi)
+    y = e.y - V * dt + np.sqrt(2.0 * params.epsilon * dt) * z_y
+    phi = e.phi + Phi * dt + np.sqrt(2.0 * params.D * dt) * z_p
+    y = np.abs(y)
+    if y_max is not None:
+        over = y > y_max
+        if np.any(over):
+            y[over] = 2.0 * y_max - y[over]
+    phi = np.mod(phi, 2.0 * np.pi)
+    return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
+                            stream_stride=e.stream_stride, step=e.step + 1)
+
+
+def histogram_reference(e, y_grid, phi_grid):
+    h = phi_grid.h
+    shifted = np.mod(e.phi + 0.5 * h, 2.0 * np.pi)
+    edges_phi = np.linspace(0.0, 2.0 * np.pi, phi_grid.n_phi + 1)
+    counts, _, _ = np.histogram2d(e.y, shifted,
+                                  bins=[y_grid.faces, edges_phi])
+    vol = y_grid.widths[:, None] * h
+    return PhaseField(counts / (counts.sum() * vol), y_grid, phi_grid)
+
+
+def _assert_same_ensemble(a, b):
+    # bit patterns, so that -0.0 and 0.0 count as different
+    np.testing.assert_array_equal(a.y.view(np.uint64), b.y.view(np.uint64))
+    np.testing.assert_array_equal(a.phi.view(np.uint64),
+                                  b.phi.view(np.uint64))
+    assert (a.n, a.seed, a.stream_stride, a.step) == \
+        (b.n, b.seed, b.stream_stride, b.step)
 
 
 def _drift_params(T=2.0):
@@ -140,3 +206,117 @@ def test_em_step_dt_bound():
 def test_ensemble_shape_check():
     with pytest.raises(ConfigurationError):
         ParticleEnsemble(y=np.zeros(5), phi=np.zeros(4), n=5, seed=1)
+
+
+def test_sample_initial_matches_reference_draws():
+    e = sample_initial(1001, 9, 8.0)
+    u_y = _uniforms_reference(9, e.stream_stride, 1001, 0, 2)
+    u_p = _uniforms_reference(9, e.stream_stride, 1001, 0, 3)
+    np.testing.assert_array_equal(e.y,
+                                  -np.log1p(-u_y * (1.0 - np.exp(-8.0))))
+    np.testing.assert_array_equal(e.phi, 2.0 * np.pi * u_p)
+
+
+# Each family drives both V and Phi once; V need not be positive here.
+_FAMILY_PAIRS = [(const(1.3), shifted_sine(0.2, -0.4)),
+                 (shifted_sine(1.0, 0.5), shear(0.5)),
+                 (shear(-0.8), wall_drive(0.3, 1.1)),
+                 (wall_drive(2.0, 0.7), const(-0.6))]
+
+
+@pytest.mark.parametrize("chunks", [0.3, 3.4])
+@pytest.mark.parametrize("pair", range(len(_FAMILY_PAIRS)))
+@pytest.mark.parametrize("eps, D", [(0.0, 0.0), (0.05, 0.2)])
+@pytest.mark.parametrize("y_max", [None, 2.0])
+def test_chunked_step_matches_whole_array_reference(chunks, pair, eps, D,
+                                                    y_max):
+    # n below one chunk (one inline chunk) and n over several chunks with
+    # a ragged tail (thread pool); D = 0 still draws, and adds, z_phi
+    n = int(chunks * particles._CHUNK)
+    V, Phi = _FAMILY_PAIRS[pair]
+    params = ModelParams(epsilon=eps, D=D, T=1.0, V=V, Phi=Phi,
+                         allow_zero_epsilon=True)
+    dt = 0.01
+    e0 = sample_initial(n, 100 + pair, 3.0)
+    ref = e0
+    for _ in range(3):
+        ref = em_step_reference(ref, params, dt, y_max=y_max)
+    _assert_same_ensemble(em_step(e0, params, dt, y_max=y_max),
+                          em_step_reference(e0, params, dt, y_max=y_max))
+    _assert_same_ensemble(run_particles(e0, params, dt, 3 * dt,
+                                        y_max=y_max), ref)
+
+
+def test_step_independent_of_chunk_size_and_thread_count(monkeypatch):
+    # many small ragged chunks on more threads than cores, with the
+    # interpreter switching threads as often as it can: every particle
+    # must still get its own update, written once
+    params = ModelParams(epsilon=0.05, D=0.2, T=1.0,
+                         V=shifted_sine(1.0, 0.5), Phi=shear(0.5))
+    e0 = sample_initial(20_011, 5, 8.0)
+    ref = em_step_reference(e0, params, 0.01, y_max=8.0)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for chunk, cpus in [(997, 8), (4096, 1), (20_011, 3)]:
+            monkeypatch.setattr(particles, "_CHUNK", chunk)
+            monkeypatch.setattr(particles, "_cpu_count", lambda: cpus)
+            _assert_same_ensemble(em_step(e0, params, 0.01, y_max=8.0), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_step_wraps_angles_like_np_mod():
+    # angles on and beyond both ends of [0, 2 pi), including -0.0, with
+    # no angular noise, so that the drift alone decides the wrap
+    two_pi = 2.0 * np.pi
+    phi = np.array([-0.0, 0.0, 5e-324, -5e-324, two_pi,
+                    np.nextafter(two_pi, 0.0), -7.0, 7.0, 20.0, -20.0])
+    e = ParticleEnsemble(y=np.linspace(0.0, 1.0, len(phi)), phi=phi,
+                         n=len(phi), seed=3)
+    for Phi in (shear(0.5), const(0.0), const(-1e-3)):
+        params = ModelParams(epsilon=0.05, D=0.0, T=1.0, V=const(1.0),
+                             Phi=Phi)
+        _assert_same_ensemble(em_step(e, params, 0.01),
+                              em_step_reference(e, params, 0.01))
+
+
+@pytest.mark.parametrize("chunks", [0.3, 2.5])
+def test_step_keeps_caller_error_state(chunks):
+    # a non-finite angle in the last chunk: the caller's np.errstate
+    # reaches the worker threads, and the error reaches the caller
+    n = int(chunks * particles._CHUNK)
+    phi = np.zeros(n)
+    phi[-1] = np.inf
+    e = ParticleEnsemble(y=np.ones(n), phi=phi, n=n, seed=1)
+    params = ModelParams(epsilon=0.05, D=0.2, T=1.0,
+                         V=shifted_sine(1.0, 0.5), Phi=const(1.0))
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        em_step(e, params, 0.01)
+
+
+def test_histogram_matches_histogram2d():
+    yg = build_y_grid(4.0, 48, 0.4, 16)
+    pg = build_phi_grid(16)
+    rng = np.random.default_rng(7)
+    n = 50_000
+    random = ParticleEnsemble(y=rng.uniform(-0.5, 4.5, n),
+                              phi=rng.uniform(-7.0, 13.0, n), n=n, seed=1)
+    # edges: y on every face (0 and y_max included) and beyond y_max;
+    # shifted angles on every bin edge, and one just below 0 that np.mod
+    # rounds up to exactly 2 pi
+    h = pg.h
+    edges_phi = np.linspace(0.0, 2.0 * np.pi, pg.n_phi + 1)
+    wrap = np.nextafter(-0.5 * h, -1.0)
+    assert np.mod(wrap + 0.5 * h, 2.0 * np.pi) == 2.0 * np.pi
+    y = np.concatenate([yg.faces, [4.0 + 1e-12, 5.0, np.nan],
+                        np.full(pg.n_phi + 2, 4.0), [4.0, 0.0]])
+    phi = np.concatenate([np.zeros(len(yg.faces) + 3),
+                          edges_phi - 0.5 * h, [wrap],
+                          [wrap, wrap]])
+    edge = ParticleEnsemble(y=y, phi=phi, n=len(y), seed=1)
+    for e in (random, edge):
+        np.testing.assert_array_equal(histogram(e, yg, pg).values,
+                                      histogram_reference(e, yg, pg).values)
+    # the top face and the rounded-up angle land in the last cells
+    assert histogram(edge, yg, pg).values[-1, -1] > 0.0

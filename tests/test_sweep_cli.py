@@ -321,3 +321,24 @@ def test_script_help(script):
     proc = _run_python([os.path.join("scripts", script), "--help"])
     assert proc.returncode == 0, proc.stderr
     assert "usage" in proc.stdout
+
+
+@pytest.mark.parametrize("command, csvs", [
+    ("composite", ("composite.csv", "residual.csv")),
+    ("sweep", ("sweep.csv",))])
+def test_cli_overflowing_results_exit_4(command, csvs, tmp_path, capsys):
+    # a finite speed so large that the layer quantities overflow while
+    # both solvers still finish
+    with open(os.path.join(ROOT, "configs", "example.cfg")) as fh:
+        text = fh.read().replace("V.params.g0 = 1.0", "V.params.g0 = 1e308")
+    assert "1e308" in text
+    path = tmp_path / "huge.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "non-finite" in err
+    for name in csvs:
+        assert not os.path.exists(out / name)
