@@ -16,8 +16,11 @@ with an exponentially fitted two-point flux
 which reduces to upwind-from-above as eps -> 0 and to the plain
 two-point diffusive flux as V -> 0, keeps the M-matrix property, and
 annihilates exact cell averages of e^{-V y/eps} on the uniform layer
-block to machine precision. The phi-substep is explicit conservative
-upwind plus centered diffusion, sub-cycled under a CFL bound.
+block to machine precision. Its tridiagonal matrix changes only with the
+step size, so it is LU-factored (LAPACK dgttrf) once per step size and
+every step runs only the triangular solves (dgttrs). The phi-substep is
+explicit conservative upwind plus centered diffusion, sub-cycled under a
+CFL bound in work arrays kept for the whole substep.
 """
 
 from __future__ import annotations
@@ -26,14 +29,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import ModelParams, sup_abs, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
 from .grids import (PhaseField, YGrid, PhiGrid, eval_on_nodes,
                     exp_cell_averages)
 
-_MAX_SUBCYCLES = 10 ** 6
+# Most equal steps one snapshot segment, or one angular substep's CFL
+# sub-cycling, may take; a request for more is a configuration error.
+_MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -97,33 +102,55 @@ def _fitted_flux_coeffs(V_nodes: np.ndarray, eps: float, y_grid: YGrid):
     return a, b
 
 
-def _solve_columns(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                   rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system of every angle column at once.
+def _factor_columns(lower: np.ndarray, diag: np.ndarray,
+                    upper: np.ndarray):
+    """LU-factor the tridiagonal system of every angle column at once and
+    return solve(rhs), which runs only the triangular solves.
 
     All arguments are shaped (n_y, n_phi); row i of column j reads
     lower[i, j] x[i-1, j] + diag[i, j] x[i, j] + upper[i, j] x[i+1, j]
     = rhs[i, j] (lower[0] and upper[-1] are ignored). The columns are laid
     end to end, phi-major, as one tridiagonal system with zero coupling
-    between columns and solved by one LAPACK gtsv call."""
-    n_y, n_phi = rhs.shape
-    ab = np.zeros((3, n_phi, n_y))
-    ab[0, :, 1:] = upper[:-1].T
-    ab[1] = diag.T
-    ab[2, :, :-1] = lower[1:].T
-    x = solve_banded((1, 1), ab.reshape(3, -1), rhs.T.flatten(),
-                     overwrite_ab=True, overwrite_b=True, check_finite=False)
-    return x.reshape(n_phi, n_y).T
+    between columns, factored by LAPACK dgttrf. dgttrs then does the
+    arithmetic of an unfactored gtsv solve, pivots included."""
+    n_y, n_phi = diag.shape
+    dl = np.zeros((n_phi, n_y))
+    dl[:, :-1] = lower[1:].T
+    du = np.zeros((n_phi, n_y))
+    du[:, :-1] = upper[:-1].T
+    dl, d, du, du2, ipiv, info = dgttrf(dl.ravel()[:-1], diag.T.flatten(),
+                                        du.ravel()[:-1], 1, 1, 1)
+    if info != 0:
+        raise NumericalFailureError("tridiagonal y-operator is singular")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs.T.flatten(), overwrite_b=1)
+        return x.reshape(n_phi, n_y).T
+
+    return solve
 
 
-def _implicit_y_step(values: np.ndarray, a: np.ndarray, b: np.ndarray,
-                     widths: np.ndarray, dt: float) -> np.ndarray:
+def _implicit_y_step(a: np.ndarray, b: np.ndarray, widths: np.ndarray,
+                     dt: float):
     """Backward-Euler step of d_t f + (G_{i+1} - G_i)/w_i = 0 with the
-    linear flux G_i = a_i f_{i-1} - b_i f_i, solved for every angle
-    column by _solve_columns. Exactly conservative by telescoping."""
+    linear flux G_i = a_i f_{i-1} - b_i f_i, factored once for the step
+    size dt by _factor_columns: returns the step f -> f_new. Exactly
+    conservative by telescoping."""
     r = dt / widths[:, None]
-    return _solve_columns(-r * a[:-1, :], 1.0 + r * (a[1:, :] + b[:-1, :]),
-                          -r * b[1:, :], values)
+    return _factor_columns(-r * a[:-1, :], 1.0 + r * (a[1:, :] + b[:-1, :]),
+                           -r * b[1:, :])
+
+
+def _step_count(span: float, step: float, what: str, remedy: str) -> int:
+    """Number of equal steps of at most `step` that cover `span`:
+    ceil(span / step), less a 1e-12 slack so that an exact multiple is not
+    rounded up, and at least one. Raises ConfigurationError when that is
+    not finite or exceeds _MAX_STEPS."""
+    n = span / step - 1e-12 if step > 0.0 else math.inf
+    if not n <= _MAX_STEPS:
+        raise ConfigurationError(
+            f"{what} needs {n:.3g} steps, more than {_MAX_STEPS}; {remedy}")
+    return max(1, math.ceil(n))
 
 
 def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
@@ -131,40 +158,60 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
     """Explicit conservative angular substep, sub-cycled under CFL.
 
     Upwinds on the sign of Phi at each face, centered two-point
-    diffusion. Works on any array whose last axis is the angle. The
-    sub-cycle bound counts the outflow through both faces of a cell
-    (Phi can change sign outward across one), which keeps non-negative
-    values non-negative."""
-    drain = np.maximum(Phi_face, 0.0) - np.minimum(np.roll(Phi_face, 1), 0.0)
+    diffusion. Works on any array whose last axis is the angle; the
+    result is laid out angle-major in memory. The sub-cycle bound counts
+    the outflow through both faces of a cell (Phi can change sign outward
+    across one), which keeps non-negative values non-negative."""
+    drain = np.maximum(Phi_face, 0.0) - np.minimum(
+        np.concatenate((Phi_face[-1:], Phi_face[:-1])), 0.0)
     denom = float(np.max(drain)) / h + 2.0 * D / h ** 2
+    # Work arrays for the whole call, angle-major, so that shifting the
+    # angle by one is a copy of contiguous blocks. It is also the layout
+    # of the y-solve's columns, so neither substep transposes the other's
+    # output.
+    out = np.array(np.moveaxis(values, -1, 0), dtype=float, order="C")
     if denom <= 0.0 or dt <= 0.0:
-        return values.copy()
-    stable = safety / denom
-    n_sub = max(1, math.ceil(dt / stable - 1e-12))
-    if n_sub > _MAX_SUBCYCLES:
-        raise ConfigurationError(
-            f"angular CFL requires {n_sub} sub-cycles (> {_MAX_SUBCYCLES}); "
-            "reduce dt or refine the angle grid"
-        )
-    dts = dt / n_sub
-    out = values.copy()
+        return np.moveaxis(out, 0, -1)
+    n_sub = _step_count(dt, safety / denom,
+                        "angular sub-cycling at the CFL bound",
+                        "reduce dt or D, or use fewer angles")
+    c = (dt / n_sub) / h
+    nxt, F, tmp = np.empty((3,) + out.shape)
+    Phi = np.reshape(Phi_face, (-1,) + (1,) * (out.ndim - 1))
+    # The upwind value is out on faces with Phi >= 0 and nxt on the
+    # others: one of the two arrays where Phi has one sign, else a gather
+    # of angles of out.
     pos = Phi_face >= 0.0
+    upwind = out if pos.all() else None if pos.any() else nxt
+    angles = np.where(pos, np.arange(pos.size), np.arange(1, pos.size + 1))
     for _ in range(n_sub):
-        nxt = np.roll(out, -1, axis=-1)
-        upw = np.where(pos, out, nxt)
-        F = Phi_face * upw - D * (nxt - out) / h
-        out = out - (dts / h) * (F - np.roll(F, 1, axis=-1))
-    return out
+        nxt[:-1] = out[1:]
+        nxt[-1] = out[0]
+        if upwind is None:
+            np.take(out, angles, axis=0, out=F, mode="wrap")
+            np.multiply(Phi, F, out=F)
+        else:
+            np.multiply(Phi, upwind, out=F)
+        np.subtract(nxt, out, out=tmp)
+        np.multiply(D, tmp, out=tmp)
+        np.divide(tmp, h, out=tmp)
+        np.subtract(F, tmp, out=F)
+        np.subtract(F[1:], F[:-1], out=tmp[1:])
+        np.subtract(F[:1], F[-1:], out=tmp[:1])
+        np.multiply(c, tmp, out=tmp)
+        np.subtract(out, tmp, out=out)
+    return np.moveaxis(out, 0, -1)
 
 
 def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,
                    cfg: FullSolverConfig):
     """The Lie (y then phi) or Strang (half phi, y, half phi) splitting
     of an implicit y-substep with the explicit angular substep, as a
-    step(state, dt) callable.
+    builder step_for(dt) that returns the step(state) of size dt.
 
     The state is a tuple of angle-last arrays: (f,) for the kinetic
-    model, (bulk, wall) for the limiting system. y_step(state, dt)
+    model, (bulk, wall) for the limiting system. y_step(dt) factors the
+    y-operator for the step size dt once and returns the substep that
     advances the whole tuple at once; each array then takes its own
     angular substep."""
     Phi_face = np.asarray(
@@ -174,32 +221,38 @@ def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,
         return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt,
                                  cfg.safety) for v in state)
 
-    if cfg.splitting == "lie":
-        return lambda state, dt: phi_step(y_step(state, dt), dt)
-    return lambda state, dt: phi_step(
-        y_step(phi_step(state, 0.5 * dt), dt), 0.5 * dt)
+    def step_for(dt):
+        y = y_step(dt)
+        if cfg.splitting == "lie":
+            return lambda state: phi_step(y(state), dt)
+        return lambda state: phi_step(
+            y(phi_step(state, 0.5 * dt)), 0.5 * dt)
+
+    return step_for
 
 
 def _full_stepper(params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
                   cfg: FullSolverConfig):
-    """Split step of the kinetic model on the state (f,)."""
+    """Split-step builder of the kinetic model on the state (f,)."""
     validate_assumptions(params.V)
     a, b = _fitted_flux_coeffs(eval_on_nodes(params.V, phi_grid),
                                params.epsilon, y_grid)
-    return _split_stepper(
-        lambda state, dt: (
-            _implicit_y_step(state[0], a, b, y_grid.widths, dt),),
-        params, phi_grid, cfg)
+
+    def y_step(dt):
+        solve = _implicit_y_step(a, b, y_grid.widths, dt)
+        return lambda state: (solve(state[0]),)
+
+    return _split_stepper(y_step, params, phi_grid, cfg)
 
 
 def step_full(f: PhaseField, params: ModelParams, cfg: FullSolverConfig,
               dt: float | None = None) -> PhaseField:
     """One split step of the kinetic problem. dt defaults to the
     configured (or CFL-resolved) step."""
-    step = _full_stepper(params, f.y_grid, f.phi_grid, cfg)
+    step_for = _full_stepper(params, f.y_grid, f.phi_grid, cfg)
     if dt is None:
         dt = resolve_dt(params, f.phi_grid, cfg)
-    (out,) = step((f.values,), dt)
+    (out,) = step_for(dt)((f.values,))
     _check_health(out, f.y_grid, f.phi_grid)
     return PhaseField(out, f.y_grid, f.phi_grid)
 
@@ -213,13 +266,16 @@ def _check_health(values: np.ndarray, y_grid: YGrid, phi_grid: PhiGrid):
         raise NumericalFailureError(f"total mass went negative: {mass}")
 
 
-def _march(step, state: tuple, snapshot_times, T: float, dt_target: float,
-           check) -> list:
+def _march(step_for, state: tuple, snapshot_times, T: float,
+           dt_target: float, check) -> list:
     """Advance state from t = 0, landing exactly on every requested time.
 
     Each segment between snapshots takes ceil(span / dt_target) equal
-    steps and ends with check(state). Returns a list of (t, state copy)
-    pairs, one per requested time (t = 0 gives a copy of the input)."""
+    steps, built once by step_for(dt) because segments can differ in dt,
+    and ends with check(state). Returns a list of (t, state copy) pairs,
+    one per requested time (t = 0 gives a copy of the input). A segment
+    that would need more than _MAX_STEPS steps is refused before any step
+    is taken."""
     times = sorted(set(float(t) for t in snapshot_times))
     if not times:
         raise ConfigurationError("need at least one snapshot time")
@@ -227,17 +283,24 @@ def _march(step, state: tuple, snapshot_times, T: float, dt_target: float,
         raise ConfigurationError(
             f"snapshot times must lie in [0, T={T}], got {times}"
         )
-    out = []
+    plan = []
     t = 0.0
     for t_next in times:
         span = t_next - t
+        n = 0
         if span > 1e-14:
-            n = max(1, math.ceil(span / dt_target - 1e-12))
-            dt = span / n
-            for _ in range(n):
-                state = step(state, dt)
-            check(state)
+            n = _step_count(span, dt_target,
+                            f"reaching t = {t_next:g} at dt = {dt_target:g}",
+                            "increase dt")
             t = t_next
+        plan.append((t_next, span, n))
+    out = []
+    for t_next, span, n in plan:
+        if n:
+            step = step_for(span / n)
+            for _ in range(n):
+                state = step(state)
+            check(state)
         out.append((t_next, tuple(v.copy() for v in state)))
     return out
 

@@ -13,7 +13,8 @@ density w(phi):
 
 Discretely the bulk y-step is implicit upwind-from-above, an upper
 bidiagonal system that goes through the full solver's LAPACK
-tridiagonal column solve with a zero sub-diagonal, and the wall source
+tridiagonal column factorization with a zero sub-diagonal, once per step
+size, so that each step runs only the back-substitution; the wall source
 is defined as exactly the discrete flux through the wall face, so the
 combined mass telescopes to machine precision. The splitting, the
 angular substep and the march to snapshot times are shared with the
@@ -35,7 +36,7 @@ import scipy.sparse.linalg as spla
 
 from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
-from .full_solver import (FullSolverConfig, _march, _solve_columns,
+from .full_solver import (FullSolverConfig, _factor_columns, _march,
                           _split_stepper, resolve_dt)
 from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes,
                     phi_derivative)
@@ -66,29 +67,38 @@ class BulkWallState:
         return bulk_mass + float(np.sum(self.wall) * h)
 
 
-def _upwind_y_step(bulk: np.ndarray, wall: np.ndarray, V_nodes: np.ndarray,
-                   widths: np.ndarray, dt: float):
-    """Implicit upwind-from-above sweep plus exact wall source.
+def _upwind_y_step(V_nodes: np.ndarray, widths: np.ndarray, dt: float):
+    """Implicit upwind-from-above sweep plus exact wall source, factored
+    once for the step size dt: returns the step (bulk, wall) -> (bulk,
+    wall).
 
     Row i of the backward-Euler system reads
     f_i (1 + r_i) - r_i f_{i+1} = f_i_old, r_i = dt V / w_i, with
-    f_n = 0 (zero inflow at the top): an upper bidiagonal system, solved
-    by _solve_columns with a zero sub-diagonal, which makes it the
+    f_n = 0 (zero inflow at the top): an upper bidiagonal system, factored
+    by _factor_columns with a zero sub-diagonal, so that each solve is the
     top-down back-substitution. The wall then gains exactly
     dt * V * f_0_new, the discrete outgoing flux.
     """
     r = dt * V_nodes[None, :] / widths[:, None]
-    out = _solve_columns(np.zeros_like(r), 1.0 + r, -r, bulk)
-    return out, wall + dt * V_nodes * out[0]
+    solve = _factor_columns(np.zeros_like(r), 1.0 + r, -r)
+    source = dt * V_nodes
+
+    def step(state):
+        bulk, wall = state
+        out = solve(bulk)
+        return out, wall + source * out[0]
+
+    return step
 
 
 def _limit_stepper(params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
                    cfg: FullSolverConfig):
-    """Split step of the limiting system on the state (bulk, wall)."""
+    """Split-step builder of the limiting system on the state (bulk,
+    wall)."""
     validate_assumptions(params.V)
     V_nodes = eval_on_nodes(params.V, phi_grid)
     return _split_stepper(
-        lambda state, dt: _upwind_y_step(*state, V_nodes, y_grid.widths, dt),
+        lambda dt: _upwind_y_step(V_nodes, y_grid.widths, dt),
         params, phi_grid, cfg)
 
 
@@ -101,8 +111,9 @@ def step_limit(s: BulkWallState, params: ModelParams, dt: float,
                cfg: FullSolverConfig | None = None) -> BulkWallState:
     """One split step of the coupled bulk-wall system."""
     y_grid, phi_grid = s.bulk.y_grid, s.bulk.phi_grid
-    step = _limit_stepper(params, y_grid, phi_grid, cfg or FullSolverConfig())
-    bulk, wall = step((s.bulk.values, s.wall), dt)
+    step = _limit_stepper(params, y_grid, phi_grid,
+                          cfg or FullSolverConfig())(dt)
+    bulk, wall = step((s.bulk.values, s.wall))
     _check_finite((bulk, wall))
     return BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall)
 

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +325,24 @@ def test_script_help(script):
     assert "usage" in proc.stdout
 
 
+def _exits_4_quietly(command, text, csvs, tmp_path, capsys):
+    """Run command on the config text: exit 4 with one error line, no
+    numpy warning, no traceback and none of the CSVs written."""
+    path = tmp_path / "overflow.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert "non-finite" in err
+    for name in csvs:
+        assert not os.path.exists(out / name)
+
+
 @pytest.mark.parametrize("command, csvs", [
     ("composite", ("composite.csv", "residual.csv")),
     ("sweep", ("sweep.csv",))])
@@ -332,13 +352,31 @@ def test_cli_overflowing_results_exit_4(command, csvs, tmp_path, capsys):
     with open(os.path.join(ROOT, "configs", "example.cfg")) as fh:
         text = fh.read().replace("V.params.g0 = 1.0", "V.params.g0 = 1e308")
     assert "1e308" in text
-    path = tmp_path / "huge.ini"
+    _exits_4_quietly(command, text, csvs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command, csvs", [
+    ("composite", ("composite.csv", "residual.csv")),
+    ("decompose", ("modes.csv", "energy.csv", "pairings.csv"))])
+def test_cli_vanishing_epsilon_exits_4(command, csvs, tmp_path, capsys):
+    # the layer width eps underflows the wall-mode and layer quadratures
+    text = CLI_TEXT.replace("epsilon = 0.05", "epsilon = 1e-300")
+    assert "1e-300" in text
+    _exits_4_quietly(command, text, csvs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("dt", ["1e-320", "1e-300"])
+@pytest.mark.parametrize("command", ["run-full", "run-limit"])
+def test_cli_tiny_dt_exits_2(command, dt, tmp_path, capsys):
+    # 1e-320 makes span / dt overflow to inf; 1e-300 asks for ~1e298 steps
+    text = CLI_TEXT.replace("dt = 0.02", f"dt = {dt}")
+    assert dt in text
+    path = tmp_path / "tiny_dt.ini"
     path.write_text(text)
-    out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main([command, "--config", str(path), "--out", str(out)]) == 4
+    start = time.perf_counter()
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 10.0
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "non-finite" in err
-    for name in csvs:
-        assert not os.path.exists(out / name)
+    assert "steps, more than" in err
