@@ -95,7 +95,10 @@ def _fitted_flux_coeffs(V_nodes: np.ndarray, eps: float, y_grid: YGrid):
     a = np.zeros((n_y + 1, V.shape[1]))
     b = np.zeros_like(a)
     d = np.diff(y_grid.centers)[:, None]            # distances, faces 1..n-1
-    rho = V * d / eps
+    # a Peclet number beyond float range is the upwind limit rho = inf:
+    # then a = 0 and b = V below, so the overflow is no error
+    with np.errstate(over="ignore"):
+        rho = V * d / eps
     den = -np.expm1(-rho)                           # 1 - e^{-rho}, stable
     a[1:n_y, :] = V * np.exp(-rho) / den
     b[1:n_y, :] = V / den

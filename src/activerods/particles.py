@@ -9,14 +9,28 @@ one 64-bit hash output, so ensembles are bitwise reproducible no matter
 how steps are scheduled or partitioned across workers. No generator
 state is carried between calls.
 
-em_step works through the ensemble in cache-sized chunks and, when
-there is more than one chunk, runs them on a thread pool with one
-thread per available CPU (numpy releases the interpreter lock inside
-its loops). A particle's update reads only its own position, angle and
-counter-keyed draws, and the chunk kernel applies the same elementwise
-operations in the same order as a whole-array step, so the result is
-bitwise the same for every chunk size, thread count and completion
-order.
+em_step, sample_initial and histogram work through the ensemble in
+cache-sized chunks and, when there is more than one chunk, run them on
+a thread pool with one thread per available CPU (numpy releases the
+interpreter lock inside its loops). A particle's update reads only its
+own position, angle and counter-keyed draws, and the chunk kernels
+apply the same elementwise operations in the same order as a
+whole-array pass; histogram adds up integer counts per chunk. So the
+result is bitwise the same for every chunk size, thread count and
+completion order.
+
+The step takes its three trig passes in float32: cos and sin of the
+Box-Muller angle 2 pi u, and sin(phi) for V and Phi (of phi reduced mod
+2 pi in float64 first, so that every finite angle has a float32 cast).
+numpy vectorises float32 sin and cos, and calls scalar libm for
+float64, which made these passes most of the step. Their results are
+upcast at once; the hashing, log and sqrt, the coefficients, the
+update, the reflection and the wrap stay float64. The float32 rounding
+(about 1e-7 in z and in sin(phi)) is far below the Monte Carlo noise and
+the time-step bias that the histogram checks measure. It is also
+elementwise: numpy's float32 sin and cos give each element the same
+bits whatever the slice length or offset it sits at, so chunking and
+threads still change no bit.
 """
 
 from __future__ import annotations
@@ -89,18 +103,10 @@ def _uniform(keys: np.ndarray, slot: int, channel: int, out: np.ndarray,
     np.add(keys, np.uint64((_GOLDEN * counter) % (1 << 64)), out=bits)
     _mix64(bits, tmp)
     np.right_shift(bits, np.uint64(11), out=tmp)
-    np.add(tmp, 0.5, out=out)
+    # below 2^53, so the int64 view converts exactly, and faster
+    np.add(tmp.view(np.int64), 0.5, out=out)
     out *= 2.0 ** -53
     return out
-
-
-def _uniforms(seed: int, stride: int, n: int, slot: int,
-              channel: int) -> np.ndarray:
-    """One independent uniform (0,1) draw per particle for the given
-    (step slot, channel) counter."""
-    keys = _keys(seed, stride, 0, n)
-    return _uniform(keys, slot, channel, np.empty(n), np.empty_like(keys),
-                    np.empty_like(keys))
 
 
 def sample_initial(n: int, seed: int, y_max: float,
@@ -108,12 +114,25 @@ def sample_initial(n: int, seed: int, y_max: float,
     """Draw the standard initial law: y from the unit-rate exponential
     truncated to [0, y_max] (inverse CDF), phi uniform on [0, 2 pi).
     Uses counter slot 0; dynamics steps start at slot 1."""
-    u_y = _uniforms(seed, stream_stride, n, 0, 2)
-    u_p = _uniforms(seed, stream_stride, n, 0, 3)
-    y = -np.log1p(-u_y * (1.0 - np.exp(-y_max)))
-    phi = 2.0 * np.pi * u_p
+    y, phi = np.empty(n), np.empty(n)
+    _run_chunks(n, functools.partial(
+        _initial_chunk, seed, stream_stride, 1.0 - np.exp(-y_max), y, phi))
     return ParticleEnsemble(y=y, phi=phi, n=n, seed=seed,
                             stream_stride=stream_stride, step=0)
+
+
+def _initial_chunk(seed: int, stride: int, mass: float, y: np.ndarray,
+                   phi: np.ndarray, sl: slice):
+    """sample_initial on particles sl: y = -log1p(-u_y * mass) and
+    phi = 2 pi u_phi, the draws written straight into y[sl], phi[sl]."""
+    keys = _keys(seed, stride, sl.start, sl.stop)
+    bits, tmp = np.empty_like(keys), np.empty_like(keys)
+    u_y = _uniform(keys, 0, 2, y[sl], bits, tmp)
+    u_phi = _uniform(keys, 0, 3, phi[sl], bits, tmp)
+    u_y *= -mass                    # (-u_y) * mass: negation is exact
+    np.log1p(u_y, out=u_y)
+    np.negative(u_y, out=u_y)
+    u_phi *= 2.0 * np.pi
 
 
 def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
@@ -125,26 +144,31 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
         raise ConfigurationError(
             f"particle step dt = {dt} exceeds the weak-order bound {bound:.3g}")
     y, phi = np.empty(e.n), np.empty(e.n)
-    step = functools.partial(
+    _run_chunks(e.n, functools.partial(
         _step_chunk, e, y, phi, params, dt,
         np.sqrt(2.0 * params.epsilon * dt), np.sqrt(2.0 * params.D * dt),
-        y_max)
-    chunks = [slice(lo, min(lo + _CHUNK, e.n))
-              for lo in range(0, e.n, _CHUNK)]
+        y_max))
+    return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
+                            stream_stride=e.stream_stride, step=e.step + 1)
+
+
+def _run_chunks(n: int, kernel):
+    """Call kernel(sl) on consecutive _CHUNK-particle slices of 0..n-1:
+    on a thread pool with one thread per available CPU when there is
+    more than one chunk, else inline."""
+    chunks = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     workers = min(_cpu_count(), len(chunks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # each chunk runs in a copy of the caller's context, so that
             # numpy's error state (a context variable) holds in it too
-            futures = [pool.submit(contextvars.copy_context().run, step, sl)
+            futures = [pool.submit(contextvars.copy_context().run, kernel, sl)
                        for sl in chunks]
             for future in futures:
                 future.result()
     else:
         for sl in chunks:
-            step(sl)
-    return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
-                            stream_stride=e.stream_stride, step=e.step + 1)
+            kernel(sl)
 
 
 def _cpu_count() -> int:
@@ -159,15 +183,19 @@ def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
                 sigma_phi: float, y_max: float | None, sl: slice):
     """em_step on particles sl of e, written into y[sl] and phi[sl].
 
-    Six chunk-sized scratch rows (the keys and work) are reused across
-    the stages. The per-element operations and their order are those of
-    the one-shot formula
+    Five chunk-sized float64 scratch rows are reused across the stages,
+    viewed as uint64 for the hashing, as float32 for the trig and as
+    bool for the wrap masks. The per-element operations and their order
+    are those of the one-shot formula
         y   = |y - V dt + sigma_y z_y|        (reflected at y_max)
         phi = (phi + Phi dt + sigma_phi z_phi) mod 2 pi
-    with (z_y, z_phi) the Box-Muller pair of the step's two draws.
+    with (z_y, z_phi) = r (cos t, sin t) the Box-Muller pair of the
+    step's two draws, cos t and sin t taken in float32 of t = 2 pi u2,
+    and V, Phi evaluated in float64 from the float32 sine of phi mod 2 pi.
     """
     y0, phi0, y1, phi1 = e.y[sl], e.phi[sl], y[sl], phi[sl]
-    work = np.empty((5, len(y0)))
+    n = len(y0)
+    work = np.empty((5, n))
     z_y, z_phi, r, a, b = work
     keys = _keys(e.seed, e.stream_stride, sl.start, sl.stop)
     bits, tmp = a.view(np.uint64), b.view(np.uint64)
@@ -177,12 +205,20 @@ def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    z_phi *= 2.0 * np.pi
-    np.cos(z_phi, out=z_y)
-    np.sin(z_phi, out=z_phi)
+    cos_t, sin_t = a.view(np.float32)[:n], b.view(np.float32)[:n]
+    np.multiply(z_phi, 2.0 * np.pi, out=sin_t, casting="same_kind")
+    np.cos(sin_t, out=cos_t)
+    np.sin(sin_t, out=sin_t)
+    np.copyto(z_y, cos_t)
     z_y *= r
+    np.copyto(z_phi, sin_t)
     z_phi *= r
-    sin_phi = np.sin(phi0, out=r)
+    # reduced first, so that every finite angle has a float32 cast
+    sin_phi = _mod_2pi(phi0, r, b.view(np.bool_))
+    sin_32 = a.view(np.float32)[:n]
+    np.copyto(sin_32, sin_phi, casting="same_kind")
+    np.sin(sin_32, out=sin_32)
+    np.copyto(sin_phi, sin_32)
     V = _values(params.V, sin_phi, a)
     V *= dt
     np.subtract(y0, V, out=y1)
@@ -196,12 +232,25 @@ def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
     np.add(phi0, Phi, out=phi1)
     z_phi *= sigma_phi
     phi1 += z_phi
-    # np.mod is exactly the identity on (0, 2 pi) (fmod is exact and no
-    # sign fix applies), so only angles that left it, and 0 for the
-    # sign of -0.0, go through it: one pass of compares, not of fmod
-    wrap = phi1 >= 2.0 * np.pi
-    wrap |= phi1 <= 0.0
-    np.mod(phi1, 2.0 * np.pi, out=phi1, where=wrap)
+    _mod_2pi(phi1, phi1, b.view(np.bool_))
+
+
+def _mod_2pi(x: np.ndarray, out: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """np.mod(x, 2 pi) into out (which may be x); masks is bool scratch
+    of at least twice x's length.
+
+    np.mod is exactly the identity on (0, 2 pi) (fmod is exact and no
+    sign fix applies), so only angles outside it, and 0 for the sign of
+    -0.0, go through it: passes of compares, not of fmod."""
+    n = len(x)
+    outside, below = masks[:n], masks[n:2 * n]
+    np.greater_equal(x, 2.0 * np.pi, out=outside)
+    np.less_equal(x, 0.0, out=below)
+    outside |= below
+    if out is not x:
+        np.copyto(out, x)
+    np.mod(x, 2.0 * np.pi, out=out, where=outside)
+    return out
 
 
 def run_particles(e: ParticleEnsemble, params: ModelParams, dt: float,
@@ -224,20 +273,31 @@ def histogram(e: ParticleEnsemble, y_grid: YGrid,
     also holds its right edge (y = y_max, or a shifted angle that
     rounds up to 2 pi); particles above y_max are dropped."""
     h = phi_grid.h
-    shifted = np.mod(e.phi + 0.5 * h, 2.0 * np.pi)
     edges_phi = np.linspace(0.0, 2.0 * np.pi, phi_grid.n_phi + 1)
     n_y, n_phi = y_grid.n_y, phi_grid.n_phi
-    iy = _cell_index(e.y, y_grid.faces)
-    ip = _cell_index(shifted, edges_phi)
-    inside = (iy >= 0) & (iy < n_y) & (ip >= 0) & (ip < n_phi)
-    counts = np.bincount(iy[inside] * n_phi + ip[inside],
-                         minlength=n_y * n_phi).reshape(n_y, n_phi)
+    parts = np.zeros((-(-e.n // _CHUNK), n_y * n_phi), dtype=np.int64)
+    _run_chunks(e.n, functools.partial(
+        _count_chunk, e, y_grid.faces, edges_phi, 0.5 * h, parts))
+    counts = parts.sum(axis=0).reshape(n_y, n_phi)
     total = int(counts.sum())
     if total == 0:
         raise NumericalFailureError("no particles fell inside the grid")
     vol = y_grid.widths[:, None] * h
     density = counts / (total * vol)
     return PhaseField(density, y_grid, phi_grid)
+
+
+def _count_chunk(e: ParticleEnsemble, y_faces: np.ndarray,
+                 edges_phi: np.ndarray, half_h: float, parts: np.ndarray,
+                 sl: slice):
+    """Cell counts of particles sl into row sl.start // _CHUNK of parts;
+    the rows sum to the histogram's counts in any order."""
+    n_y, n_phi = len(y_faces) - 1, len(edges_phi) - 1
+    iy = _cell_index(e.y[sl], y_faces)
+    ip = _cell_index(np.mod(e.phi[sl] + half_h, 2.0 * np.pi), edges_phi)
+    inside = (iy >= 0) & (iy < n_y) & (ip >= 0) & (ip < n_phi)
+    parts[sl.start // _CHUNK] = np.bincount(iy[inside] * n_phi + ip[inside],
+                                           minlength=n_y * n_phi)
 
 
 def _cell_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

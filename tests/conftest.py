@@ -77,16 +77,16 @@ def graded_y_grids(draw):
                         layer_cells)
 
 
-def coeff_value_reference(coeff, phi):
+def coeff_value_reference(coeff, phi, sin=np.sin):
     """Order-0 family formulas as written out per family, each with its
     own sin(phi): the reference the shared-sine evaluation must match
-    bitwise."""
+    bitwise. sin is the sine the evaluation uses."""
     phi = np.asarray(phi, dtype=float)
     p = {k: float(v) for k, v in coeff.params.items()}
     if coeff.family == "constant":
         return np.full_like(phi, p["value"])
     if coeff.family == "shifted_sine":
-        return p["g0"] + p["a"] * (1.0 + np.sin(phi))
+        return p["g0"] + p["a"] * (1.0 + sin(phi))
     if coeff.family == "paper_shear":
-        return -p["gamma"] * np.sin(phi) ** 2
-    return p["g"] - p["v_prop"] * np.sin(phi)
+        return -p["gamma"] * sin(phi) ** 2
+    return p["g"] - p["v_prop"] * sin(phi)

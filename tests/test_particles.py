@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from conftest import (coeff_value_reference, const, shear, shifted_sine,
 # -- whole-array references ---------------------------------------------------
 # The one-shot em_step and the histogram2d histogram that the chunked step
 # and the bincount histogram replaced, kept as the references they must
-# match bitwise.
+# match bitwise. em_step takes its trig in float32; the float64 formula it
+# replaced stays as the statistical comparator (em_step_float64).
 
 def _mix64_reference(x):
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -35,7 +37,13 @@ def _uniforms_reference(seed, stride, n, slot, channel):
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def em_step_reference(e, params, dt, y_max=None):
+def _sin32(phi):
+    # float32 sine of the angle reduced mod 2 pi in float64, upcast again
+    return np.sin(np.mod(phi, 2.0 * np.pi).astype(np.float32)).astype(
+        np.float64)
+
+
+def em_step_reference(e, params, dt, y_max=None, float32_trig=True):
     bound = 0.1 / max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
     assert dt <= bound * (1.0 + 1e-12)
     slot = e.step + 1
@@ -43,9 +51,12 @@ def em_step_reference(e, params, dt, y_max=None):
     u2 = _uniforms_reference(e.seed, e.stream_stride, e.n, slot, 1)
     r = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
+    sin = np.sin
+    if float32_trig:
+        theta, sin = theta.astype(np.float32), _sin32
     z_y, z_p = r * np.cos(theta), r * np.sin(theta)
-    V = coeff_value_reference(params.V, e.phi)
-    Phi = coeff_value_reference(params.Phi, e.phi)
+    V = coeff_value_reference(params.V, e.phi, sin)
+    Phi = coeff_value_reference(params.Phi, e.phi, sin)
     y = e.y - V * dt + np.sqrt(2.0 * params.epsilon * dt) * z_y
     phi = e.phi + Phi * dt + np.sqrt(2.0 * params.D * dt) * z_p
     y = np.abs(y)
@@ -56,6 +67,10 @@ def em_step_reference(e, params, dt, y_max=None):
     phi = np.mod(phi, 2.0 * np.pi)
     return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
                             stream_stride=e.stream_stride, step=e.step + 1)
+
+
+def em_step_float64(e, params, dt, y_max=None):
+    return em_step_reference(e, params, dt, y_max, float32_trig=False)
 
 
 def histogram_reference(e, y_grid, phi_grid):
@@ -209,12 +224,14 @@ def test_ensemble_shape_check():
 
 
 def test_sample_initial_matches_reference_draws():
-    e = sample_initial(1001, 9, 8.0)
-    u_y = _uniforms_reference(9, e.stream_stride, 1001, 0, 2)
-    u_p = _uniforms_reference(9, e.stream_stride, 1001, 0, 3)
-    np.testing.assert_array_equal(e.y,
-                                  -np.log1p(-u_y * (1.0 - np.exp(-8.0))))
-    np.testing.assert_array_equal(e.phi, 2.0 * np.pi * u_p)
+    # one inline chunk, and several chunks with a ragged tail on the pool
+    for n in (1001, int(3.4 * particles._CHUNK)):
+        e = sample_initial(n, 9, 8.0)
+        u_y = _uniforms_reference(9, e.stream_stride, n, 0, 2)
+        u_p = _uniforms_reference(9, e.stream_stride, n, 0, 3)
+        np.testing.assert_array_equal(
+            e.y, -np.log1p(-u_y * (1.0 - np.exp(-8.0))))
+        np.testing.assert_array_equal(e.phi, 2.0 * np.pi * u_p)
 
 
 # Each family drives both V and Phi once; V need not be positive here.
@@ -320,3 +337,86 @@ def test_histogram_matches_histogram2d():
                                       histogram_reference(e, yg, pg).values)
     # the top face and the rounded-up angle land in the last cells
     assert histogram(edge, yg, pg).values[-1, -1] > 0.0
+
+
+def test_step_finite_and_silent_on_huge_angles():
+    # finite angles far beyond float32's range (about 3.4e38) are reduced
+    # mod 2 pi before the float32 sine, so no cast overflows to inf
+    phi = np.array([1e300, -1e300, 3.5e38, -3.5e38, np.finfo(float).max,
+                    -np.finfo(float).max, 1e10, 7.0])
+    e = ParticleEnsemble(y=np.ones(len(phi)), phi=phi, n=len(phi), seed=4)
+    params = ModelParams(epsilon=0.05, D=0.2, T=1.0,
+                         V=shifted_sine(1.0, 0.5), Phi=shear(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = em_step(e, params, 0.01)
+        ref = em_step_reference(e, params, 0.01)
+    assert np.all(np.isfinite(out.y)) and np.all(np.isfinite(out.phi))
+    _assert_same_ensemble(out, ref)
+
+
+def _step_noise(step, n, seed):
+    # (z_y, z_phi) of one step, read back from particles that neither
+    # reflect nor wrap: y = 10 - dt + 0.1 z_y, phi = pi + dt + 0.1 z_phi
+    params = ModelParams(epsilon=0.5, D=0.5, T=1.0, V=const(1.0),
+                         Phi=const(1.0))
+    e = ParticleEnsemble(y=np.full(n, 10.0), phi=np.full(n, np.pi), n=n,
+                         seed=seed)
+    out = step(e, params, 0.01)
+    return (out.y - (10.0 - 0.01)) / 0.1, (out.phi - (np.pi + 0.01)) / 0.1
+
+
+def test_float32_trig_noise_moments_match_float64():
+    # first four moments, and the cross moment, of the float32-trig and
+    # the float64 Box-Muller pairs from the same draws agree with each
+    # other and with the standard normal within 5 standard errors
+    n = 1_000_000
+    new = _step_noise(em_step, n, 31)
+    old = _step_noise(em_step_float64, n, 31)
+    gauss = [0.0, 1.0, 0.0, 3.0]
+    for z_new, z_old in zip(new, old):
+        for k in range(1, 5):
+            mean = np.mean(z_new ** k)
+            se = np.std(z_new ** k) / math.sqrt(n)
+            assert abs(mean - np.mean(z_old ** k)) <= 5.0 * se
+            assert abs(mean - gauss[k - 1]) <= 5.0 * se
+    cross = new[0] * new[1]
+    assert abs(np.mean(cross)) <= 5.0 * np.std(cross) / math.sqrt(n)
+
+
+def test_float32_trig_histogram_at_noise_floor():
+    # criterion 13's model and cells: one step of the float32-trig and
+    # the float64 kernel from the same ensemble differ by far less than
+    # two independent float64 ensembles do
+    params = ModelParams(epsilon=0.05, D=0.2, T=0.5,
+                         V=shifted_sine(1.0, 0.5), Phi=shear(0.5))
+    yg = build_y_grid(8.0, 64, 0.4, 32)
+    pg = build_phi_grid(32)
+    n = 1_000_000
+
+    def one_step(step, seed):
+        e = step(sample_initial(n, seed, 8.0), params, 1e-3, y_max=8.0)
+        return histogram(e, yg, pg)
+
+    old = one_step(em_step_float64, 20240817)
+    floor = tv_distance(old, one_step(em_step_float64, 1))
+    assert tv_distance(one_step(em_step, 20240817), old) <= 0.1 * floor
+
+
+def test_float32_trig_is_elementwise():
+    # the step's chunking leaves its bits alone only if numpy's float32
+    # sin and cos give an element the same bits at any slice length and
+    # offset (vector body or scalar tail), with out= or without
+    rng = np.random.default_rng(11)
+    x = (rng.random(5000) * 2.0 * np.pi).astype(np.float32)
+    for trig in (np.sin, np.cos):
+        whole = trig(x).view(np.uint32)
+        for length in (*range(1, 40), 997, 4096):
+            for offset in (0, 1, 3, 7, 8, 15, 17):
+                part = x[offset:offset + length]
+                out = np.empty_like(part)
+                trig(part, out=out)
+                expect = whole[offset:offset + length]
+                np.testing.assert_array_equal(out.view(np.uint32), expect)
+                np.testing.assert_array_equal(trig(part).view(np.uint32),
+                                              expect)

@@ -355,6 +355,27 @@ def test_cli_overflowing_results_exit_4(command, csvs, tmp_path, capsys):
     _exits_4_quietly(command, text, csvs, tmp_path, capsys)
 
 
+def test_cli_run_full_huge_speed_is_upwind_and_quiet(tmp_path, capsys):
+    # V d / eps overflows to inf: the fitted flux takes its upwind limit
+    with open(os.path.join(ROOT, "configs", "example.cfg")) as fh:
+        text = fh.read().replace("V.params.g0 = 1.0", "V.params.g0 = 1e308")
+    assert "1e308" in text
+    path = tmp_path / "huge_speed.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run-full", "--config", str(path),
+                     "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Warning" not in err and "Traceback" not in err
+    rows = np.genfromtxt(out / "full_snapshots.csv", delimiter=",",
+                         skip_header=1)
+    assert rows.shape == (3 * 48 * 16, 4)
+    assert np.all(np.isfinite(rows))
+
+
 @pytest.mark.parametrize("command, csvs", [
     ("composite", ("composite.csv", "residual.csv")),
     ("decompose", ("modes.csv", "energy.csv", "pairings.csv"))])
