@@ -31,10 +31,22 @@ the time-step bias that the histogram checks measure. It is also
 elementwise: numpy's float32 sin and cos give each element the same
 bits whatever the slice length or offset it sits at, so chunking and
 threads still change no bit.
+
+run_particles advances one private copy of the ensemble in place: the
+first step writes into fresh arrays, and every later step overwrites
+those same arrays (em_step's out=), so the caller's ensemble is never
+touched and no step allocates its output. _step_chunk reads each
+particle's old position and angle before it writes the new ones, and
+nothing else reads them, so a step in place gives the same bits as a
+step into fresh arrays. The march also opens one chunk pool for all its
+steps, instead of one per step, and shuts it down before it returns;
+which thread runs a chunk never changed a bit. Called alone, em_step,
+sample_initial and histogram each open and close a pool of their own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import os
@@ -45,6 +57,7 @@ import numpy as np
 
 from .coefficients import ModelParams, _values, sup_abs
 from .errors import ConfigurationError, NumericalFailureError
+from .full_solver import _step_count
 from .grids import PhaseField, PhiGrid, YGrid
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -56,6 +69,9 @@ _CHANNELS = 4
 # than they gain (2^12 and 2^14 were slower on a 2-CPU Xeon at 1e6
 # particles; 2^16 splits 2e5 particles unevenly across two threads).
 _CHUNK = 1 << 15
+# The chunk pool of the run_particles march in progress in this context,
+# if any; _run_chunks opens a pool per call when there is none.
+_MARCH_POOL = contextvars.ContextVar("activerods_march_pool", default=None)
 
 
 @dataclass
@@ -136,39 +152,52 @@ def _initial_chunk(seed: int, stride: int, mass: float, y: np.ndarray,
 
 
 def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
-            y_max: float | None = None) -> ParticleEnsemble:
+            y_max: float | None = None, *,
+            out: ParticleEnsemble | None = None) -> ParticleEnsemble:
     """One Euler-Maruyama step; reflects at the wall (and at y_max when
-    given, matching the zero-flux top face of the grid solvers)."""
+    given, matching the zero-flux top face of the grid solvers).
+
+    With out, the step is written into out's arrays (out may be e
+    itself) and out, relabelled as e's next step, is returned; else
+    into a new ensemble."""
     bound = 0.1 / max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
     if dt > bound * (1.0 + 1e-12):
         raise ConfigurationError(
             f"particle step dt = {dt} exceeds the weak-order bound {bound:.3g}")
-    y, phi = np.empty(e.n), np.empty(e.n)
+    if out is None:
+        out = ParticleEnsemble(y=np.empty(e.n), phi=np.empty(e.n), n=e.n,
+                               seed=e.seed)
+    elif out.n != e.n:
+        raise ConfigurationError(
+            f"out holds {out.n} particles, the ensemble {e.n}")
     _run_chunks(e.n, functools.partial(
-        _step_chunk, e, y, phi, params, dt,
+        _step_chunk, e, out.y, out.phi, params, dt,
         np.sqrt(2.0 * params.epsilon * dt), np.sqrt(2.0 * params.D * dt),
         y_max))
-    return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
-                            stream_stride=e.stream_stride, step=e.step + 1)
+    out.seed, out.stream_stride, out.step = e.seed, e.stream_stride, e.step + 1
+    return out
 
 
 def _run_chunks(n: int, kernel):
     """Call kernel(sl) on consecutive _CHUNK-particle slices of 0..n-1:
-    on a thread pool with one thread per available CPU when there is
-    more than one chunk, else inline."""
+    when there is more than one chunk, on the march's pool if one is
+    open, else on a pool with one thread per available CPU for this call
+    only; inline otherwise."""
     chunks = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     workers = min(_cpu_count(), len(chunks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # each chunk runs in a copy of the caller's context, so that
-            # numpy's error state (a context variable) holds in it too
-            futures = [pool.submit(contextvars.copy_context().run, kernel, sl)
-                       for sl in chunks]
-            for future in futures:
-                future.result()
-    else:
+    if workers <= 1:
         for sl in chunks:
             kernel(sl)
+        return
+    march_pool = _MARCH_POOL.get()
+    with (ThreadPoolExecutor(max_workers=workers) if march_pool is None
+          else contextlib.nullcontext(march_pool)) as pool:
+        # each chunk runs in a copy of the caller's context, so that
+        # numpy's error state (a context variable) holds in it too
+        futures = [pool.submit(contextvars.copy_context().run, kernel, sl)
+                   for sl in chunks]
+        for future in futures:
+            future.result()
 
 
 def _cpu_count() -> int:
@@ -193,6 +222,10 @@ def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
     step's two draws, cos t and sin t taken in float32 of t = 2 pi u2,
     and V, Phi evaluated in float64 from the float32 sine of phi mod 2 pi.
     """
+    # y1 and phi1 may be y0 and phi0 (em_step's out=e). That is safe
+    # because the only reads of y0 are at or before the first write of y1
+    # (np.subtract(y0, V, out=y1), elementwise), and likewise for phi0
+    # (_mod_2pi into r, then np.add(phi0, Phi, out=phi1)): keep that order.
     y0, phi0, y1, phi1 = e.y[sl], e.phi[sl], y[sl], phi[sl]
     n = len(y0)
     work = np.empty((5, n))
@@ -255,12 +288,26 @@ def _mod_2pi(x: np.ndarray, out: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 def run_particles(e: ParticleEnsemble, params: ModelParams, dt: float,
                   t_final: float, y_max: float | None = None) -> ParticleEnsemble:
-    """March to t_final with fixed dt (last step shortened to land)."""
-    import math
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
+    """March to t_final with fixed dt (last step shortened to land).
+
+    The march runs in place on a copy of e, which is left unchanged, and
+    all its steps share one chunk pool, shut down before this returns.
+    More than full_solver._MAX_STEPS steps raise ConfigurationError."""
+    n_steps = _step_count(t_final, dt,
+                          f"the particle march to t = {t_final:g} at "
+                          f"particle_dt = {dt:g}", "increase particle_dt")
     step_dt = t_final / n_steps
-    for _ in range(n_steps):
-        e = em_step(e, params, step_dt, y_max=y_max)
+    # threads start on demand, so never more than a step has chunks
+    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
+        token = _MARCH_POOL.set(pool)
+        try:
+            # em_step through the module, once per step, so that
+            # wrappers of the module attribute see every step
+            e = em_step(e, params, step_dt, y_max=y_max)
+            for _ in range(n_steps - 1):
+                e = em_step(e, params, step_dt, y_max=y_max, out=e)
+        finally:
+            _MARCH_POOL.reset(token)
     return e
 
 
@@ -294,7 +341,10 @@ def _count_chunk(e: ParticleEnsemble, y_faces: np.ndarray,
     the rows sum to the histogram's counts in any order."""
     n_y, n_phi = len(y_faces) - 1, len(edges_phi) - 1
     iy = _cell_index(e.y[sl], y_faces)
-    ip = _cell_index(np.mod(e.phi[sl] + half_h, 2.0 * np.pi), edges_phi)
+    shifted = e.phi[sl] + half_h
+    ip = _cell_index(_mod_2pi(shifted, shifted,
+                              np.empty(2 * len(shifted), dtype=np.bool_)),
+                     edges_phi)
     inside = (iy >= 0) & (iy < n_y) & (ip >= 0) & (ip < n_phi)
     parts[sl.start // _CHUNK] = np.bincount(iy[inside] * n_phi + ip[inside],
                                            minlength=n_y * n_phi)

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -310,6 +311,115 @@ def test_step_keeps_caller_error_state(chunks):
                          V=shifted_sine(1.0, 0.5), Phi=const(1.0))
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         em_step(e, params, 0.01)
+
+
+def _copy(e):
+    return ParticleEnsemble(y=e.y.copy(), phi=e.phi.copy(), n=e.n,
+                            seed=e.seed, stream_stride=e.stream_stride,
+                            step=e.step)
+
+
+_MARCH_PARAMS = ModelParams(epsilon=0.05, D=0.2, T=1.0,
+                            V=shifted_sine(1.0, 0.5), Phi=shear(0.5))
+
+
+@pytest.mark.parametrize("chunks", [0.3, 2.5])
+@pytest.mark.parametrize("y_max", [None, 2.0])
+def test_em_step_in_place_matches_fresh_arrays(chunks, y_max):
+    e = sample_initial(int(chunks * particles._CHUNK), 11, 3.0)
+    e.step = 4
+    fresh = em_step(e, _MARCH_PARAMS, 0.01, y_max=y_max)
+    inplace = _copy(e)
+    y, phi = inplace.y, inplace.phi
+    out = em_step(inplace, _MARCH_PARAMS, 0.01, y_max=y_max, out=inplace)
+    assert out is inplace and out.y is y and out.phi is phi
+    _assert_same_ensemble(out, fresh)
+    # out with other labels takes e's seed, stride and next step
+    other = ParticleEnsemble(y=np.zeros(e.n), phi=np.zeros(e.n), n=e.n,
+                             seed=99, stream_stride=3, step=0)
+    _assert_same_ensemble(em_step(e, _MARCH_PARAMS, 0.01, y_max=y_max,
+                                  out=other), fresh)
+
+
+def test_em_step_out_size_mismatch_raises():
+    e = sample_initial(100, 3, 8.0)
+    out = ParticleEnsemble(y=np.zeros(99), phi=np.zeros(99), n=99, seed=3)
+    with pytest.raises(ConfigurationError):
+        em_step(e, _MARCH_PARAMS, 0.01, out=out)
+
+
+def test_run_particles_matches_em_step_chain_and_keeps_input():
+    e0 = sample_initial(int(2.5 * particles._CHUNK), 12, 3.0)
+    e0.step = 2
+    before = _copy(e0)
+    chain = e0
+    for _ in range(5):
+        chain = em_step(chain, _MARCH_PARAMS, 0.01, y_max=3.0)
+    out = run_particles(e0, _MARCH_PARAMS, 0.01, 0.05, y_max=3.0)
+    _assert_same_ensemble(out, chain)
+    _assert_same_ensemble(e0, before)
+    assert not np.shares_memory(out.y, e0.y)
+    assert not np.shares_memory(out.phi, e0.phi)
+
+
+def test_run_particles_independent_of_thread_count(monkeypatch):
+    # one pool over all steps, writing in place: also with many small
+    # ragged chunks on more threads than cores and frequent thread switches
+    e0 = sample_initial(int(3.4 * particles._CHUNK), 13, 3.0)
+    ref = e0
+    for _ in range(4):
+        ref = em_step_reference(ref, _MARCH_PARAMS, 0.01, y_max=3.0)
+    interval = sys.getswitchinterval()
+    try:
+        for chunk, cpus, switch in [(particles._CHUNK, 1, interval),
+                                    (particles._CHUNK, 2, interval),
+                                    (particles._CHUNK, 3, interval),
+                                    (997, 8, 1e-6)]:
+            monkeypatch.setattr(particles, "_CHUNK", chunk)
+            monkeypatch.setattr(particles, "_cpu_count", lambda: cpus)
+            sys.setswitchinterval(switch)
+            _assert_same_ensemble(
+                run_particles(e0, _MARCH_PARAMS, 0.01, 0.04, y_max=3.0), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_particles_shares_one_pool_and_leaves_no_thread(monkeypatch):
+    # the pool's threads live from the first step to the end of the march
+    # (one pool for all steps), and none is left once run_particles returns
+    monkeypatch.setattr(particles, "_cpu_count", lambda: 2)
+    step, alive = particles.em_step, []
+
+    def counted_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        alive.append(threading.active_count())
+        return out
+
+    monkeypatch.setattr(particles, "em_step", counted_step)
+    e0 = sample_initial(int(2.5 * particles._CHUNK), 14, 3.0)
+    start = threading.active_count()
+    run_particles(e0, _MARCH_PARAMS, 0.01, 0.04)
+    assert threading.active_count() == start
+    assert len(alive) == 4 and min(alive) > start
+    # em_step alone still shuts its own pool down
+    step(e0, _MARCH_PARAMS, 0.01)
+    assert threading.active_count() == start
+
+
+def test_histogram_wraps_edge_angles_like_np_mod():
+    # angles whose shifted value phi + h/2 lands on 0, on 2 pi, beyond it,
+    # or is NaN: the masked _mod_2pi must bin them as np.mod does
+    yg = build_y_grid(4.0, 48, 0.4, 16)
+    pg = build_phi_grid(16)
+    two_pi, h = 2.0 * np.pi, pg.h
+    phi = np.array([-0.0, 0.0, -0.5 * h, two_pi - 0.5 * h,
+                    np.nextafter(two_pi - 0.5 * h, 0.0),
+                    np.nextafter(two_pi - 0.5 * h, 7.0), two_pi, 7.0, 20.0,
+                    1e300, -5e-324, np.nan])
+    e = ParticleEnsemble(y=np.linspace(0.05, 3.9, len(phi)), phi=phi,
+                         n=len(phi), seed=1)
+    np.testing.assert_array_equal(histogram(e, yg, pg).values,
+                                  histogram_reference(e, yg, pg).values)
 
 
 def test_histogram_matches_histogram2d():

@@ -387,10 +387,11 @@ def test_cli_vanishing_epsilon_exits_4(command, csvs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dt", ["1e-320", "1e-300"])
-@pytest.mark.parametrize("command", ["run-full", "run-limit"])
+@pytest.mark.parametrize("command", ["run-full", "run-limit", "particles"])
 def test_cli_tiny_dt_exits_2(command, dt, tmp_path, capsys):
     # 1e-320 makes span / dt overflow to inf; 1e-300 asks for ~1e298 steps
-    text = CLI_TEXT.replace("dt = 0.02", f"dt = {dt}")
+    old = "particle_dt = 0.005" if command == "particles" else "dt = 0.02"
+    text = CLI_TEXT.replace(old, old.split(" = ")[0] + f" = {dt}")
     assert dt in text
     path = tmp_path / "tiny_dt.ini"
     path.write_text(text)
