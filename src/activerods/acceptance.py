@@ -45,11 +45,10 @@ class CriterionResult:
         return f"{tag} {self.cid:02d} {self.name}: {self.detail}"
 
 
-def _shifted_sine(g0=1.0, a=0.5) -> AngularCoefficient:
-    return AngularCoefficient("shifted_sine", {"g0": g0, "a": a})
+_SHIFTED_SINE = AngularCoefficient("shifted_sine", {"g0": 1.0, "a": 0.5})
 
 
-def _shear(gamma=0.5) -> AngularCoefficient:
+def _shear(gamma) -> AngularCoefficient:
     return AngularCoefficient("paper_shear", {"gamma": gamma})
 
 
@@ -59,7 +58,7 @@ def _const(v) -> AngularCoefficient:
 
 def _base_config(**overrides) -> RunConfig:
     """The conservation-check configuration: graded 256 x 128 grid."""
-    kw = dict(epsilon=0.02, D=0.2, T=1.0, V=_shifted_sine(),
+    kw = dict(epsilon=0.02, D=0.2, T=1.0, V=_SHIFTED_SINE,
               Phi=_shear(0.5),
               grid=GridSection(n_phi=128, n_y=256, y_max=8.0,
                                layer_width="auto", layer_cells=32))
@@ -289,19 +288,17 @@ def _c10_weak_pairings() -> CriterionResult:
                            "; ".join(parts))
 
 
-def coercivity_samples(params: ModelParams, lam: float,
-                       resolutions=((301, 32), (601, 48)),
-                       per_res: int = 10, seed: int = 1234,
-                       y_half: float = 8.0) -> list:
-    """Gap of the accretivity inequality for random band-limited fields
-    u = exp(-(y/sigma)^2) * (trig polynomial of degree <= 6).
-    Returns (n_y, n_phi, gap) triples."""
-    rng = np.random.default_rng(seed)
+def coercivity_samples(params: ModelParams) -> list:
+    """Gap of the accretivity inequality at the shift lam = mu0(Phi) + 1
+    for random band-limited fields u = exp(-(y/sigma)^2) * (trig
+    polynomial of degree <= 6). Returns (n_y, n_phi, lam, gap) rows."""
+    lam = mu0(params.Phi) + 1.0
+    rng = np.random.default_rng(1234)
     out = []
-    for n_y, n_phi in resolutions:
-        grid = build_line_grid(y_half, n_y)
+    for n_y, n_phi in ((301, 32), (601, 48)):
+        grid = build_line_grid(8.0, n_y)
         phi_grid = build_phi_grid(n_phi)
-        for _ in range(per_res):
+        for _ in range(10):
             sigma = rng.uniform(0.8, 2.0)
             prof = np.exp(-(grid.nodes / sigma) ** 2)
             ang = np.full(phi_grid.n_phi, rng.normal())
@@ -309,22 +306,21 @@ def coercivity_samples(params: ModelParams, lam: float,
                 ang = ang + rng.normal() * np.cos(k * phi_grid.nodes) \
                           + rng.normal() * np.sin(k * phi_grid.nodes)
             u = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
-            out.append((n_y, n_phi, coercivity_gap(u, lam, params)))
+            out.append((n_y, n_phi, lam, coercivity_gap(u, lam, params)))
     return out
 
 
-def resolvent_ratios(params: ModelParams, lam: float,
-                     regs=(1e-1, 1e-2, 1e-3), y_half: float = 12.0,
-                     n_y: int = 481, n_phi: int = 32) -> list:
-    """Stability ratio of the regularized resolvent solve for a fixed
-    smooth right-hand side, one entry per regularization strength."""
-    grid = build_line_grid(y_half, n_y)
-    phi_grid = build_phi_grid(n_phi)
+def resolvent_ratios(params: ModelParams) -> list:
+    """Stability ratio of the resolvent solve at lam = mu0(Phi) + 1 for a
+    fixed smooth right-hand side, one per regularization strength."""
+    lam = mu0(params.Phi) + 1.0
+    grid = build_line_grid(12.0, 481)
+    phi_grid = build_phi_grid(32)
     prof = np.exp(-grid.nodes ** 2)
     ang = 1.0 + np.cos(phi_grid.nodes) + 0.5 * np.sin(2 * phi_grid.nodes)
     rhs = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
     out = []
-    for eps_reg in regs:
+    for eps_reg in (1e-1, 1e-2, 1e-3):
         sol = resolvent_solve(ResolventProblem(eps_reg=eps_reg, lam=lam,
                                                rhs=rhs), params)
         out.append((eps_reg, sol.ratio))
@@ -332,11 +328,10 @@ def resolvent_ratios(params: ModelParams, lam: float,
 
 
 def _c11_coercivity() -> CriterionResult:
-    params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_shifted_sine(),
+    params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
                          Phi=_shear(1.0))
-    lam = mu0(params.Phi) + 1.0
-    samples = coercivity_samples(params, lam)
-    worst = min(g for _, _, g in samples)
+    samples = coercivity_samples(params)
+    worst = min(s[-1] for s in samples)
     ok = worst >= -1e-8
     return CriterionResult(11, "coercivity-gap", ok,
                            f"min gap {worst:.3e} over {len(samples)} fields "
@@ -344,10 +339,9 @@ def _c11_coercivity() -> CriterionResult:
 
 
 def _c12_resolvent() -> CriterionResult:
-    params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_shifted_sine(),
+    params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
                          Phi=_shear(1.0))
-    lam = mu0(params.Phi) + 1.0
-    pairs = resolvent_ratios(params, lam)
+    pairs = resolvent_ratios(params)
     ratios = [r for _, r in pairs]
     spread = max(ratios) / min(ratios)
     ok = spread < 2.0
@@ -360,7 +354,7 @@ def _c12_resolvent() -> CriterionResult:
 def _c13_particle_oracle() -> CriterionResult:
     eps = 0.05
     T = 0.5
-    params = ModelParams(epsilon=eps, D=0.2, T=T, V=_shifted_sine(),
+    params = ModelParams(epsilon=eps, D=0.2, T=T, V=_SHIFTED_SINE,
                          Phi=_shear(0.5))
     y_max = 8.0
     fine_y = build_y_grid(y_max, 256, 8 * eps, 32)

@@ -29,7 +29,7 @@ import numpy as np
 from . import acceptance
 from .asymptotics import build_inner, composite_refined, composite_simple, \
     residual_report
-from .coefficients import mu0
+from .coefficients import validate_assumptions
 from .config import RunConfig, load_config
 from .decomposition import decompose, default_tests, energy_step, weak_pairings
 from .errors import (ActiveRodsError, ConfigurationError, FitError,
@@ -179,6 +179,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_particles(args) -> int:
     cfg = load_config(args.config)
+    validate_assumptions(cfg.V)
     y_grid, phi_grid = cfg.build_grids()
     seed = cfg.experiment.seeds[0]
     ens = sample_initial(cfg.experiment.n_particles, seed, cfg.grid.y_max)
@@ -198,14 +199,11 @@ def _cmd_particles(args) -> int:
 
 def _cmd_check_coercivity(args) -> int:
     cfg = load_config(args.config)
-    params = cfg.model_params()
-    lam = mu0(cfg.Phi) + 1.0
-    samples = acceptance.coercivity_samples(params, lam)
-    rows = [(k, n_y, n_phi, lam, gap)
-            for k, (n_y, n_phi, gap) in enumerate(samples)]
+    samples = acceptance.coercivity_samples(cfg.model_params())
     _write(cfg, args, "coercivity.csv",
-           ("sample", "n_y", "n_phi", "lambda", "gap"), rows)
-    worst = min(g for _, _, g in samples)
+           ("sample", "n_y", "n_phi", "lambda", "gap"),
+           [(k, *s) for k, s in enumerate(samples)])
+    worst = min(s[-1] for s in samples)
     ok = worst >= -1e-8
     print(f"{'PASS' if ok else 'FAIL'} coercivity: min gap {worst:.3e} "
           f"over {len(samples)} fields (tol -1e-08)")
@@ -214,9 +212,7 @@ def _cmd_check_coercivity(args) -> int:
 
 def _cmd_check_resolvent(args) -> int:
     cfg = load_config(args.config)
-    params = cfg.model_params()
-    lam = mu0(cfg.Phi) + 1.0
-    pairs = acceptance.resolvent_ratios(params, lam)
+    pairs = acceptance.resolvent_ratios(cfg.model_params())
     _write(cfg, args, "resolvent.csv", ("eps_reg", "ratio"), pairs)
     ratios = [r for _, r in pairs]
     spread = max(ratios) / min(ratios)

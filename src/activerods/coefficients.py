@@ -11,6 +11,15 @@ constant      : value
 shifted_sine  : g0 + a * (1 + sin(phi))
 paper_shear   : -gamma * sin(phi)**2
 wall_drive    : g - v_prop * sin(phi)
+
+Their bounds, taken where sin and cos of phi or 2 phi are exactly 0 or
++-1 (phi = 0, pi/4, pi/2, 3 pi/2), are exact to the last bit:
+
+family        min c             sup|c|               sup|c'|   sup|c''|
+constant      c                 |c|                  0         0
+shifted_sine  min(g0, g0 + 2a)  max(|g0|, |g0 + 2a|) |a|       |a|
+paper_shear   min(0, -gamma)    |gamma|              |gamma|   2|gamma|
+wall_drive    g - |v_prop|      |g| + |v_prop|       |v_prop|  |v_prop|
 """
 
 from __future__ import annotations
@@ -139,44 +148,49 @@ def _values(coeff: AngularCoefficient, sin_phi, out: np.ndarray) -> np.ndarray:
     return out
 
 
-# Dense sampling detects sign defects of the closed-form families reliably;
-# all registered families are trigonometric polynomials of degree <= 2.
-_DEFAULT_SAMPLES = 4096
+def _bounds(coeff: AngularCoefficient) -> tuple:
+    """(min c, sup|c|, sup|c'|, sup|c''|), the module docstring's table."""
+    p = {k: float(v) for k, v in coeff.params.items()}
+    if coeff.family == "constant":
+        c = p["value"]
+        return c, abs(c), 0.0, 0.0
+    if coeff.family == "shifted_sine":
+        g0, top = p["g0"], p["g0"] + 2.0 * p["a"]
+        return min(g0, top), max(abs(g0), abs(top)), abs(p["a"]), abs(p["a"])
+    if coeff.family == "paper_shear":
+        gamma = p["gamma"]
+        return min(0.0, -gamma), abs(gamma), abs(gamma), 2.0 * abs(gamma)
+    g, v = p["g"], p["v_prop"]
+    return g - abs(v), abs(g) + abs(v), abs(v), abs(v)
 
 
-def validate_assumptions(V: AngularCoefficient, n_samples: int = _DEFAULT_SAMPLES):
+def validate_assumptions(V: AngularCoefficient) -> float:
     """Check that the speed field stays strictly positive.
 
-    Returns the sampled minimum g_min = min_phi V(phi). Raises
+    Returns the exact minimum g_min = min_phi V(phi). Raises
     AssumptionViolationError when min <= 0.
     """
-    n = max(int(n_samples), 256)
-    phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    vals = eval_coeff(V, phi, 0)
-    g_min = float(np.min(vals))
+    g_min = _bounds(V)[0]
     if g_min <= 0.0:
-        where = float(phi[int(np.argmin(vals))])
         raise AssumptionViolationError(
-            f"speed field must be strictly positive; min {g_min:.6g} "
-            f"near phi = {where:.6g}"
-        )
+            f"speed field must be strictly positive; min {g_min:.6g}")
     return g_min
 
 
-def sup_abs(coeff: AngularCoefficient, order: int = 0,
-            n_samples: int = _DEFAULT_SAMPLES) -> float:
-    """Sampled sup norm of a coefficient or one of its derivatives."""
-    phi = np.linspace(0.0, 2.0 * np.pi, int(n_samples), endpoint=False)
-    return float(np.max(np.abs(eval_coeff(coeff, phi, order))))
+def sup_abs(coeff: AngularCoefficient, order: int = 0) -> float:
+    """Exact sup norm of a coefficient or one of its derivatives."""
+    if order not in (0, 1, 2):
+        raise ConfigurationError(f"derivative order must be 0, 1 or 2, got {order}")
+    return _bounds(coeff)[1 + order]
 
 
-def mu0(Phi: AngularCoefficient, n_samples: int = _DEFAULT_SAMPLES) -> float:
+def mu0(Phi: AngularCoefficient) -> float:
     """Drift-compression constant 0.5 * sup|Phi'| + 1.
 
     Shifting the angular operator by any lambda >= mu0 makes its symmetric
     part coercive with unit margin; used by the operator checks.
     """
-    return 0.5 * sup_abs(Phi, 1, n_samples) + 1.0
+    return 0.5 * sup_abs(Phi, 1) + 1.0
 
 
 @dataclass(frozen=True)

@@ -91,12 +91,10 @@ class RunConfig:
 
     # -- derived builders ---------------------------------------------------
 
-    def model_params(self, epsilon: float | None = None,
-                     D: float | None = None) -> ModelParams:
+    def model_params(self, epsilon: float | None = None) -> ModelParams:
         return ModelParams(
             epsilon=self.epsilon if epsilon is None else float(epsilon),
-            D=self.D if D is None else float(D),
-            T=self.T, V=self.V, Phi=self.Phi)
+            D=self.D, T=self.T, V=self.V, Phi=self.Phi)
 
     def layer_width_for(self, epsilon: float) -> float:
         if self.grid.layer_width == "auto":

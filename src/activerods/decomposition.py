@@ -99,13 +99,10 @@ def energy_step(dec: Decomposition, V: AngularCoefficient):
 def weak_pairings(dec: Decomposition, tests) -> list:
     """Angular pairings of m against test profiles: integral(m h dphi).
 
-    tests is a list of (name, values) pairs or bare value arrays."""
+    tests is a list of (name, values) pairs, as default_tests gives."""
     h = dec.u.phi_grid.h
-    out = []
-    for item in tests:
-        vals = item[1] if isinstance(item, tuple) else item
-        out.append(float(np.sum(dec.m * np.asarray(vals, dtype=float)) * h))
-    return out
+    return [float(np.sum(dec.m * np.asarray(vals, dtype=float)) * h)
+            for _, vals in tests]
 
 
 def default_tests(phi_grid) -> list:

@@ -4,10 +4,10 @@
     dphi = Phi(phi) dt + sqrt(2 D) dW_phi   (wrapped mod 2 pi)
 
 Randomness is counter-based: every particle owns a substream keyed by
-seed XOR (k * stream_stride), and every (step, channel) pair maps to
-one 64-bit hash output, so ensembles are bitwise reproducible no matter
-how steps are scheduled or partitioned across workers. No generator
-state is carried between calls.
+seed XOR (k * S) for one fixed odd 64-bit S, and every (step, channel)
+pair maps to one 64-bit hash output, so ensembles are bitwise
+reproducible no matter how steps are scheduled or partitioned across
+workers. No generator state is carried between calls.
 
 em_step, sample_initial and histogram work through the ensemble in
 cache-sized chunks and, when there is more than one chunk, run them on
@@ -32,13 +32,12 @@ elementwise: numpy's float32 sin and cos give each element the same
 bits whatever the slice length or offset it sits at, so chunking and
 threads still change no bit.
 
-run_particles advances one private copy of the ensemble in place: the
-first step writes into fresh arrays, and every later step overwrites
-those same arrays (em_step's out=), so the caller's ensemble is never
-touched and no step allocates its output. _step_chunk reads each
-particle's old position and angle before it writes the new ones, and
-nothing else reads them, so a step in place gives the same bits as a
-step into fresh arrays. The march also opens one chunk pool for all its
+run_particles advances one private copy of the ensemble in place: every
+step overwrites the copy's arrays (em_step's out=), so the caller's
+ensemble is never touched and no step allocates its output. _step_chunk
+reads each particle's old position and angle before it writes the new
+ones, and nothing else reads them, so a step in place gives the same
+bits as a step into fresh arrays. The march also opens one chunk pool for all its
 steps, instead of one per step, and shuts it down before it returns;
 which thread runs a chunk never changed a bit. Called alone, em_step,
 sample_initial and histogram each open and close a pool of their own.
@@ -51,7 +50,7 @@ import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from .full_solver import _step_count
 from .grids import PhaseField, PhiGrid, YGrid
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_DEFAULT_STRIDE = 0xBF58476D1CE4E5B9   # odd, so substream keys stay distinct
+_STRIDE = 0xBF58476D1CE4E5B9   # odd, so substream keys stay distinct
 _CHANNELS = 4
 # Particles per em_step chunk: its six 8-byte scratch rows take 1.5 MiB,
 # so they stay in a 2 MiB L2 while the input and output rows stream
@@ -80,7 +79,6 @@ class ParticleEnsemble:
     phi: np.ndarray
     n: int
     seed: int
-    stream_stride: int = _DEFAULT_STRIDE
     step: int = 0
 
     def __post_init__(self):
@@ -102,10 +100,10 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return x
 
 
-def _keys(seed: int, stride: int, lo: int, hi: int) -> np.ndarray:
-    """Substream keys seed XOR (k * stride) of particles lo..hi-1."""
+def _keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Substream keys seed XOR (k * _STRIDE) of particles lo..hi-1."""
     keys = np.arange(lo, hi, dtype=np.uint64)
-    keys *= np.uint64(stride % (1 << 64))
+    keys *= np.uint64(_STRIDE)
     keys ^= np.uint64(seed % (1 << 64))
     return keys
 
@@ -125,23 +123,21 @@ def _uniform(keys: np.ndarray, slot: int, channel: int, out: np.ndarray,
     return out
 
 
-def sample_initial(n: int, seed: int, y_max: float,
-                   stream_stride: int = _DEFAULT_STRIDE) -> ParticleEnsemble:
+def sample_initial(n: int, seed: int, y_max: float) -> ParticleEnsemble:
     """Draw the standard initial law: y from the unit-rate exponential
     truncated to [0, y_max] (inverse CDF), phi uniform on [0, 2 pi).
     Uses counter slot 0; dynamics steps start at slot 1."""
     y, phi = np.empty(n), np.empty(n)
     _run_chunks(n, functools.partial(
-        _initial_chunk, seed, stream_stride, 1.0 - np.exp(-y_max), y, phi))
-    return ParticleEnsemble(y=y, phi=phi, n=n, seed=seed,
-                            stream_stride=stream_stride, step=0)
+        _initial_chunk, seed, 1.0 - np.exp(-y_max), y, phi))
+    return ParticleEnsemble(y=y, phi=phi, n=n, seed=seed, step=0)
 
 
-def _initial_chunk(seed: int, stride: int, mass: float, y: np.ndarray,
-                   phi: np.ndarray, sl: slice):
+def _initial_chunk(seed: int, mass: float, y: np.ndarray, phi: np.ndarray,
+                   sl: slice):
     """sample_initial on particles sl: y = -log1p(-u_y * mass) and
     phi = 2 pi u_phi, the draws written straight into y[sl], phi[sl]."""
-    keys = _keys(seed, stride, sl.start, sl.stop)
+    keys = _keys(seed, sl.start, sl.stop)
     bits, tmp = np.empty_like(keys), np.empty_like(keys)
     u_y = _uniform(keys, 0, 2, y[sl], bits, tmp)
     u_phi = _uniform(keys, 0, 3, phi[sl], bits, tmp)
@@ -159,11 +155,13 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
 
     With out, the step is written into out's arrays (out may be e
     itself) and out, relabelled as e's next step, is returned; else
-    into a new ensemble."""
-    bound = 0.1 / max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
-    if dt > bound * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"particle step dt = {dt} exceeds the weak-order bound {bound:.3g}")
+    into a new ensemble. dt must be finite, >= 0 and at most the weak-order
+    bound 0.1 / max(sup|V|, sup|Phi|), which V = Phi = 0 lifts."""
+    drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
+    bound = 0.1 / drift if drift > 0.0 else np.inf
+    if not 0.0 <= dt < np.inf or dt > bound * (1.0 + 1e-12):
+        raise ConfigurationError(f"particle step dt = {dt} must be finite and "
+                                 f"within the weak-order bound [0, {bound:.3g}]")
     if out is None:
         out = ParticleEnsemble(y=np.empty(e.n), phi=np.empty(e.n), n=e.n,
                                seed=e.seed)
@@ -174,7 +172,7 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
         _step_chunk, e, out.y, out.phi, params, dt,
         np.sqrt(2.0 * params.epsilon * dt), np.sqrt(2.0 * params.D * dt),
         y_max))
-    out.seed, out.stream_stride, out.step = e.seed, e.stream_stride, e.step + 1
+    out.seed, out.step = e.seed, e.step + 1
     return out
 
 
@@ -230,7 +228,7 @@ def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
     n = len(y0)
     work = np.empty((5, n))
     z_y, z_phi, r, a, b = work
-    keys = _keys(e.seed, e.stream_stride, sl.start, sl.stop)
+    keys = _keys(e.seed, sl.start, sl.stop)
     bits, tmp = a.view(np.uint64), b.view(np.uint64)
     slot = e.step + 1
     _uniform(keys, slot, 0, r, bits, tmp)
@@ -288,24 +286,26 @@ def _mod_2pi(x: np.ndarray, out: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 def run_particles(e: ParticleEnsemble, params: ModelParams, dt: float,
                   t_final: float, y_max: float | None = None) -> ParticleEnsemble:
-    """March to t_final with fixed dt (last step shortened to land).
+    """March to a finite t_final >= 0 in equal steps of at most dt.
 
     The march runs in place on a copy of e, which is left unchanged, and
     all its steps share one chunk pool, shut down before this returns.
     More than full_solver._MAX_STEPS steps raise ConfigurationError."""
-    n_steps = _step_count(t_final, dt,
-                          f"the particle march to t = {t_final:g} at "
-                          f"particle_dt = {dt:g}", "increase particle_dt")
-    step_dt = t_final / n_steps
+    if not 0.0 <= t_final < np.inf:
+        raise ConfigurationError(
+            f"t_final must be finite and >= 0, got {t_final}")
+    n_steps = 0 if t_final == 0.0 else _step_count(
+        t_final, dt, f"the particle march to t = {t_final:g} at "
+        f"particle_dt = {dt:g}", "increase particle_dt")
+    e = replace(e, y=e.y.copy(), phi=e.phi.copy())
     # threads start on demand, so never more than a step has chunks
     with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
         token = _MARCH_POOL.set(pool)
         try:
             # em_step through the module, once per step, so that
             # wrappers of the module attribute see every step
-            e = em_step(e, params, step_dt, y_max=y_max)
-            for _ in range(n_steps - 1):
-                e = em_step(e, params, step_dt, y_max=y_max, out=e)
+            for _ in range(n_steps):
+                em_step(e, params, t_final / n_steps, y_max=y_max, out=e)
         finally:
             _MARCH_POOL.reset(token)
     return e

@@ -8,10 +8,10 @@ from activerods import (AngularCoefficient, AssumptionViolationError,
                         ConfigurationError, ModelParams,
                         epsilon_from_physical, mu0, sup_abs,
                         validate_assumptions)
-from activerods.coefficients import eval_coeff
+from activerods.coefficients import _bounds, eval_coeff
 
-from conftest import (coeff_value_reference, const, shear, shifted_sine,
-                      wall_drive)
+from conftest import (angular_drifts, coeff_value_reference, const,
+                      positive_speeds, shear, shifted_sine, wall_drive)
 
 
 def test_shifted_sine_value():
@@ -83,6 +83,11 @@ def test_gmin_wall_drive():
 def test_assumption_violation():
     with pytest.raises(AssumptionViolationError):
         validate_assumptions(wall_drive(0.5, 1.0))
+    # a speed that touches zero exactly is not strictly positive
+    for g in (0.5, 1.0 / 3.0, 7.1):
+        for v_prop in (g, -g):
+            with pytest.raises(AssumptionViolationError):
+                validate_assumptions(wall_drive(g, v_prop))
 
 
 def test_mu0_examples():
@@ -94,6 +99,37 @@ def test_mu0_examples():
 def test_sup_abs():
     assert sup_abs(shifted_sine(1.0, 0.5), 0) == pytest.approx(2.0, abs=1e-6)
     assert sup_abs(shear(0.5), 1) == pytest.approx(0.5, abs=1e-6)
+
+
+def _sampled(coeff, order):
+    # the 4096-angle sampling that validate_assumptions, sup_abs and mu0
+    # used before their closed forms, kept as their reference
+    phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    return eval_coeff(coeff, phi, order)
+
+
+@given(st.one_of(angular_drifts, positive_speeds))
+def test_closed_form_bounds_match_sampled(coeff):
+    # sup|.| has no signed zero, so == is bit for bit there; the minimum
+    # may differ from the sampled one only in the sign of a zero
+    for order in (0, 1, 2):
+        assert sup_abs(coeff, order) == np.max(np.abs(_sampled(coeff, order)))
+    assert _bounds(coeff)[0] == np.min(_sampled(coeff, 0))
+
+
+@given(st.one_of(angular_drifts, positive_speeds))
+def test_closed_form_bounds_attained_at_documented_angles(coeff):
+    phi = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi, 1.5 * np.pi])
+    for order in (0, 1, 2):
+        assert sup_abs(coeff, order) == np.max(np.abs(eval_coeff(coeff, phi,
+                                                                 order)))
+    assert _bounds(coeff)[0] == np.min(eval_coeff(coeff, phi))
+
+
+def test_sup_abs_rejects_order():
+    for order in (-1, 3):
+        with pytest.raises(ConfigurationError):
+            sup_abs(const(1.0), order)
 
 
 def test_epsilon_from_physical():

@@ -93,9 +93,6 @@ def test_weak_pairings_frozen():
     assert vals[0] == pytest.approx(2.0 * math.pi, rel=1e-12)
     assert abs(vals[1]) <= 1e-12
     assert abs(vals[2]) <= 1e-12
-    # bare arrays work too
-    bare = weak_pairings(dec, [np.ones(64)])
-    assert bare[0] == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

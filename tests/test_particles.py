@@ -45,11 +45,11 @@ def _sin32(phi):
 
 
 def em_step_reference(e, params, dt, y_max=None, float32_trig=True):
-    bound = 0.1 / max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
-    assert dt <= bound * (1.0 + 1e-12)
+    drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
+    assert dt * drift <= 0.1 * (1.0 + 1e-12)
     slot = e.step + 1
-    u1 = _uniforms_reference(e.seed, e.stream_stride, e.n, slot, 0)
-    u2 = _uniforms_reference(e.seed, e.stream_stride, e.n, slot, 1)
+    u1 = _uniforms_reference(e.seed, particles._STRIDE, e.n, slot, 0)
+    u2 = _uniforms_reference(e.seed, particles._STRIDE, e.n, slot, 1)
     r = np.sqrt(-2.0 * np.log(u1))
     theta = 2.0 * np.pi * u2
     sin = np.sin
@@ -67,7 +67,7 @@ def em_step_reference(e, params, dt, y_max=None, float32_trig=True):
             y[over] = 2.0 * y_max - y[over]
     phi = np.mod(phi, 2.0 * np.pi)
     return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
-                            stream_stride=e.stream_stride, step=e.step + 1)
+                            step=e.step + 1)
 
 
 def em_step_float64(e, params, dt, y_max=None):
@@ -89,8 +89,7 @@ def _assert_same_ensemble(a, b):
     np.testing.assert_array_equal(a.y.view(np.uint64), b.y.view(np.uint64))
     np.testing.assert_array_equal(a.phi.view(np.uint64),
                                   b.phi.view(np.uint64))
-    assert (a.n, a.seed, a.stream_stride, a.step) == \
-        (b.n, b.seed, b.stream_stride, b.step)
+    assert (a.n, a.seed, a.step) == (b.n, b.seed, b.step)
 
 
 def _drift_params(T=2.0):
@@ -219,6 +218,40 @@ def test_em_step_dt_bound():
         em_step(e, params, 0.2)
 
 
+def test_em_step_rejects_negative_or_nonfinite_dt():
+    e = sample_initial(100, 3, 8.0)
+    for dt in (-0.01, -math.inf, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            em_step(e, _drift_params(), dt)
+
+
+def test_em_step_without_drift_is_pure_diffusion():
+    # V = Phi = 0: no drift, so no weak-order bound on dt
+    params = ModelParams(epsilon=0.05, D=0.2, T=1.0, V=const(0.0),
+                         Phi=const(0.0))
+    e = sample_initial(1000, 4, 3.0)
+    out = em_step(e, params, 0.5)
+    assert np.all(np.isfinite(out.y)) and np.all(np.isfinite(out.phi))
+    _assert_same_ensemble(out, em_step_reference(e, params, 0.5))
+
+
+def test_run_particles_rejects_negative_or_nonfinite_t_final():
+    e = sample_initial(5, 1, 4.0)
+    for t_final in (-0.5, -1e-300, math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            run_particles(e, _drift_params(), 0.01, t_final)
+
+
+def test_run_particles_at_time_zero_returns_unchanged_copy():
+    for step in (0, 3):
+        e = sample_initial(5, 1, 4.0)
+        e.step = step
+        out = run_particles(e, _drift_params(), 0.01, 0.0)
+        _assert_same_ensemble(out, e)
+        assert not np.shares_memory(out.y, e.y)
+        assert not np.shares_memory(out.phi, e.phi)
+
+
 def test_ensemble_shape_check():
     with pytest.raises(ConfigurationError):
         ParticleEnsemble(y=np.zeros(5), phi=np.zeros(4), n=5, seed=1)
@@ -228,8 +261,8 @@ def test_sample_initial_matches_reference_draws():
     # one inline chunk, and several chunks with a ragged tail on the pool
     for n in (1001, int(3.4 * particles._CHUNK)):
         e = sample_initial(n, 9, 8.0)
-        u_y = _uniforms_reference(9, e.stream_stride, n, 0, 2)
-        u_p = _uniforms_reference(9, e.stream_stride, n, 0, 3)
+        u_y = _uniforms_reference(9, particles._STRIDE, n, 0, 2)
+        u_p = _uniforms_reference(9, particles._STRIDE, n, 0, 3)
         np.testing.assert_array_equal(
             e.y, -np.log1p(-u_y * (1.0 - np.exp(-8.0))))
         np.testing.assert_array_equal(e.phi, 2.0 * np.pi * u_p)
@@ -315,8 +348,7 @@ def test_step_keeps_caller_error_state(chunks):
 
 def _copy(e):
     return ParticleEnsemble(y=e.y.copy(), phi=e.phi.copy(), n=e.n,
-                            seed=e.seed, stream_stride=e.stream_stride,
-                            step=e.step)
+                            seed=e.seed, step=e.step)
 
 
 _MARCH_PARAMS = ModelParams(epsilon=0.05, D=0.2, T=1.0,
@@ -334,9 +366,9 @@ def test_em_step_in_place_matches_fresh_arrays(chunks, y_max):
     out = em_step(inplace, _MARCH_PARAMS, 0.01, y_max=y_max, out=inplace)
     assert out is inplace and out.y is y and out.phi is phi
     _assert_same_ensemble(out, fresh)
-    # out with other labels takes e's seed, stride and next step
+    # out with other labels takes e's seed and next step
     other = ParticleEnsemble(y=np.zeros(e.n), phi=np.zeros(e.n), n=e.n,
-                             seed=99, stream_stride=3, step=0)
+                             seed=99, step=0)
     _assert_same_ensemble(em_step(e, _MARCH_PARAMS, 0.01, y_max=y_max,
                                   out=other), fresh)
 

@@ -265,9 +265,32 @@ def test_cli_error_codes(cli_config, tmp_path):
     bad.write_text("[model]\nepsilon = 0.1\n[grid]\nbogus = 3\n")
     assert main(["run-full", "--config", str(bad)]) == 2
     slow = tmp_path / "assume.ini"
-    slow.write_text(BAD_SPEED_TEXT)
-    assert main(["run-full", "--config", str(slow),
-                 "--out", str(tmp_path / "o9")]) == 3
+    # v_prop = 2 g, and v_prop = g, where the speed touches zero
+    for text in (BAD_SPEED_TEXT, BAD_SPEED_TEXT.replace("v_prop = 1.0",
+                                                        "v_prop = 0.5")):
+        slow.write_text(text)
+        assert main(["run-full", "--config", str(slow),
+                     "--out", str(tmp_path / "o9")]) == 3
+
+
+@pytest.mark.parametrize("old, new", [
+    ("V.family = shifted_sine\nV.params.g0 = 1.0\nV.params.a = 0.5\n"
+     "Phi.family = paper_shear\nPhi.params.gamma = 0.5",
+     "V.family = constant\nV.params.value = 0.0\n"
+     "Phi.family = constant\nPhi.params.value = 0.0"),
+    ("V.params.g0 = 1.0", "V.params.g0 = -1.0")], ids=["zero", "negative"])
+def test_cli_particles_nonpositive_speed_exits_3(old, new, tmp_path,
+                                                 capsys):
+    text = CLI_TEXT.replace(old, new)
+    assert new in text
+    path = tmp_path / "speed.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["particles", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "strictly positive" in err
+    assert not os.path.exists(out / "particles.csv")
 
 
 def test_cli_out_dir_precedence(cli_config, tmp_path, monkeypatch):
