@@ -73,12 +73,12 @@ class AngularCoefficient:
             )
         for key, val in self.params.items():
             try:
-                float(val)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"parameter {key!r} of family {self.family!r} is not numeric: "
-                    f"{val!r}"
-                ) from None
+                finite = np.isfinite(float(val))
+            except (TypeError, ValueError, OverflowError):
+                finite = False
+            if not finite:
+                raise ConfigurationError(f"parameter {key!r} of family {self.family!r} "
+                                         f"is not a finite number: {val!r}")
 
     def __call__(self, phi, order: int = 0):
         return eval_coeff(self, phi, order)

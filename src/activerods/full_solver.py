@@ -172,9 +172,10 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
     # angle by one is a copy of contiguous blocks. It is also the layout
     # of the y-solve's columns, so neither substep transposes the other's
     # output.
-    out = np.array(np.moveaxis(values, -1, 0), dtype=float, order="C")
+    out = np.array(values.transpose(-1, *range(values.ndim - 1)),
+                   dtype=float, order="C")
     if denom <= 0.0 or dt <= 0.0:
-        return np.moveaxis(out, 0, -1)
+        return out.transpose(*range(1, out.ndim), 0)
     n_sub = _step_count(dt, safety / denom,
                         "angular sub-cycling at the CFL bound",
                         "reduce dt or D, or use fewer angles")
@@ -203,7 +204,7 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
         np.subtract(F[:1], F[-1:], out=tmp[:1])
         np.multiply(c, tmp, out=tmp)
         np.subtract(out, tmp, out=out)
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,

@@ -22,7 +22,8 @@ full solver.
 
 The operator spot checks (coercivity gap, regularized resolvent bound)
 live on a separate uniform whole-line y grid, because the underlying
-inequalities are posed with unbounded y of both signs.
+inequalities are posed with unbounded y of both signs. The resolvent
+system is solved by block elimination over the y rows, 3.9 MiB at 481 x 32.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
@@ -207,6 +206,13 @@ def _line_inner(a: np.ndarray, b: np.ndarray, grid: WholeLineGrid,
     return float(np.sum(a * b * wy) * phi_grid.h)
 
 
+def _checked_mu0(lam: float, params: ModelParams) -> float:
+    m0 = mu0(params.Phi)
+    if not m0 < lam < math.inf:
+        raise ConfigurationError(f"shift lam = {lam} must be finite and > mu0 = {m0:.6g}")
+    return m0
+
+
 def coercivity_gap(u: LineField, lam: float, params: ModelParams) -> float:
     """Discrete coercivity margin of the shifted transport operator
     B = V d_y + d_phi(Phi .) - D d_phi^2 on the whole line:
@@ -217,10 +223,7 @@ def coercivity_gap(u: LineField, lam: float, params: ModelParams) -> float:
     and centered differences plus trapezoid quadrature in y. The
     underlying inequality guarantees gap >= ||u||^2 - O(h^2) >= 0
     whenever lam >= mu0(Phi)."""
-    m0 = mu0(params.Phi)
-    if lam <= m0:
-        raise ConfigurationError(
-            f"shift lam = {lam} must exceed mu0 = {m0:.6g}")
+    m0 = _checked_mu0(lam, params)
     vals = u.values
     V_nodes = eval_on_nodes(params.V, u.phi_grid)
     Phi_nodes = eval_on_nodes(params.Phi, u.phi_grid)
@@ -248,8 +251,9 @@ class ResolventProblem:
     rhs: LineField
 
     def __post_init__(self):
-        if self.eps_reg <= 0:
-            raise ConfigurationError(f"eps_reg must be > 0, got {self.eps_reg}")
+        if not (math.isfinite(self.lam) and 0 < self.eps_reg < math.inf):
+            raise ConfigurationError(f"need a finite lam and a finite eps_reg > 0, "
+                                     f"got {self.lam} and {self.eps_reg}")
 
 
 @dataclass
@@ -258,62 +262,57 @@ class ResolventSolution:
     ratio: float   # (||u||^2 + ||du_phi||^2 + ||du_y||^2 + ||d2u_phi||^2) / ||f||^2
 
 
-def resolvent_solve(p: ResolventProblem, params: ModelParams) -> ResolventSolution:
-    """Sparse direct solve of (V d_y - eps_reg d_y^2 + d_phi(Phi .)
-    - D d_phi^2 + lam) u = f with Dirichlet ends in y (the true
-    solution decays) and periodic angle. Reports the graph-norm ratio
-    whose boundedness, uniformly as eps_reg shrinks, is the point."""
-    m0 = mu0(params.Phi)
-    if p.lam <= m0:
-        raise ConfigurationError(
-            f"shift lam = {p.lam} must exceed mu0 = {m0:.6g}")
-    grid = p.rhs.line_grid
-    phi_grid = p.rhs.phi_grid
-    n_y, n_p = grid.n_y, phi_grid.n_phi
-    hy, hp = grid.h, phi_grid.h
+def _resolvent_blocks(p: ResolventProblem, params: ModelParams):
+    """(L, B, U) with interior row i of the y-major resolvent system
+    L u_{i-1} + B u_i + U u_{i+1} = f_i: the per-angle diagonals of
+    V d_y - eps_reg d_y^2, and the periodic angular block, the same on
+    every row, of lam, the y-diagonal and d_phi(Phi .) - D d_phi^2."""
+    hy, phi_grid = p.rhs.line_grid.h, p.rhs.phi_grid
+    n_p, hp = phi_grid.n_phi, phi_grid.h
     V_nodes = eval_on_nodes(params.V, phi_grid)
     Phi_nodes = eval_on_nodes(params.Phi, phi_grid)
-
-    # Interior rows carry five entries each, in the order diagonal, y + 1,
-    # y - 1, phi + 1, phi - 1, with the same (n_p, 5) band on every row;
-    # the Dirichlet end rows are identity rows.
-    k = np.arange(n_y * n_p).reshape(n_y, n_p)
-    inner = k[1:-1]
-    nbrs = np.stack([inner, inner + n_p, inner - n_p,
-                     np.roll(inner, -1, axis=1), np.roll(inner, 1, axis=1)],
-                    axis=-1)
     dy2, dp2 = p.eps_reg / hy ** 2, params.D / hp ** 2
-    band = np.stack([
-        np.full(n_p, p.lam + 2.0 * dy2 + 2.0 * dp2),
-        # V d_y - eps_reg d_y^2, centered
-        V_nodes / (2.0 * hy) - dy2,
-        -V_nodes / (2.0 * hy) - dy2,
-        # d_phi(Phi u), centered, and -D d_phi^2
-        np.roll(Phi_nodes, -1) / (2.0 * hp) - dp2,
-        -np.roll(Phi_nodes, 1) / (2.0 * hp) - dp2], axis=-1)
-    rows = np.concatenate([k[0], np.repeat(inner.ravel(), 5), k[-1]])
-    cols = np.concatenate([k[0], nbrs.ravel(), k[-1]])
-    data = np.concatenate([np.ones(n_p), np.tile(band.ravel(), n_y - 2),
-                           np.ones(n_p)])
-    rhs_vec = p.rhs.values.flatten()
-    rhs_vec[:n_p] = rhs_vec[-n_p:] = 0.0
-    A = sp.csr_matrix((data, (rows, cols)), shape=(n_y * n_p, n_y * n_p))
-    try:
-        u_vec = spla.spsolve(A, rhs_vec)
-    except RuntimeError as exc:
-        raise NumericalFailureError(f"resolvent system not solvable: {exc}")
-    if not np.isfinite(u_vec).all():
-        raise NumericalFailureError("resolvent solve returned non-finite values")
+    j = np.arange(n_p)
+    B = np.diag(np.full(n_p, p.lam + 2.0 * dy2 + 2.0 * dp2))
+    B[j, (j + 1) % n_p] += np.roll(Phi_nodes, -1) / (2.0 * hp) - dp2
+    B[j, j - 1] += -np.roll(Phi_nodes, 1) / (2.0 * hp) - dp2
+    return -V_nodes / (2.0 * hy) - dy2, B, V_nodes / (2.0 * hy) - dy2
 
-    u = LineField(u_vec.reshape(n_y, n_p), grid, phi_grid)
-    du_y = _d_y(u.values, hy)
-    du_p = phi_derivative(u.values, 1)
-    d2u_p = phi_derivative(u.values, 2)
-    f2 = _line_inner(p.rhs.values, p.rhs.values, grid, phi_grid)
+
+def resolvent_solve(p: ResolventProblem, params: ModelParams) -> ResolventSolution:
+    """Direct solve of (V d_y - eps_reg d_y^2 + d_phi(Phi .) - D d_phi^2
+    + lam) u = f with Dirichlet ends in y (the true solution decays) and
+    periodic angle. Reports the graph-norm ratio whose boundedness,
+    uniformly as eps_reg shrinks, is the point.
+
+    Block-tridiagonal elimination over the y rows: from S_1 = B, g_1 =
+    f_1, solve S_i [W_i | y_i] = [U | g_i] by one LAPACK gesv per row
+    (pivoting within the block), S_{i+1} = B - L W_i, g_{i+1} = f_{i+1}
+    - L y_i; then u_i = y_i - W_i u_{i+1}. Keeps one n_phi x (n_phi + 1)
+    block per row, 3.9 MiB at 481 x 32."""
+    _checked_mu0(p.lam, params)
+    grid, phi_grid, f = p.rhs.line_grid, p.rhs.phi_grid, p.rhs.values
+    L, B, U = _resolvent_blocks(p, params)
+    n = phi_grid.n_phi
+    X = np.zeros((grid.n_y, n, n + 1))      # [W_i | y_i]
+    S, rhs = B, np.concatenate((np.diag(U), f[1, :, None]), axis=1)
+    try:
+        for i in range(1, grid.n_y - 1):
+            X[i] = np.linalg.solve(S, rhs)
+            S = B - L[:, None] * X[i, :, :n]
+            rhs[:, n] = f[i + 1] - L * X[i, :, n]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"resolvent system not solvable: {exc}")
+    u_vals = np.zeros(f.shape)
+    for i in range(grid.n_y - 2, 0, -1):
+        u_vals[i] = X[i, :, n] - X[i, :, :n] @ u_vals[i + 1]
+    if not np.isfinite(u_vals).all():
+        raise NumericalFailureError("resolvent solve returned non-finite values")
+    u = LineField(u_vals, grid, phi_grid)
+    f2 = _line_inner(f, f, grid, phi_grid)
     if f2 == 0.0:
         return ResolventSolution(u=u, ratio=0.0)
-    num = (_line_inner(u.values, u.values, grid, phi_grid)
-           + _line_inner(du_p, du_p, grid, phi_grid)
-           + _line_inner(du_y, du_y, grid, phi_grid)
-           + _line_inner(d2u_p, d2u_p, grid, phi_grid))
+    num = sum(_line_inner(g, g, grid, phi_grid)
+              for g in (u_vals, phi_derivative(u_vals, 1),
+                        _d_y(u_vals, grid.h), phi_derivative(u_vals, 2)))
     return ResolventSolution(u=u, ratio=float(num / f2))

@@ -65,6 +65,18 @@ def test_extra_param_rejected():
         AngularCoefficient("constant", {"value": 1.0, "slope": 2.0})
 
 
+@pytest.mark.parametrize("family, params", [
+    ("constant", {"value": 1.0}),
+    ("shifted_sine", {"g0": 1.0, "a": 0.5}),
+    ("paper_shear", {"gamma": 1.0}),
+    ("wall_drive", {"g": 1.0, "v_prop": 0.5})])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_nonfinite_param_rejected(family, params, bad):
+    for key in params:
+        with pytest.raises(ConfigurationError, match="finite number"):
+            AngularCoefficient(family, {**params, key: bad})
+
+
 def test_gmin_shifted_sine():
     # min over phi of g0 + a(1 + sin phi) is g0, attained at phi = -pi/2
     g = validate_assumptions(shifted_sine(1.0, 0.5))

@@ -12,6 +12,8 @@ from activerods import (BulkWallState, ConfigurationError, FullSolverConfig,
                         build_phi_grid, build_y_grid, coercivity_gap,
                         eval_on_nodes, manufactured_state, mu0,
                         resolvent_solve, run_limit, step_limit)
+from activerods.grids import PhiGrid
+from activerods.limit_solver import _resolvent_blocks
 
 from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
                       patchy_values, round_off_bound, shear, shifted_sine,
@@ -165,6 +167,16 @@ def test_coercivity_shift_too_small():
     assert coercivity_gap(u, 2.5, params) == 0.0
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_coercivity_gap_rejects_nonfinite_shift(lam):
+    grid = build_line_grid(6.0, 9)
+    u = LineField(np.ones((9, 4)), grid, build_phi_grid(4))
+    params = ModelParams(epsilon=0.05, D=0.0, T=1.0, V=const(1.0),
+                         Phi=shear(1.0))
+    with pytest.raises(ConfigurationError, match="finite"):
+        coercivity_gap(u, lam, params)
+
+
 def test_resolvent_basic():
     grid = build_line_grid(8.0, 241)
     pg = build_phi_grid(16)
@@ -229,6 +241,41 @@ def _loop_assembled_resolvent(p, params):
     return A, rhs_vec
 
 
+def _dense_from_blocks(L, B, U, n_y):
+    """The whole resolvent matrix from its row blocks, identity end rows
+    included."""
+    n_p = B.shape[0]
+    A = np.zeros((n_y, n_p, n_y, n_p))
+    A[0, :, 0] = A[-1, :, -1] = np.eye(n_p)
+    for i in range(1, n_y - 1):
+        A[i, :, i - 1] = np.diag(L)
+        A[i, :, i] = B
+        A[i, :, i + 1] = np.diag(U)
+    return A.reshape(n_y * n_p, n_y * n_p)
+
+
+def _relative_residual(A, u, rhs_vec):
+    return np.max(np.abs(A @ u - rhs_vec)) / np.max(np.abs(rhs_vec))
+
+
+def _check_against_superlu(p, params):
+    """The block solve against SuperLU on the loop-assembled matrix: the
+    same answer to 1e-11 of max|u|, and a residual within 10x SuperLU's
+    (+1e-15)."""
+    A, rhs_vec = _loop_assembled_resolvent(p, params)
+    u_ref = spla.spsolve(A, rhs_vec)
+    u = resolvent_solve(p, params).u.values.ravel()
+    assert np.max(np.abs(u - u_ref)) <= 1e-11 * np.max(np.abs(u_ref))
+    assert (_relative_residual(A, u, rhs_vec)
+            <= 10.0 * _relative_residual(A, u_ref, rhs_vec) + 1e-15)
+
+
+def _phi_grid(n_phi):
+    # build_phi_grid's nodes, also for the n_phi = 3 it refuses
+    h = 2.0 * np.pi / n_phi
+    return PhiGrid(n_phi=n_phi, nodes=h * np.arange(n_phi), h=h)
+
+
 @pytest.mark.parametrize("n_phi", [4, 5, 16])
 def test_resolvent_matches_loop_assembly(n_phi):
     grid = build_line_grid(6.0, 61)
@@ -239,6 +286,53 @@ def test_resolvent_matches_loop_assembly(n_phi):
     params = ModelParams(epsilon=0.05, D=0.3, T=1.0, V=wall_drive(1.0, 0.5),
                          Phi=shear(1.0))
     p = ResolventProblem(mu0(params.Phi) + 1.0, 1e-2, rhs)
-    A, rhs_vec = _loop_assembled_resolvent(p, params)
-    u = spla.spsolve(A, rhs_vec).reshape(grid.n_y, n_phi)
-    np.testing.assert_array_equal(resolvent_solve(p, params).u.values, u)
+    A, _ = _loop_assembled_resolvent(p, params)
+    np.testing.assert_array_equal(
+        _dense_from_blocks(*_resolvent_blocks(p, params), grid.n_y),
+        A.toarray())
+    _check_against_superlu(p, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(V=positive_speeds, Phi=angular_drifts, n_y=st.integers(9, 41),
+       n_phi=st.integers(3, 12), D=st.floats(0.0, 2.0),
+       eps_reg=st.floats(1e-6, 1.0), seed=st.integers(0, 2 ** 16))
+def test_resolvent_residual_property(V, Phi, n_y, n_phi, D, eps_reg, seed):
+    grid = build_line_grid(6.0, n_y)
+    pg = _phi_grid(n_phi)
+    rhs = LineField(np.random.default_rng(seed).normal(size=(n_y, n_phi)),
+                    grid, pg)
+    params = ModelParams(epsilon=0.05, D=D, T=1.0, V=V, Phi=Phi)
+    _check_against_superlu(
+        ResolventProblem(mu0(Phi) + 1.0, eps_reg, rhs), params)
+
+
+@pytest.mark.parametrize("field", ["lam", "eps_reg"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_resolvent_problem_rejects_nonfinite(field, bad):
+    grid = build_line_grid(6.0, 9)
+    rhs = LineField(np.ones((9, 4)), grid, build_phi_grid(4))
+    args = {"lam": 2.0, "eps_reg": 1e-2, field: bad}
+    with pytest.raises(ConfigurationError, match="finite"):
+        ResolventProblem(rhs=rhs, **args)
+
+
+def _singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _nan_solve(a, b):
+    return np.full(np.shape(b), np.nan)
+
+
+@pytest.mark.parametrize("block_solve", [_singular, _nan_solve])
+def test_resolvent_block_failure_is_numerical(block_solve, monkeypatch):
+    grid = build_line_grid(6.0, 41)
+    rhs = LineField(np.exp(-grid.nodes[:, None] ** 2) * np.ones((1, 8)),
+                    grid, build_phi_grid(8))
+    params = ModelParams(epsilon=0.05, D=0.3, T=1.0, V=const(1.0),
+                         Phi=shear(1.0))
+    p = ResolventProblem(mu0(params.Phi) + 1.0, 1e-2, rhs)
+    monkeypatch.setattr(np.linalg, "solve", block_solve)
+    with pytest.raises(NumericalFailureError):
+        resolvent_solve(p, params)

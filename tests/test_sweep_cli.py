@@ -257,6 +257,24 @@ def test_cli_check_resolvent(cli_config, tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("block_solve", ["raise", "nan"])
+def test_cli_check_resolvent_block_failure_exits_4(block_solve, cli_config,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    def fake(a, b):
+        if block_solve == "raise":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(np.shape(b), np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", fake)
+    assert main(["check-resolvent", "--config", cli_config,
+                 "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: resolvent")
+
+
 def test_cli_error_codes(cli_config, tmp_path):
     assert main(["no-such-command"]) == 2
     assert main(["run-full"]) == 2
