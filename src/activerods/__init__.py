@@ -10,18 +10,17 @@ from .errors import (ActiveRodsError, AssumptionViolationError,
                      NumericalFailureError)
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
                     eval_on_nodes, exp_cell_averages, exp_cell_integrals,
-                    layer_pairing, norms, overlap_average_y, phi_derivative,
+                    norms, overlap_average_y, phi_derivative,
                     poly_exp_cell_averages, trace_wall)
-from .full_solver import (FullSolverConfig, phi_substep, run_full,
-                          steady_layer, step_full)
+from .full_solver import FullSolverConfig, phi_substep, run_full, steady_layer
 from .limit_solver import (BulkWallState, LineField, ResolventProblem,
                            build_line_grid, coercivity_gap, manufactured_state,
-                           resolvent_solve, run_limit, step_limit)
+                           resolvent_solve, run_limit)
 from .asymptotics import (a_coeffs, build_inner, composite_refined,
-                          composite_simple, corrector_ode_mismatch, p0_coeffs,
-                          residual_report, wall_layer)
+                          composite_simple, p0_coeffs, residual_report,
+                          wall_layer)
 from .decomposition import (Decomposition, decompose, default_tests,
-                            energy_step, reconstruct, weak_pairings)
+                            energy_step, weak_pairings)
 from .particles import (ParticleEnsemble, em_step, histogram, run_particles,
                         sample_initial, tv_distance)
 from .config import bulk_exp_field, load_config, parse_config
@@ -38,15 +37,15 @@ __all__ = [
     "ResolventProblem", "SweepRecord", "a_coeffs", "aggregate_phi",
     "build_inner", "build_line_grid", "build_phi_grid", "build_y_grid",
     "bulk_exp_field", "coercivity_gap", "composite_refined",
-    "composite_simple", "corrector_ode_mismatch", "decompose", "default_tests",
-    "em_step", "energy_step", "epsilon_from_physical", "eval_on_nodes",
+    "composite_simple", "decompose", "default_tests", "em_step",
+    "energy_step", "epsilon_from_physical", "eval_on_nodes",
     "exp_cell_averages", "exp_cell_integrals", "field_rows", "fit_order",
-    "format_value", "histogram", "layer_pairing", "load_config",
-    "manufactured_state", "mu0", "norms", "overlap_average_y", "p0_coeffs",
-    "parse_config", "phi_derivative", "phi_substep", "poly_exp_cell_averages",
-    "profile_rows", "reconstruct", "residual_report", "resolvent_solve",
-    "run_full", "run_limit", "run_particles", "sample_initial", "steady_layer",
-    "step_full", "step_limit", "sup_abs", "sweep_epsilon", "trace_wall",
-    "tv_distance", "validate_assumptions", "wall_layer", "weak_pairing_sweep",
+    "format_value", "histogram", "load_config", "manufactured_state",
+    "mu0", "norms", "overlap_average_y", "p0_coeffs", "parse_config",
+    "phi_derivative", "phi_substep", "poly_exp_cell_averages",
+    "profile_rows", "residual_report", "resolvent_solve", "run_full",
+    "run_limit", "run_particles", "sample_initial", "steady_layer",
+    "sup_abs", "sweep_epsilon", "trace_wall", "tv_distance",
+    "validate_assumptions", "wall_layer", "weak_pairing_sweep",
     "write_csv",
 ]

@@ -20,7 +20,7 @@ from .coefficients import (AngularCoefficient, ModelParams,
                            epsilon_from_physical, mu0, sup_abs)
 from .config import GridSection, RunConfig, bulk_exp_field
 from .decomposition import decompose, energy_step
-from .errors import ActiveRodsError
+from .errors import ActiveRodsError, NumericalFailureError
 from .full_solver import FullSolverConfig, run_full, steady_layer
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
                     eval_on_nodes, exp_cell_integrals, norms, overlap_average_y)
@@ -31,6 +31,11 @@ from .particles import histogram, run_particles, sample_initial, tv_distance
 from .sweep import fit_order, sweep_epsilon, weak_pairing_sweep
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+# Bounds of the operator probes, shared by criteria 11 and 12 and by the
+# check-coercivity and check-resolvent subcommands.
+GAP_TOL = -1e-8       # worst coercivity gap must be >= GAP_TOL
+SPREAD_MAX = 2.0      # resolvent ratio spread max/min must be < SPREAD_MAX
 
 
 @dataclass
@@ -288,13 +293,14 @@ def _c10_weak_pairings() -> CriterionResult:
                            "; ".join(parts))
 
 
-def coercivity_samples(params: ModelParams) -> list:
+def coercivity_check(params: ModelParams):
     """Gap of the accretivity inequality at the shift lam = mu0(Phi) + 1
     for random band-limited fields u = exp(-(y/sigma)^2) * (trig
-    polynomial of degree <= 6). Returns (n_y, n_phi, lam, gap) rows."""
+    polynomial of degree <= 6). Returns the (n_y, n_phi, lam, gap) rows,
+    the worst gap, and whether it meets worst >= GAP_TOL."""
     lam = mu0(params.Phi) + 1.0
     rng = np.random.default_rng(1234)
-    out = []
+    samples = []
     for n_y, n_phi in ((301, 32), (601, 48)):
         grid = build_line_grid(8.0, n_y)
         phi_grid = build_phi_grid(n_phi)
@@ -306,49 +312,56 @@ def coercivity_samples(params: ModelParams) -> list:
                 ang = ang + rng.normal() * np.cos(k * phi_grid.nodes) \
                           + rng.normal() * np.sin(k * phi_grid.nodes)
             u = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
-            out.append((n_y, n_phi, lam, coercivity_gap(u, lam, params)))
-    return out
+            samples.append((n_y, n_phi, lam, coercivity_gap(u, lam, params)))
+    worst = min(s[-1] for s in samples)
+    return samples, worst, worst >= GAP_TOL
 
 
-def resolvent_ratios(params: ModelParams) -> list:
+def resolvent_check(params: ModelParams):
     """Stability ratio of the resolvent solve at lam = mu0(Phi) + 1 for a
-    fixed smooth right-hand side, one per regularization strength."""
+    fixed smooth right-hand side, one per regularization strength.
+    Returns the (eps_reg, ratio) pairs, the spread max/min of the ratios,
+    and whether it meets spread < SPREAD_MAX. A zero or non-finite ratio
+    has no spread: NumericalFailureError."""
     lam = mu0(params.Phi) + 1.0
     grid = build_line_grid(12.0, 481)
     phi_grid = build_phi_grid(32)
     prof = np.exp(-grid.nodes ** 2)
     ang = 1.0 + np.cos(phi_grid.nodes) + 0.5 * np.sin(2 * phi_grid.nodes)
     rhs = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
-    out = []
-    for eps_reg in (1e-1, 1e-2, 1e-3):
-        sol = resolvent_solve(ResolventProblem(eps_reg=eps_reg, lam=lam,
-                                               rhs=rhs), params)
-        out.append((eps_reg, sol.ratio))
-    return out
+    pairs = []
+    # overflow shows as one NumericalFailureError, not numpy warnings
+    with np.errstate(all="ignore"):
+        for eps_reg in (1e-1, 1e-2, 1e-3):
+            sol = resolvent_solve(ResolventProblem(eps_reg=eps_reg, lam=lam,
+                                                   rhs=rhs), params)
+            pairs.append((eps_reg, sol.ratio))
+    ratios = [r for _, r in pairs]
+    if not all(0.0 < r < math.inf for r in ratios):
+        raise NumericalFailureError(
+            f"resolvent ratios {ratios} are zero or non-finite; the "
+            "coefficients may be too large for double precision")
+    spread = max(ratios) / min(ratios)
+    return pairs, spread, spread < SPREAD_MAX
 
 
 def _c11_coercivity() -> CriterionResult:
     params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
                          Phi=_shear(1.0))
-    samples = coercivity_samples(params)
-    worst = min(s[-1] for s in samples)
-    ok = worst >= -1e-8
+    samples, worst, ok = coercivity_check(params)
     return CriterionResult(11, "coercivity-gap", ok,
                            f"min gap {worst:.3e} over {len(samples)} fields "
-                           f"(tol -1e-08)")
+                           f"(tol {GAP_TOL:g})")
 
 
 def _c12_resolvent() -> CriterionResult:
     params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
                          Phi=_shear(1.0))
-    pairs = resolvent_ratios(params)
-    ratios = [r for _, r in pairs]
-    spread = max(ratios) / min(ratios)
-    ok = spread < 2.0
-    ratio_txt = ",".join(f"{r:.3f}" for r in ratios)
+    pairs, spread, ok = resolvent_check(params)
+    ratio_txt = ",".join(f"{r:.3f}" for _, r in pairs)
     return CriterionResult(12, "resolvent-uniformity", ok,
                            f"ratios [{ratio_txt}], spread {spread:.3f} "
-                           f"(need < 2)")
+                           f"(need < {SPREAD_MAX:g})")
 
 
 def _c13_particle_oracle() -> CriterionResult:

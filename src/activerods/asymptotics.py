@@ -145,19 +145,6 @@ def p0_coeffs(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray,
     return c0, c1, c2, c3, compat
 
 
-def corrector_ode_mismatch(c0, c1, c2, c3, A1, A2, A3, V_nodes,
-                           z_points=(0.0, 1.0, 2.0)) -> float:
-    """Max abs defect of m3'' - V m3' = A1 + A2 z + A3 z^2 at the given
-    z points; a pure polynomial identity, zero to round-off."""
-    V = np.asarray(V_nodes, dtype=float)
-    worst = 0.0
-    for z in z_points:
-        lhs = (2.0 * c2 + 6.0 * c3 * z) - V * (c1 + 2.0 * c2 * z + 3.0 * c3 * z * z)
-        rhs = A1 + A2 * z + A3 * z * z
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 def build_inner(state: BulkWallState, params: ModelParams) -> InnerExpansion:
     """Assemble the corrector data from a limiting solve."""
     phi_grid = state.bulk.phi_grid

@@ -199,26 +199,21 @@ def _cmd_particles(args) -> int:
 
 def _cmd_check_coercivity(args) -> int:
     cfg = load_config(args.config)
-    samples = acceptance.coercivity_samples(cfg.model_params())
+    samples, worst, ok = acceptance.coercivity_check(cfg.model_params())
     _write(cfg, args, "coercivity.csv",
            ("sample", "n_y", "n_phi", "lambda", "gap"),
            [(k, *s) for k, s in enumerate(samples)])
-    worst = min(s[-1] for s in samples)
-    ok = worst >= -1e-8
     print(f"{'PASS' if ok else 'FAIL'} coercivity: min gap {worst:.3e} "
-          f"over {len(samples)} fields (tol -1e-08)")
+          f"over {len(samples)} fields (tol {acceptance.GAP_TOL:g})")
     return 0 if ok else 1
 
 
 def _cmd_check_resolvent(args) -> int:
     cfg = load_config(args.config)
-    pairs = acceptance.resolvent_ratios(cfg.model_params())
+    pairs, spread, ok = acceptance.resolvent_check(cfg.model_params())
     _write(cfg, args, "resolvent.csv", ("eps_reg", "ratio"), pairs)
-    ratios = [r for _, r in pairs]
-    spread = max(ratios) / min(ratios)
-    ok = spread < 2.0
-    print(f"{'PASS' if ok else 'FAIL'} resolvent: ratio spread "
-          f"{spread:.3f} across eps_reg ladder (need < 2)")
+    print(f"{'PASS' if ok else 'FAIL'} resolvent: ratio spread {spread:.3f} "
+          f"across eps_reg ladder (need < {acceptance.SPREAD_MAX:g})")
     return 0 if ok else 1
 
 

@@ -210,14 +210,15 @@ class ModelParams:
     allow_zero_epsilon: bool = False
 
     def __post_init__(self):
-        if self.epsilon < 0 or (self.epsilon == 0 and not self.allow_zero_epsilon):
+        if not (0 < self.epsilon < np.inf
+                or self.epsilon == 0 and self.allow_zero_epsilon):
             raise ConfigurationError(
-                f"epsilon must be > 0 for the full problem, got {self.epsilon}"
-            )
-        if self.D < 0:
-            raise ConfigurationError(f"D must be >= 0, got {self.D}")
-        if self.T < 0:
-            raise ConfigurationError(f"T must be >= 0, got {self.T}")
+                f"epsilon must be finite and > 0 for the full problem, "
+                f"got {self.epsilon}")
+        for name, value in (("D", self.D), ("T", self.T)):
+            if not 0 <= value < np.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and >= 0, got {value}")
 
 
 def epsilon_from_physical(D_tr: float, D_rot: float, L: float) -> float:

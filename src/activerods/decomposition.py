@@ -64,16 +64,6 @@ def decompose(f: PhaseField, V: AngularCoefficient, eps: float) -> Decomposition
     return Decomposition(m=m, u=u, epsilon=eps)
 
 
-def reconstruct(dec: Decomposition, V: AngularCoefficient) -> PhaseField:
-    """Inverse of decompose: (m/eps) times the layer cell averages plus u."""
-    y_grid, phi_grid = dec.u.y_grid, dec.u.phi_grid
-    V_nodes = eval_on_nodes(V, phi_grid)
-    I = exp_cell_integrals(V_nodes, dec.epsilon, y_grid.faces)
-    layer_avg = I / y_grid.widths[:, None]
-    vals = (dec.m / dec.epsilon)[None, :] * layer_avg + dec.u.values
-    return PhaseField(vals, y_grid, phi_grid)
-
-
 def energy_step(dec: Decomposition, V: AngularCoefficient):
     """Energy E = integral(u^2) + integral(m^2 / 4V) and the wall-normal
     dissipation eps * integral((d_y u)^2), with the wall derivative by

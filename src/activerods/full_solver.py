@@ -59,28 +59,20 @@ class FullSolverConfig:
             raise ConfigurationError(f"safety must be in (0, 1], got {self.safety}")
 
 
-def phi_cfl_dt(params: ModelParams, phi_grid: PhiGrid, safety: float = 0.9):
-    """Stable explicit step for the angular substep, or None if the
-    angular operator vanishes. The combined bound
+def resolve_dt(params: ModelParams, phi_grid: PhiGrid,
+               cfg: FullSolverConfig) -> float:
+    """The configured step, or for dt = "auto" the stable explicit step
+    of the angular substep (0.05 when the angular operator vanishes).
+    The combined bound
 
         dt <= safety / (max|Phi|/h + 2 D / h^2)
 
     implies both of the individual advective and diffusive bounds."""
-    h = phi_grid.h
-    denom = sup_abs(params.Phi, 0) / h + 2.0 * params.D / h ** 2
-    if denom <= 0.0:
-        return None
-    return safety / denom
-
-
-def resolve_dt(params: ModelParams, phi_grid: PhiGrid,
-               cfg: FullSolverConfig) -> float:
-    """The configured step, or for dt = "auto" the angular CFL bound
-    (0.05 when the angular operator vanishes)."""
     if cfg.dt != "auto":
         return float(cfg.dt)
-    bound = phi_cfl_dt(params, phi_grid, cfg.safety)
-    return 0.05 if bound is None else bound
+    h = phi_grid.h
+    denom = sup_abs(params.Phi, 0) / h + 2.0 * params.D / h ** 2
+    return 0.05 if denom <= 0.0 else cfg.safety / denom
 
 
 def _fitted_flux_coeffs(V_nodes: np.ndarray, eps: float, y_grid: YGrid):
@@ -247,18 +239,6 @@ def _full_stepper(params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
         return lambda state: (solve(state[0]),)
 
     return _split_stepper(y_step, params, phi_grid, cfg)
-
-
-def step_full(f: PhaseField, params: ModelParams, cfg: FullSolverConfig,
-              dt: float | None = None) -> PhaseField:
-    """One split step of the kinetic problem. dt defaults to the
-    configured (or CFL-resolved) step."""
-    step_for = _full_stepper(params, f.y_grid, f.phi_grid, cfg)
-    if dt is None:
-        dt = resolve_dt(params, f.phi_grid, cfg)
-    (out,) = step_for(dt)((f.values,))
-    _check_health(out, f.y_grid, f.phi_grid)
-    return PhaseField(out, f.y_grid, f.phi_grid)
 
 
 def _check_health(values: np.ndarray, y_grid: YGrid, phi_grid: PhiGrid):

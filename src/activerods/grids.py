@@ -246,15 +246,6 @@ def poly_exp_cell_averages(coeffs: np.ndarray, V_nodes: np.ndarray,
     return out / y_grid.widths[:, None]
 
 
-def layer_pairing(field: PhaseField, V: AngularCoefficient,
-                  eps: float) -> np.ndarray:
-    """Per-angle pairing of a field against the layer weight
-    exp(-V y / eps), using exact cell integrals of the weight."""
-    V_nodes = eval_on_nodes(V, field.phi_grid)
-    I = exp_cell_integrals(V_nodes, eps, field.y_grid.faces)
-    return np.sum(field.values * I, axis=0)
-
-
 def phi_derivative(values: np.ndarray, order: int = 1,
                    axis: int = -1) -> np.ndarray:
     """Spectral derivative along the periodic angle axis.

@@ -106,17 +106,6 @@ def _check_finite(state):
         raise NumericalFailureError("limit solver produced non-finite values")
 
 
-def step_limit(s: BulkWallState, params: ModelParams, dt: float,
-               cfg: FullSolverConfig | None = None) -> BulkWallState:
-    """One split step of the coupled bulk-wall system."""
-    y_grid, phi_grid = s.bulk.y_grid, s.bulk.phi_grid
-    step = _limit_stepper(params, y_grid, phi_grid,
-                          cfg or FullSolverConfig())(dt)
-    bulk, wall = step((s.bulk.values, s.wall))
-    _check_finite((bulk, wall))
-    return BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall)
-
-
 def run_limit(s0: BulkWallState, params: ModelParams, cfg: FullSolverConfig,
               snapshot_times) -> list:
     """Integrate the limiting system, landing exactly on the requested

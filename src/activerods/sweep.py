@@ -30,9 +30,6 @@ SWEEP_COLUMNS = ("epsilon", "t_final", "l1_error", "l1_error_refined",
                  "l1_R", "l1_r", "mass_full", "mass_limit_combined",
                  "order_vs_prev")
 
-WEAK_COLUMNS = ("epsilon", "test", "pairing_full", "pairing_limit",
-                "abs_diff")
-
 
 @dataclass
 class SweepRecord:
@@ -57,9 +54,6 @@ class WeakPairingRecord:
     pairing_full: float
     pairing_limit: float
     abs_diff: float
-
-    def row(self):
-        return tuple(getattr(self, c) for c in WEAK_COLUMNS)
 
 
 def _check_ladder(eps_list) -> list:

@@ -6,9 +6,9 @@ import pytest
 from activerods import (BulkWallState, ConfigurationError, ModelParams,
                         PhaseField, a_coeffs, build_inner, build_phi_grid,
                         build_y_grid, composite_refined, composite_simple,
-                        corrector_ode_mismatch, eval_on_nodes, norms,
-                        p0_coeffs, poly_exp_cell_averages, residual_report,
-                        trace_wall, wall_layer)
+                        eval_on_nodes, norms, p0_coeffs,
+                        poly_exp_cell_averages, residual_report, trace_wall,
+                        wall_layer)
 
 from conftest import const, shear, shifted_sine
 
@@ -120,7 +120,11 @@ def test_corrector_ode_identity():
     A3 = rng.normal(size=16)
     V = rng.uniform(0.5, 2.0, size=16)
     c0, c1, c2, c3, _ = p0_coeffs(A1, A2, A3, V, np.zeros(16))
-    assert corrector_ode_mismatch(c0, c1, c2, c3, A1, A2, A3, V) <= 1e-12
+    # m3 = c0 + c1 z + c2 z^2 + c3 z^3 solves m3'' - V m3' = A1 + A2 z + A3 z^2
+    for z in (0.0, 1.0, 2.0):
+        lhs = (2.0 * c2 + 6.0 * c3 * z) - V * (c1 + 2.0 * c2 * z
+                                               + 3.0 * c3 * z * z)
+        assert np.max(np.abs(lhs - (A1 + A2 * z + A3 * z * z))) <= 1e-12
 
 
 def test_composite_simple_zero_wall():

@@ -166,6 +166,14 @@ def test_model_params_validation():
     p = ModelParams(epsilon=0.0, D=0.0, T=1.0, V=V, Phi=Phi,
                     allow_zero_epsilon=True)
     assert p.epsilon == 0.0
+    # NaN passes every `<` comparison, so each non-finite value is a case
+    for name in ("epsilon", "D", "T"):
+        for bad in (math.nan, math.inf):
+            kw = {"epsilon": 0.1, "D": 0.0, "T": 1.0, name: bad}
+            for allow_zero in (False, True):
+                with pytest.raises(ConfigurationError, match=name):
+                    ModelParams(V=V, Phi=Phi, allow_zero_epsilon=allow_zero,
+                                **kw)
 
 
 _FAMILIES = [const(1.3), shifted_sine(1.0, 0.5), shear(0.7),

@@ -6,11 +6,9 @@ from hypothesis import assume, given, strategies as st
 
 from activerods import (ConfigurationError, GridError, PhaseField,
                         aggregate_phi, build_phi_grid, build_y_grid,
-                        exp_cell_averages, exp_cell_integrals, layer_pairing,
-                        norms, overlap_average_y, phi_derivative,
+                        exp_cell_averages, exp_cell_integrals, norms,
+                        overlap_average_y, phi_derivative,
                         poly_exp_cell_averages, trace_wall)
-
-from conftest import const
 
 
 def test_graded_grid_example():
@@ -119,22 +117,6 @@ def test_poly_exp_linear_frozen():
     avg = poly_exp_cell_averages(coeffs, V, 1.0, yg)
     got = float(np.sum(avg[:8, 0] * yg.widths[:8]))
     assert got == pytest.approx(1.0 - 2.0 / math.e, rel=1e-12)
-
-
-def test_layer_pairing_values():
-    eps = 0.05
-    yg = build_y_grid(4.0, 96, 16 * eps, 64)
-    pg = build_phi_grid(8)
-    V = const(1.0)
-    prof = exp_cell_averages(np.ones(8), eps, yg) / eps
-    f = PhaseField(prof, yg, pg)
-    np.testing.assert_allclose(layer_pairing(f, V, eps), 0.5, atol=5e-3)
-
-    ones = PhaseField(np.ones((96, 8)), yg, pg)
-    np.testing.assert_allclose(layer_pairing(ones, V, eps), eps, rtol=1e-12)
-
-    zero = PhaseField(np.zeros((96, 8)), yg, pg)
-    np.testing.assert_allclose(layer_pairing(zero, V, eps), 0.0, atol=0.0)
 
 
 def test_phi_derivative_trig():

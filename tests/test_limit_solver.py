@@ -11,7 +11,7 @@ from activerods import (BulkWallState, ConfigurationError, FullSolverConfig,
                         PhaseField, ResolventProblem, build_line_grid,
                         build_phi_grid, build_y_grid, coercivity_gap,
                         eval_on_nodes, manufactured_state, mu0,
-                        resolvent_solve, run_limit, step_limit)
+                        resolvent_solve, run_limit)
 from activerods.grids import PhiGrid
 from activerods.limit_solver import _resolvent_blocks
 
@@ -22,6 +22,14 @@ from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
 
 def _uniform_grids(n_y=128, n_phi=16, y_max=8.0):
     return build_y_grid(y_max, n_y, y_max / 2, n_y // 2), build_phi_grid(n_phi)
+
+
+def _one_step(s, params, dt, splitting="lie"):
+    """One split step of exactly dt, with run_limit's finite check; needs
+    params.T >= dt."""
+    cfg = FullSolverConfig(dt=dt, splitting=splitting)
+    (_, out), = run_limit(s, params, cfg, [dt])
+    return out
 
 
 def test_characteristic_decay():
@@ -62,22 +70,6 @@ def test_combined_mass_conserved():
         assert abs(snaps[-1][1].combined_mass() - m0) <= 1e-12 * m0
 
 
-@pytest.mark.parametrize("splitting", ["lie", "strang"])
-def test_run_limit_one_step_matches_step_limit(splitting):
-    yg = build_y_grid(4.0, 48, 0.4, 16)
-    pg = build_phi_grid(16)
-    params = ModelParams(epsilon=0.0, D=0.2, T=0.4, V=shifted_sine(1.0, 0.5),
-                         Phi=shear(0.5), allow_zero_epsilon=True)
-    bulk0 = np.exp(-yg.centers)[:, None] * (1.0 + 0.3 * np.cos(pg.nodes))
-    s0 = BulkWallState(PhaseField(bulk0, yg, pg), 0.2 + 0.1 * np.sin(pg.nodes))
-    cfg = FullSolverConfig(dt=0.01, splitting=splitting)
-    (t, s), = run_limit(s0, params, cfg, [0.01])
-    assert t == 0.01
-    one = step_limit(s0, params, 0.01, cfg)
-    np.testing.assert_array_equal(s.bulk.values, one.bulk.values)
-    np.testing.assert_array_equal(s.wall, one.wall)
-
-
 @settings(max_examples=200, deadline=None)
 @given(graded_y_grids(), st.integers(4, 16), positive_speeds, angular_drifts,
        st.floats(0.0, 1.0), st.floats(1e-3, 2.0),
@@ -87,9 +79,9 @@ def test_step_limit_preserves_mass_and_positivity(yg, n_phi, V, Phi, D, dt,
     pg = build_phi_grid(n_phi)
     vals = patchy_values(seed, (yg.n_y + 1, n_phi))
     s = BulkWallState(PhaseField(vals[1:], yg, pg), vals[0])
-    params = ModelParams(epsilon=0.0, D=D, T=0.5, V=V, Phi=Phi,
+    params = ModelParams(epsilon=0.0, D=D, T=2.0, V=V, Phi=Phi,
                          allow_zero_epsilon=True)
-    out = step_limit(s, params, dt, FullSolverConfig(splitting=splitting))
+    out = _one_step(s, params, dt, splitting)
     rel = round_off_bound(1.0 + dt * eval_on_nodes(V, pg) / yg.widths[:, None])
     assert out.combined_mass() == pytest.approx(s.combined_mass(),
                                                 rel=max(rel, 1e-12))
@@ -139,7 +131,7 @@ def test_step_limit_nonfinite():
     bulk[3, 2] = np.nan
     s = BulkWallState(PhaseField(bulk, yg, pg), np.zeros(8))
     with pytest.raises(NumericalFailureError):
-        step_limit(s, params, 0.01)
+        _one_step(s, params, 0.01)
 
 
 def test_coercivity_gap_plain():

@@ -1,4 +1,3 @@
-import glob
 import math
 import os
 import subprocess
@@ -357,15 +356,6 @@ def test_cli_nonfinite_config_exits_2(command, old, new, tmp_path, capsys):
     assert "not finite" in err
 
 
-@pytest.mark.parametrize("script", sorted(
-    os.path.basename(p) for p in glob.glob(os.path.join(ROOT, "scripts",
-                                                        "*.py"))))
-def test_script_help(script):
-    proc = _run_python([os.path.join("scripts", script), "--help"])
-    assert proc.returncode == 0, proc.stderr
-    assert "usage" in proc.stdout
-
-
 def _exits_4_quietly(command, text, csvs, tmp_path, capsys):
     """Run command on the config text: exit 4 with one error line, no
     numpy warning, no traceback and none of the CSVs written."""
@@ -382,6 +372,20 @@ def _exits_4_quietly(command, text, csvs, tmp_path, capsys):
     assert "non-finite" in err
     for name in csvs:
         assert not os.path.exists(out / name)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("D = 0.0", "D = 1e300"), ("V.params.a = 0.5", "V.params.a = 1e300")],
+    ids=["D", "V_a"])
+def test_cli_check_resolvent_degenerate_ratios_exit_4(old, new, tmp_path,
+                                                      capsys):
+    # D = 1e300 drives every ratio to zero, V.params.a = 1e300 overflows
+    # the block elimination: neither has a spread
+    with open(os.path.join(ROOT, "configs", "example.cfg")) as fh:
+        text = fh.read().replace(old, new)
+    assert new in text
+    _exits_4_quietly("check-resolvent", text, ("resolvent.csv",), tmp_path,
+                     capsys)
 
 
 @pytest.mark.parametrize("command, csvs", [
