@@ -25,8 +25,8 @@ from .full_solver import FullSolverConfig, run_full, steady_layer
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
                     eval_on_nodes, exp_cell_integrals, norms, overlap_average_y)
 from .limit_solver import (BulkWallState, LineField, ResolventProblem,
-                           build_line_grid, coercivity_gap, manufactured_state,
-                           resolvent_solve, run_limit)
+                           _gap_scale, build_line_grid, coercivity_gap,
+                           manufactured_state, resolvent_solve, run_limit)
 from .particles import histogram, run_particles, sample_initial, tv_distance
 from .sweep import fit_order, sweep_epsilon, weak_pairing_sweep
 
@@ -35,6 +35,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 # Bounds of the operator probes, shared by criteria 11 and 12 and by the
 # check-coercivity and check-resolvent subcommands.
 GAP_TOL = -1e-8       # worst coercivity gap must be >= GAP_TOL
+_GAP_ROUNDOFF = 16    # the gap's round-off floor, in eps times its scale
 SPREAD_MAX = 2.0      # resolvent ratio spread max/min must be < SPREAD_MAX
 
 
@@ -123,15 +124,14 @@ def _manufactured_ladder():
 # -- criteria -----------------------------------------------------------------
 
 
-def _c1_scale_arithmetic() -> CriterionResult:
+def _c1_scale_arithmetic() -> tuple:
     val = epsilon_from_physical(2e3, 3.0, 1e3)
     target = 6.6e-4
     ok = abs(val - target) <= 0.05 * target
-    return CriterionResult(1, "scale-parameter-arithmetic", ok,
-                           f"eps={val:.6e}, target {target:.1e} +- 5%")
+    return ok, f"eps={val:.6e}, target {target:.1e} +- 5%"
 
 
-def _c2_conservation() -> CriterionResult:
+def _c2_conservation() -> tuple:
     cfg = _base_config()
     y_grid, phi_grid = cfg.build_grids()
     f0 = bulk_exp_field(y_grid, phi_grid)
@@ -141,11 +141,10 @@ def _c2_conservation() -> CriterionResult:
     mT = norms(snaps[-1][1])["mass"]
     drift = abs(mT - m0) / abs(m0)
     ok = drift <= 1e-8
-    return CriterionResult(2, "kinetic-mass-conservation", ok,
-                           f"relative drift {drift:.3e} (tol 1e-08)")
+    return ok, f"relative drift {drift:.3e} (tol 1e-08)"
 
 
-def _c3_steady_layer() -> CriterionResult:
+def _c3_steady_layer() -> tuple:
     eps = 0.05
     params = ModelParams(epsilon=eps, D=0.5, T=1.0, V=_const(1.0),
                          Phi=_const(0.0))
@@ -156,11 +155,10 @@ def _c3_steady_layer() -> CriterionResult:
     diff = PhaseField(f_T.values - f0.values, y_grid, phi_grid)
     dev = norms(diff)["l1"]
     ok = dev <= 1e-6
-    return CriterionResult(3, "steady-layer-stationarity", ok,
-                           f"L1 deviation {dev:.3e} at T=1 (tol 1e-06)")
+    return ok, f"L1 deviation {dev:.3e} at T=1 (tol 1e-06)"
 
 
-def _c4_rotating_layer() -> CriterionResult:
+def _c4_rotating_layer() -> tuple:
     eps = 0.05
     T = 0.5
     params = ModelParams(epsilon=eps, D=0.0, T=T, V=_const(1.0),
@@ -183,12 +181,11 @@ def _c4_rotating_layer() -> CriterionResult:
     slope = float(np.polyfit(np.log(h_list), np.log(errs), 1)[0])
     ok = 0.8 <= slope <= 1.2
     err_txt = ">".join(f"{e:.2e}" for e in errs)
-    return CriterionResult(4, "rotating-layer-order", ok,
-                           f"fitted order {slope:.3f} in [0.8,1.2], "
-                           f"L1 errors {err_txt}")
+    return ok, (f"fitted order {slope:.3f} in [0.8,1.2], "
+                f"L1 errors {err_txt}")
 
 
-def _c5_manufactured() -> CriterionResult:
+def _c5_manufactured() -> tuple:
     _, levels = _manufactured_ladder()
     errs = []
     drifts = []
@@ -199,38 +196,34 @@ def _c5_manufactured() -> CriterionResult:
         m0 = s0.combined_mass()
         drifts.append(abs(s_T.combined_mass() - m0) / abs(m0))
     ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1)]
-    ok_rate = all(0.4 <= r <= 0.6 for r in ratios)
-    ok_mass = all(d <= 1e-10 for d in drifts)
+    ok = (all(0.4 <= r <= 0.6 for r in ratios)
+          and all(d <= 1e-10 for d in drifts))
     ratio_txt = ",".join(f"{r:.3f}" for r in ratios)
-    return CriterionResult(5, "limit-manufactured-convergence",
-                           ok_rate and ok_mass,
-                           f"Linf ratios [{ratio_txt}] in [0.4,0.6], "
-                           f"max mass drift {max(drifts):.2e} (tol 1e-10)")
+    return ok, (f"Linf ratios [{ratio_txt}] in [0.4,0.6], "
+                f"max mass drift {max(drifts):.2e} (tol 1e-10)")
 
 
-def _c6_composite_error() -> CriterionResult:
+def _c6_composite_error() -> tuple:
     recs = _sweep_records()
     errs = [r.l1_error for r in recs]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     order = fit_order(list(recs))
     ok = decreasing and order >= 0.7
     err_txt = ">".join(f"{e:.2e}" for e in errs)
-    return CriterionResult(6, "composite-error-decay", ok,
-                           f"l1_error {err_txt}, fitted order {order:.3f} "
-                           f"(need decreasing, >=0.7)")
+    return ok, (f"l1_error {err_txt}, fitted order {order:.3f} "
+                f"(need decreasing, >=0.7)")
 
 
-def _c7_residual_scaling() -> CriterionResult:
+def _c7_residual_scaling() -> tuple:
     recs = _sweep_records()
     eps = np.array([r.epsilon for r in recs])
     tot = np.array([r.l1_R + r.l1_r for r in recs])
     slope = float(np.polyfit(np.log(eps), np.log(tot), 1)[0])
     ok = 0.75 <= slope <= 1.25
-    return CriterionResult(7, "residual-epsilon-scaling", ok,
-                           f"slope {slope:.3f} in [0.75,1.25]")
+    return ok, f"slope {slope:.3f} in [0.75,1.25]"
 
 
-def _c8_orthogonality() -> CriterionResult:
+def _c8_orthogonality() -> tuple:
     params, f0, snaps = _d0_run()
     eps = params.epsilon
     worst = 0.0
@@ -242,12 +235,11 @@ def _c8_orthogonality() -> CriterionResult:
         scale = norms(f)["l1"]
         worst = max(worst, defect / scale)
     ok = worst <= 1e-8
-    return CriterionResult(8, "layer-mode-orthogonality", ok,
-                           f"max relative defect {worst:.3e} over "
-                           f"{len(snaps)} snapshots (tol 1e-08)")
+    return ok, (f"max relative defect {worst:.3e} over "
+                f"{len(snaps)} snapshots (tol 1e-08)")
 
 
-def _c9_energy_bound() -> CriterionResult:
+def _c9_energy_bound() -> tuple:
     params, f0, snaps = _d0_run()
     C = sup_abs(params.Phi, 1) + 2.0 * sup_abs(params.V, 0) + 2.0
     dec0 = decompose(f0, params.V, params.epsilon)
@@ -270,12 +262,11 @@ def _c9_energy_bound() -> CriterionResult:
         worst = max(worst, lhs / rhs)
         if lhs > rhs:
             ok = False
-    return CriterionResult(9, "energy-gronwall-bound", ok,
-                           f"max (E+int diss)/(E0 e^Ct) = {worst:.3f} "
-                           f"with C={C:.2f} (need <= 1)")
+    return ok, (f"max (E+int diss)/(E0 e^Ct) = {worst:.3f} "
+                f"with C={C:.2f} (need <= 1)")
 
 
-def _c10_weak_pairings() -> CriterionResult:
+def _c10_weak_pairings() -> tuple:
     recs = _weak_records()
     by_test = {}
     for r in recs:
@@ -289,31 +280,49 @@ def _c10_weak_pairings() -> CriterionResult:
         ok = ok and mono
         parts.append(f"{name}:{'dec' if mono else 'NOT-dec'}"
                      f"({diffs[0]:.1e}->{diffs[-1]:.1e})")
-    return CriterionResult(10, "weak-pairing-convergence", ok,
-                           "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
 def coercivity_check(params: ModelParams):
     """Gap of the accretivity inequality at the shift lam = mu0(Phi) + 1
     for random band-limited fields u = exp(-(y/sigma)^2) * (trig
     polynomial of degree <= 6). Returns the (n_y, n_phi, lam, gap) rows,
-    the worst gap, and whether it meets worst >= GAP_TOL."""
+    the worst gap, and whether it meets worst >= GAP_TOL. A non-finite
+    gap, or a worst gap below GAP_TOL by no more than its round-off
+    floor, says nothing about coercivity: NumericalFailureError."""
     lam = mu0(params.Phi) + 1.0
     rng = np.random.default_rng(1234)
     samples = []
-    for n_y, n_phi in ((301, 32), (601, 48)):
-        grid = build_line_grid(8.0, n_y)
-        phi_grid = build_phi_grid(n_phi)
-        for _ in range(10):
-            sigma = rng.uniform(0.8, 2.0)
-            prof = np.exp(-(grid.nodes / sigma) ** 2)
-            ang = np.full(phi_grid.n_phi, rng.normal())
-            for k in range(1, 7):
-                ang = ang + rng.normal() * np.cos(k * phi_grid.nodes) \
-                          + rng.normal() * np.sin(k * phi_grid.nodes)
-            u = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
-            samples.append((n_y, n_phi, lam, coercivity_gap(u, lam, params)))
-    worst = min(s[-1] for s in samples)
+    worst, worst_u = math.inf, None
+    # overflow shows as one NumericalFailureError, not numpy warnings
+    with np.errstate(all="ignore"):
+        for n_y, n_phi in ((301, 32), (601, 48)):
+            grid = build_line_grid(8.0, n_y)
+            phi_grid = build_phi_grid(n_phi)
+            for _ in range(10):
+                sigma = rng.uniform(0.8, 2.0)
+                prof = np.exp(-(grid.nodes / sigma) ** 2)
+                ang = np.full(phi_grid.n_phi, rng.normal())
+                for k in range(1, 7):
+                    ang = ang + rng.normal() * np.cos(k * phi_grid.nodes) \
+                              + rng.normal() * np.sin(k * phi_grid.nodes)
+                u = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
+                gap = coercivity_gap(u, lam, params)
+                samples.append((n_y, n_phi, lam, gap))
+                if gap < worst:
+                    worst, worst_u = gap, u
+        if not all(math.isfinite(s[-1]) for s in samples):
+            raise NumericalFailureError(
+                "coercivity gaps are non-finite; the coefficients may be "
+                "too large for double precision")
+        if worst < GAP_TOL:
+            floor = _GAP_ROUNDOFF * np.finfo(float).eps \
+                * _gap_scale(worst_u, lam, params)
+            if worst >= GAP_TOL - floor:
+                raise NumericalFailureError(
+                    f"min coercivity gap {worst:.3e} is within its "
+                    f"round-off floor {floor:.3e} of the tolerance; the "
+                    "coefficients may be too large for double precision")
     return samples, worst, worst >= GAP_TOL
 
 
@@ -345,26 +354,24 @@ def resolvent_check(params: ModelParams):
     return pairs, spread, spread < SPREAD_MAX
 
 
-def _c11_coercivity() -> CriterionResult:
+def _c11_coercivity() -> tuple:
     params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
                          Phi=_shear(1.0))
     samples, worst, ok = coercivity_check(params)
-    return CriterionResult(11, "coercivity-gap", ok,
-                           f"min gap {worst:.3e} over {len(samples)} fields "
-                           f"(tol {GAP_TOL:g})")
+    return ok, (f"min gap {worst:.3e} over {len(samples)} fields "
+                f"(tol {GAP_TOL:g})")
 
 
-def _c12_resolvent() -> CriterionResult:
+def _c12_resolvent() -> tuple:
     params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
                          Phi=_shear(1.0))
     pairs, spread, ok = resolvent_check(params)
     ratio_txt = ",".join(f"{r:.3f}" for _, r in pairs)
-    return CriterionResult(12, "resolvent-uniformity", ok,
-                           f"ratios [{ratio_txt}], spread {spread:.3f} "
-                           f"(need < {SPREAD_MAX:g})")
+    return ok, (f"ratios [{ratio_txt}], spread {spread:.3f} "
+                f"(need < {SPREAD_MAX:g})")
 
 
-def _c13_particle_oracle() -> CriterionResult:
+def _c13_particle_oracle() -> tuple:
     eps = 0.05
     T = 0.5
     params = ModelParams(epsilon=eps, D=0.2, T=T, V=_SHIFTED_SINE,
@@ -387,11 +394,10 @@ def _c13_particle_oracle() -> CriterionResult:
     hist = histogram(ens, coarse_y, coarse_phi)
     tv = tv_distance(hist, pde)
     ok = tv <= 0.05
-    return CriterionResult(13, "particle-histogram-agreement", ok,
-                           f"TV distance {tv:.4f} at T={T} (tol 0.05)")
+    return ok, f"TV distance {tv:.4f} at T={T} (tol 0.05)"
 
 
-def _c14_compatibility() -> CriterionResult:
+def _c14_compatibility() -> tuple:
     params, levels = _manufactured_ladder()
     l1s = []
     for n_y, n_phi, dt, s0, s_T, exact in levels:
@@ -401,37 +407,35 @@ def _c14_compatibility() -> CriterionResult:
     ratios = [l1s[k] / l1s[k + 1] for k in range(len(l1s) - 1)]
     ok = all(1.4 <= r <= 2.6 for r in ratios)
     ratio_txt = ",".join(f"{r:.3f}" for r in ratios)
-    return CriterionResult(14, "compatibility-defect-halving", ok,
-                           f"compat L1 halving ratios [{ratio_txt}] "
-                           f"in [1.4,2.6]")
+    return ok, f"compat L1 halving ratios [{ratio_txt}] in [1.4,2.6]"
 
 
+# Each criterion returns (passed, detail); its name is given here once.
 _CRITERIA = (
-    _c1_scale_arithmetic,
-    _c2_conservation,
-    _c3_steady_layer,
-    _c4_rotating_layer,
-    _c5_manufactured,
-    _c6_composite_error,
-    _c7_residual_scaling,
-    _c8_orthogonality,
-    _c9_energy_bound,
-    _c10_weak_pairings,
-    _c11_coercivity,
-    _c12_resolvent,
-    _c13_particle_oracle,
-    _c14_compatibility,
+    ("scale-parameter-arithmetic", _c1_scale_arithmetic),
+    ("kinetic-mass-conservation", _c2_conservation),
+    ("steady-layer-stationarity", _c3_steady_layer),
+    ("rotating-layer-order", _c4_rotating_layer),
+    ("limit-manufactured-convergence", _c5_manufactured),
+    ("composite-error-decay", _c6_composite_error),
+    ("residual-epsilon-scaling", _c7_residual_scaling),
+    ("layer-mode-orthogonality", _c8_orthogonality),
+    ("energy-gronwall-bound", _c9_energy_bound),
+    ("weak-pairing-convergence", _c10_weak_pairings),
+    ("coercivity-gap", _c11_coercivity),
+    ("resolvent-uniformity", _c12_resolvent),
+    ("particle-histogram-agreement", _c13_particle_oracle),
+    ("compatibility-defect-halving", _c14_compatibility),
 )
 
 
 def run_criterion(cid: int) -> CriterionResult:
     if not 1 <= cid <= len(_CRITERIA):
         raise ValueError(f"no criterion {cid}")
-    fn = _CRITERIA[cid - 1]
+    name, fn = _CRITERIA[cid - 1]
     try:
-        return fn()
+        return CriterionResult(cid, name, *fn())
     except ActiveRodsError as exc:
-        name = fn.__name__.split("_", 2)[-1].replace("_", "-")
         return CriterionResult(cid, name, False,
                                f"raised {type(exc).__name__}: {exc}")
 

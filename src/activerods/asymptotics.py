@@ -6,13 +6,8 @@ coordinate, w_hat the wall density, u0 the bulk density with wall trace
 u0_hat. The corrector is a cubic polynomial m3(z) multiplying the layer
 exponential e^{-Vz}; its coefficients (c1, c2, c3) are determined by
 matching powers of z in m3'' - V m3' = A1 + A2 z + A3 z^2, where the
-A-profiles collect the angular transport applied to the leading layer.
-
-Two independent routes exist for A2 and A3: the symbolic product-rule
-collection (ground truth here) and a previously printed closed form
-whose D-proportional terms carry an extra drift factor. Both are
-evaluated; their difference is recorded and never patched. They agree
-identically when D = 0 or V is constant.
+A-profiles collect the angular transport applied to the leading layer
+by the product rule.
 """
 
 from __future__ import annotations
@@ -52,17 +47,6 @@ class InnerExpansion:
     c2: np.ndarray
     c3: np.ndarray
     compat_residual: np.ndarray
-    a2_printed: np.ndarray | None = None
-    a3_printed: np.ndarray | None = None
-
-    @property
-    def printed_diff(self) -> dict:
-        out = {}
-        if self.a2_printed is not None:
-            out["A2"] = float(np.max(np.abs(self.a2 - self.a2_printed)))
-        if self.a3_printed is not None:
-            out["A3"] = float(np.max(np.abs(self.a3 - self.a3_printed)))
-        return out
 
 
 @dataclass
@@ -95,8 +79,7 @@ def a_coeffs(w_hat: np.ndarray, u0_hat: np.ndarray, V: AngularCoefficient,
         A2 = -V' Phi Q + D (V'' Q + 2 V' d_phi Q)
         A3 = -D (V')^2 Q
 
-    Returns (A1, A2, A3, A2_printed, A3_printed); the printed variants
-    carry an extra factor Phi on the D-proportional terms.
+    Returns (A1, A2, A3).
     """
     w_hat = np.asarray(w_hat, dtype=float)
     u0_hat = np.asarray(u0_hat, dtype=float)
@@ -113,10 +96,7 @@ def a_coeffs(w_hat: np.ndarray, u0_hat: np.ndarray, V: AngularCoefficient,
     A1 = Vv * dt_w + phi_derivative(Phiv * Q, 1) - D * phi_derivative(Q, 2)
     A2 = -Vp * Phiv * Q + D * (Vpp * Q + 2.0 * Vp * dQ)
     A3 = -D * Vp ** 2 * Q
-
-    A2_printed = -Vp * Phiv * Q + D * (Vpp * Phiv * Q + 2.0 * Vp * dQ)
-    A3_printed = -D * Vp ** 2 * Phiv * Q
-    return A1, A2, A3, A2_printed, A3_printed
+    return A1, A2, A3
 
 
 def p0_coeffs(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray,
@@ -151,16 +131,15 @@ def build_inner(state: BulkWallState, params: ModelParams) -> InnerExpansion:
     w_hat = state.wall
     u0_source = state.bulk.values[0, :].copy()
     u0_hat = trace_wall(state.bulk)
-    A1, A2, A3, A2p, A3p = a_coeffs(w_hat, u0_source, params.V, params.Phi,
-                                    params.D, phi_grid)
+    A1, A2, A3 = a_coeffs(w_hat, u0_source, params.V, params.Phi, params.D,
+                          phi_grid)
     V_nodes = eval_on_nodes(params.V, phi_grid)
     c0, c1, c2, c3, compat = p0_coeffs(A1, A2, A3, V_nodes, u0_hat)
     return InnerExpansion(w_hat=np.asarray(w_hat, dtype=float),
                           u0_hat=u0_hat, u0_source=u0_source,
                           a1=A1, a2=A2, a3=A3,
                           c0=c0, c1=c1, c2=c2, c3=c3,
-                          compat_residual=compat,
-                          a2_printed=A2p, a3_printed=A3p)
+                          compat_residual=compat)
 
 
 def composite_simple(state: BulkWallState, eps: float,
@@ -236,8 +215,8 @@ def residual_report(state: BulkWallState, inner: InnerExpansion,
             + Vv * inner.u0_source)
     dt_u0_source = dt_rho[0, :]
 
-    dtA1, dtA2, dtA3, _, _ = a_coeffs(dt_w, dt_u0_source, params.V,
-                                      params.Phi, D, phi_grid)
+    dtA1, dtA2, dtA3 = a_coeffs(dt_w, dt_u0_source, params.V, params.Phi, D,
+                                phi_grid)
     _, dt_c1, dt_c2, dt_c3, _ = p0_coeffs(dtA1, dtA2, dtA3, Vv,
                                           np.zeros_like(Vv))
 

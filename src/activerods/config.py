@@ -1,19 +1,20 @@
 """Run configuration: sectioned key=value files parsed into dataclasses.
 
-Sections and keys:
+`_KEYS` is the one table of sections and keys, each with its parser:
+number, integer, number list (commas or spaces), integer list,
+"auto"-or-number, or choice. [model] also takes V.params.<name> and
+Phi.params.<name>, numbers that need V.family or Phi.family. Only
+epsilon is required; an absent key keeps its dataclass default.
 
-    [model]       epsilon, D, T, V.family, V.params.<name>,
-                  Phi.family, Phi.params.<name>
-    [grid]        n_phi, n_y, y_max, layer_width (float or "auto" = 8*eps),
-                  layer_cells
-    [time]        dt (float or "auto"), splitting (lie | strang)
-    [experiment]  epsilon_list, snapshot_times, seeds (comma lists),
-                  n_particles, particle_dt, initial (bulk_exp | steady_layer)
-    [output]      directory
-
-Unknown sections or keys and non-finite numbers are rejected. The
-environment variable ACTIVERODS_OUT_DIR overrides [output] directory; a
-CLI --out flag overrides both.
+Unknown sections or keys and non-finite numbers are rejected, naming
+the [section] key. The table adds only the rules no constructor owns:
+epsilon_list entries > 0, at least one seed, integer seeds,
+n_particles > 0 and particle_dt > 0. ModelParams (epsilon > 0; D,
+T >= 0), FullSolverConfig (dt > 0, splitting lie | strang), RunConfig
+(initial bulk_exp | steady_layer) and AngularCoefficient (the families)
+check the rest while the config loads. The environment variable
+ACTIVERODS_OUT_DIR overrides [output] directory; a CLI --out flag
+overrides both.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ from .full_solver import FullSolverConfig, steady_layer
 from .grids import (PhaseField, PhiGrid, YGrid, build_phi_grid, build_y_grid,
                     exp_cell_integrals)
 from .limit_solver import BulkWallState
-
-_KNOWN_KEYS = {
-    "model": {"epsilon", "D", "T", "V.family", "Phi.family"},
-    "grid": {"n_phi", "n_y", "y_max", "layer_width", "layer_cells"},
-    "time": {"dt", "splitting"},
-    "experiment": {"epsilon_list", "snapshot_times", "seeds", "n_particles",
-                   "particle_dt", "initial"},
-    "output": {"directory"},
-}
 
 _INITIAL_CHOICES = ("bulk_exp", "steady_layer")
 
@@ -67,8 +59,8 @@ class RunConfig:
     epsilon: float = 0.02
     D: float = 0.0
     T: float = 1.0
-    V: AngularCoefficient = None
-    Phi: AngularCoefficient = None
+    V: AngularCoefficient = AngularCoefficient("constant", {"value": 1.0})
+    Phi: AngularCoefficient = AngularCoefficient("constant", {"value": 0.0})
     grid: GridSection = field(default_factory=GridSection)
     dt: object = "auto"
     splitting: str = "lie"
@@ -76,10 +68,6 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.V is None:
-            self.V = AngularCoefficient("constant", {"value": 1.0})
-        if self.Phi is None:
-            self.Phi = AngularCoefficient("constant", {"value": 0.0})
         if not self.experiment.epsilon_list:
             self.experiment.epsilon_list = [self.epsilon]
         if not self.experiment.snapshot_times:
@@ -88,6 +76,10 @@ class RunConfig:
             raise ConfigurationError(
                 f"initial must be one of {_INITIAL_CHOICES}, "
                 f"got {self.experiment.initial!r}")
+        # ModelParams and FullSolverConfig own the rules on epsilon, D, T,
+        # dt and splitting; building both here applies them at load time
+        self.model_params()
+        self.solver_config()
 
     # -- derived builders ---------------------------------------------------
 
@@ -142,51 +134,70 @@ def bulk_exp_field(y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
 # -- parsing ----------------------------------------------------------------
 
 
-def _floats(text: str) -> list:
-    try:
-        vals = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigurationError(f"expected a list of numbers, got {text!r}")
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigurationError(f"expected finite numbers, got {text!r}")
-    return vals
-
-
-def _ints(text: str) -> list:
-    vals = _floats(text)
-    out = [int(v) for v in vals]
-    if any(o != v for o, v in zip(out, vals)):
-        raise ConfigurationError(f"expected integers, got {text!r}")
-    return out
-
-
-def _float(section: str, key: str, text: str) -> float:
+def _number(text: str) -> float:
     try:
         val = float(text)
     except ValueError:
-        raise ConfigurationError(f"[{section}] {key} = {text!r} is not a number")
+        raise ConfigurationError("not a number") from None
     if not math.isfinite(val):
-        raise ConfigurationError(f"[{section}] {key} = {text!r} is not finite")
+        raise ConfigurationError("not finite")
     return val
 
 
-def _int(section: str, key: str, text: str) -> int:
+def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigurationError(f"[{section}] {key} = {text!r} is not an integer")
+        raise ConfigurationError("not an integer") from None
 
 
-def _coefficient(prefix: str, items: dict) -> AngularCoefficient:
-    family = items.get(f"{prefix}.family")
-    if family is None:
-        raise ConfigurationError(f"missing key {prefix}.family in [model]")
-    params = {}
-    for key, val in items.items():
-        if key.startswith(f"{prefix}.params."):
-            name = key[len(f"{prefix}.params."):]
-            params[name] = _float("model", key, val)
-    return AngularCoefficient(family.strip(), params)
+def _numbers(text: str) -> list:
+    return [_number(tok) for tok in text.replace(",", " ").split()]
+
+
+def _integers(text: str) -> list:
+    vals = _numbers(text)
+    if any(v != int(v) for v in vals):
+        raise ConfigurationError("not a list of integers")
+    return [int(v) for v in vals]
+
+
+def _auto_or_number(text: str):
+    return "auto" if text.strip() == "auto" else _number(text)
+
+
+def _choice(text: str) -> str:
+    """A word; the constructor that reads it checks it against its choices."""
+    return text.strip()
+
+
+def _rule(parse, holds, need: str):
+    """parse, then refuse a value for which holds(value) is false."""
+    def parse_checked(text):
+        if not holds(val := parse(text)):
+            raise ConfigurationError(f"must be {need}")
+        return val
+    return parse_checked
+
+
+# A key fills the field of its name; [output] directory fills out_dir.
+_KEYS = {
+    "model": {"epsilon": _number, "D": _number, "T": _number,
+              "V.family": _choice, "Phi.family": _choice},
+    "grid": {"n_phi": _integer, "n_y": _integer, "y_max": _number,
+             "layer_width": _auto_or_number, "layer_cells": _integer},
+    "time": {"dt": _auto_or_number,
+             "splitting": lambda text: _choice(text).lower()},
+    "experiment": {
+        "epsilon_list": _rule(_numbers, lambda v: all(e > 0 for e in v),
+                              "a list of numbers > 0"),
+        "snapshot_times": _numbers,
+        "seeds": _rule(_integers, bool, "a list of at least one seed"),
+        "n_particles": _rule(_integer, lambda n: n > 0, "> 0"),
+        "particle_dt": _rule(_number, lambda dt: dt > 0, "> 0"),
+        "initial": _choice},
+    "output": {"directory": _choice},
+}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -197,93 +208,41 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}")
 
+    found = {section: {} for section in _KEYS}
+    params = {"V": {}, "Phi": {}}
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigurationError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if section == "model" and (key.startswith("V.params.")
-                                       or key.startswith("Phi.params.")):
-                continue
-            if key not in _KNOWN_KEYS[section]:
+        for key, raw in cp[section].items():
+            coeff, _, name = key.partition(".params.")
+            if section == "model" and coeff in params and name:
+                parse, into = _number, params[coeff]
+            elif key in _KEYS[section]:
+                parse, into, name = _KEYS[section][key], found[section], key
+            else:
                 raise ConfigurationError(
                     f"unknown key {key!r} in section [{section}]")
+            try:
+                into[name] = parse(raw)
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"[{section}] {key} = {raw!r}: {exc}") from None
 
-    model = dict(cp["model"]) if cp.has_section("model") else {}
-    if "epsilon" not in model:
+    run = found["model"]
+    if "epsilon" not in run:
         raise ConfigurationError("missing key epsilon in [model]")
-    epsilon = _float("model", "epsilon", model["epsilon"])
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
-    D = _float("model", "D", model.get("D", "0"))
-    T = _float("model", "T", model.get("T", "1"))
-    V = _coefficient("V", model) if "V.family" in model else None
-    Phi = _coefficient("Phi", model) if "Phi.family" in model else None
-
-    g = GridSection()
-    if cp.has_section("grid"):
-        sec = cp["grid"]
-        if "n_phi" in sec:
-            g.n_phi = _int("grid", "n_phi", sec["n_phi"])
-        if "n_y" in sec:
-            g.n_y = _int("grid", "n_y", sec["n_y"])
-        if "y_max" in sec:
-            g.y_max = _float("grid", "y_max", sec["y_max"])
-        if "layer_width" in sec:
-            lw = sec["layer_width"].strip()
-            g.layer_width = "auto" if lw == "auto" else _float("grid",
-                                                               "layer_width", lw)
-        if "layer_cells" in sec:
-            g.layer_cells = _int("grid", "layer_cells", sec["layer_cells"])
-    dt = "auto"
-    splitting = "lie"
-    if cp.has_section("time"):
-        sec = cp["time"]
-        if "dt" in sec:
-            raw = sec["dt"].strip()
-            dt = "auto" if raw == "auto" else _float("time", "dt", raw)
-            if dt != "auto" and dt <= 0:
-                raise ConfigurationError(f"dt must be > 0, got {dt}")
-        if "splitting" in sec:
-            splitting = sec["splitting"].strip().lower()
-            if splitting not in ("lie", "strang"):
-                raise ConfigurationError(
-                    f"splitting must be lie or strang, got {splitting!r}")
-
-    ex = ExperimentSection()
-    if cp.has_section("experiment"):
-        sec = cp["experiment"]
-        if "epsilon_list" in sec:
-            ex.epsilon_list = _floats(sec["epsilon_list"])
-            if any(e <= 0 for e in ex.epsilon_list):
-                raise ConfigurationError("epsilon_list entries must be > 0")
-        if "snapshot_times" in sec:
-            ex.snapshot_times = _floats(sec["snapshot_times"])
-        if "seeds" in sec:
-            ex.seeds = _ints(sec["seeds"])
-            if not ex.seeds:
-                raise ConfigurationError("seeds must list at least one seed")
-        if "n_particles" in sec:
-            ex.n_particles = _int("experiment", "n_particles",
-                                  sec["n_particles"])
-            if ex.n_particles <= 0:
-                raise ConfigurationError(
-                    f"n_particles must be > 0, got {ex.n_particles}")
-        if "particle_dt" in sec:
-            ex.particle_dt = _float("experiment", "particle_dt",
-                                    sec["particle_dt"])
-            if not ex.particle_dt > 0:
-                raise ConfigurationError(
-                    f"particle_dt must be > 0, got {ex.particle_dt}")
-        if "initial" in sec:
-            ex.initial = sec["initial"].strip()
-
-    out_dir = "out"
-    if cp.has_section("output") and "directory" in cp["output"]:
-        out_dir = cp["output"]["directory"].strip()
-
-    return RunConfig(epsilon=epsilon, D=D, T=T, V=V, Phi=Phi, grid=g,
-                     dt=dt, splitting=splitting, experiment=ex,
-                     out_dir=out_dir)
+    for coeff, values in params.items():
+        family = run.pop(f"{coeff}.family", None)
+        if family is not None:
+            run[coeff] = AngularCoefficient(family, values)
+        elif values:
+            raise ConfigurationError(
+                f"{coeff}.params.* in [model] needs a {coeff}.family")
+    if "directory" in found["output"]:
+        run["out_dir"] = found["output"]["directory"]
+    return RunConfig(**run, **found["time"],
+                     grid=GridSection(**found["grid"]),
+                     experiment=ExperimentSection(**found["experiment"]))
 
 
 def load_config(path: str) -> RunConfig:

@@ -202,6 +202,19 @@ def _checked_mu0(lam: float, params: ModelParams) -> float:
     return m0
 
 
+def _gap_parts(u: LineField, lam: float, params: ModelParams):
+    """mu0 and the arrays of the coercivity gap: the three parts of B u
+    (V d_y u, d_phi(Phi u) and D d_phi^2 u, the last one subtracted) and
+    d_phi u."""
+    m0 = _checked_mu0(lam, params)
+    vals = u.values
+    V_nodes = eval_on_nodes(params.V, u.phi_grid)
+    Phi_nodes = eval_on_nodes(params.Phi, u.phi_grid)
+    return (m0, V_nodes[None, :] * _d_y(vals, u.line_grid.h),
+            phi_derivative(Phi_nodes[None, :] * vals, 1),
+            params.D * phi_derivative(vals, 2), phi_derivative(vals, 1))
+
+
 def coercivity_gap(u: LineField, lam: float, params: ModelParams) -> float:
     """Discrete coercivity margin of the shifted transport operator
     B = V d_y + d_phi(Phi .) - D d_phi^2 on the whole line:
@@ -212,22 +225,29 @@ def coercivity_gap(u: LineField, lam: float, params: ModelParams) -> float:
     and centered differences plus trapezoid quadrature in y. The
     underlying inequality guarantees gap >= ||u||^2 - O(h^2) >= 0
     whenever lam >= mu0(Phi)."""
-    m0 = _checked_mu0(lam, params)
+    m0, v_dy, phi_dphi, d_dphi2, du_phi = _gap_parts(u, lam, params)
     vals = u.values
-    V_nodes = eval_on_nodes(params.V, u.phi_grid)
-    Phi_nodes = eval_on_nodes(params.Phi, u.phi_grid)
-
-    Bu = (V_nodes[None, :] * _d_y(vals, u.line_grid.h)
-          + phi_derivative(Phi_nodes[None, :] * vals, 1)
-          - params.D * phi_derivative(vals, 2))
-    du_phi = phi_derivative(vals, 1)
-
     norm2 = _line_inner(vals, vals, u.line_grid, u.phi_grid)
-    gap = (_line_inner(Bu, vals, u.line_grid, u.phi_grid)
+    gap = (_line_inner(v_dy + phi_dphi - d_dphi2, vals, u.line_grid,
+                       u.phi_grid)
            + lam * norm2
            - (lam - m0) * norm2
            - params.D * _line_inner(du_phi, du_phi, u.line_grid, u.phi_grid))
     return float(gap)
+
+
+def _gap_scale(u: LineField, lam: float, params: ModelParams) -> float:
+    """The sum of the magnitudes of the coercivity gap's integrands, the
+    scale its round-off grows with."""
+    m0, *parts, du_phi = _gap_parts(u, lam, params)
+    a = np.abs(u.values)
+
+    def inner(x, y):
+        return _line_inner(x, y, u.line_grid, u.phi_grid)
+
+    return (sum(inner(np.abs(p), a) for p in parts)
+            + (abs(lam) + abs(lam - m0)) * inner(a, a)
+            + params.D * inner(du_phi, du_phi))
 
 
 @dataclass

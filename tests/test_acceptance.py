@@ -2,7 +2,7 @@
 test fails if the verdict is FAIL. The heavy shared runs are cached
 inside the acceptance module, so criteria sharing a sweep reuse it."""
 
-from activerods import acceptance
+from activerods import ConfigurationError, acceptance
 
 
 def _run(cid):
@@ -66,3 +66,14 @@ def test_13_particle_histogram_agreement():
 
 def test_14_compatibility_defect_halving():
     _run(14)
+
+
+def test_raising_criterion_keeps_its_name(monkeypatch):
+    def no_scales(*args):
+        raise ConfigurationError("no physical scales")
+
+    monkeypatch.setattr(acceptance, "epsilon_from_physical", no_scales)
+    res = acceptance.run_criterion(1)
+    assert res.name == "scale-parameter-arithmetic"
+    assert not res.passed
+    assert res.detail == "raised ConfigurationError: no physical scales"

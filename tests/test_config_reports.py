@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from activerods import (ConfigurationError, PhaseField, build_phi_grid,
                         build_y_grid, field_rows, format_value, load_config,
                         norms, parse_config, profile_rows, steady_layer,
                         write_csv)
+from activerods.config import _KEYS
 
 FULL_TEXT = """
 [model]
@@ -105,6 +108,46 @@ def test_parse_defaults():
 def test_parse_rejects(text):
     with pytest.raises(ConfigurationError):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[model]\nepsilon = 0.1\nV.params.g0 = 1.0\n",
+    "[model]\nepsilon = 0.1\nPhi.params.gamma = 0.5\n",
+    "[model]\nepsilon = 0.1\nD = -1\n",
+    "[model]\nepsilon = 0.1\nT = -1\n",
+], ids=["V-params-without-family", "Phi-params-without-family",
+        "negative-D", "negative-T"])
+def test_parse_rejects_at_load(text):
+    # each of these once parsed: the coefficient params were dropped, and
+    # a negative D or T failed only in the subcommand that built the model
+    with pytest.raises(ConfigurationError):
+        parse_config(text)
+
+
+def _with_key(section, key, value):
+    """FULL_TEXT with [section] key set to value."""
+    text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}",
+                      FULL_TEXT, flags=re.M)
+    if n == 0:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text
+
+
+@given(st.sampled_from([(section, key) for section, keys in _KEYS.items()
+                        for key in keys]
+                       + [("model", "V.params.x"), ("model", "V.params.a")]),
+       st.sampled_from(["", "abc", "nan", "inf", "-1", "0", "1.5", "1e300",
+                        "1e-300", "auto"]))
+def test_parse_fuzz_returns_or_raises_configuration_error(where, value):
+    # parse only: a fuzzed n_y or n_particles must never reach a solver
+    text = _with_key(*where, value)
+    assert f"{where[1]} = {value}" in text
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            parse_config(text)
+        except ConfigurationError:
+            pass
 
 
 def test_layer_width_auto():

@@ -388,6 +388,47 @@ def test_cli_check_resolvent_degenerate_ratios_exit_4(old, new, tmp_path,
                      capsys)
 
 
+def _example_with(old, new, tmp_path):
+    with open(os.path.join(ROOT, "configs", "example.cfg")) as fh:
+        text = fh.read().replace(old, new)
+    assert new in text
+    path = tmp_path / "example.ini"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("D = 0.0", "D = 1e300"), ("V.params.a = 0.5", "V.params.a = 1e300"),
+    ("D = 0.0", "D = 1e308")], ids=["D", "V_a", "D_overflow"])
+def test_cli_check_coercivity_roundoff_exits_4(old, new, tmp_path, capsys):
+    # at 1e300 the gap's round-off swamps GAP_TOL (in exact arithmetic it
+    # is positive); at 1e308 the gap overflows
+    path = _example_with(old, new, tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check-coercivity", "--config", path,
+                     "--out", str(out)]) == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert not os.path.exists(out / "coercivity.csv")
+
+
+@pytest.mark.parametrize("old, new", [("D = 0.0", "D = 0.0"),
+                                      ("D = 0.0", "D = 1e10")],
+                         ids=["example", "D_1e10"])
+def test_cli_check_coercivity_large_but_sound_passes(old, new, tmp_path,
+                                                      capsys):
+    path = _example_with(old, new, tmp_path)
+    assert main(["check-coercivity", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "PASS coercivity: min gap 5.044e+01")
+
+
 @pytest.mark.parametrize("command, csvs", [
     ("composite", ("composite.csv", "residual.csv")),
     ("sweep", ("sweep.csv",))])
