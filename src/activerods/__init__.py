@@ -11,14 +11,13 @@ from .errors import (ActiveRodsError, AssumptionViolationError,
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
                     eval_on_nodes, exp_cell_averages, exp_cell_integrals,
                     norms, overlap_average_y, phi_derivative,
-                    poly_exp_cell_averages, trace_wall)
+                    poly_exp_cell_averages, trace_wall, wall_layer)
 from .full_solver import FullSolverConfig, phi_substep, run_full, steady_layer
 from .limit_solver import (BulkWallState, LineField, ResolventProblem,
                            build_line_grid, coercivity_gap, manufactured_state,
                            resolvent_solve, run_limit)
 from .asymptotics import (a_coeffs, build_inner, composite_refined,
-                          composite_simple, p0_coeffs, residual_report,
-                          wall_layer)
+                          composite_simple, p0_coeffs, residual_report)
 from .decomposition import (Decomposition, decompose, default_tests,
                             energy_step, weak_pairings)
 from .particles import (ParticleEnsemble, em_step, histogram, run_particles,

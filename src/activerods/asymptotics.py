@@ -1,5 +1,5 @@
-"""Matched-asymptotics machinery: layer profile, corrector coefficients,
-composite approximations, and residual norms.
+"""Matched-asymptotics machinery: corrector coefficients, composite
+approximations, and residual norms.
 
 Notation used throughout this module: z = y/eps is the stretched wall
 coordinate, w_hat the wall density, u0 the bulk density with wall trace
@@ -18,9 +18,8 @@ import numpy as np
 
 from .coefficients import AngularCoefficient, ModelParams
 from .errors import ConfigurationError
-from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes,
-                    exp_cell_averages, phi_derivative, poly_exp_cell_averages,
-                    trace_wall)
+from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes, phi_derivative,
+                    poly_exp_cell_averages, trace_wall, wall_layer)
 from .limit_solver import BulkWallState
 
 
@@ -29,20 +28,14 @@ class InnerExpansion:
     """Corrector data assembled from a bulk-wall state.
 
     u0_source is the first bulk cell value (the exact discrete source
-    the limit stepper feeds the wall); u0_hat is the second-order
-    extrapolated wall trace. The A-profiles eliminate d_t(w_hat) through
-    the wall equation with u0_source, while compat_residual compares c1
-    against -V*u0_hat, so it measures the consistency of the limiting
-    solve instead of being zero by construction.
+    the limit stepper feeds the wall). The A-profiles eliminate
+    d_t(w_hat) through the wall equation with u0_source, while
+    compat_residual compares c1 against -V times the second-order
+    extrapolated wall trace u0_hat, so it measures the consistency of
+    the limiting solve instead of being zero by construction.
     """
 
-    w_hat: np.ndarray
-    u0_hat: np.ndarray
     u0_source: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    a3: np.ndarray
-    c0: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
@@ -56,60 +49,46 @@ class ResidualReport:
     epsilon: float
 
 
-def wall_layer(w_hat: np.ndarray, V: AngularCoefficient, eps: float,
-               y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
-    """Exact cell averages of (1/eps) w_hat(phi) V(phi) e^{-V y / eps}."""
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
-    w_hat = np.asarray(w_hat, dtype=float)
-    V_nodes = eval_on_nodes(V, phi_grid)
-    avg = exp_cell_averages(V_nodes, eps, y_grid)
-    return PhaseField((w_hat * V_nodes / eps)[None, :] * avg, y_grid, phi_grid)
+def _wall_rate(w, u0, Vv, Phiv, D: float):
+    """d_t w by the wall equation d_t w = -d_phi(Phi w) + D d_phi^2 w + V u0."""
+    return -phi_derivative(Phiv * w, 1) + D * phi_derivative(w, 2) + Vv * u0
+
+
+def _transport(Q, dt_Q, Vp, Vpp, Phiv, D: float):
+    """Coefficients of z^k, z^(k+1) and z^(k+2) in
+    (d_t + d_phi(Phi .) - D d_phi^2)(Q z^k e^{-zV}) * e^{+zV}, collected
+    by the product rule; they do not depend on k."""
+    return (dt_Q + phi_derivative(Phiv * Q, 1) - D * phi_derivative(Q, 2),
+            -Vp * Phiv * Q + D * (Vpp * Q + 2.0 * Vp * phi_derivative(Q, 1)),
+            -D * Vp ** 2 * Q)
 
 
 def a_coeffs(w_hat: np.ndarray, u0_hat: np.ndarray, V: AngularCoefficient,
              Phi: AngularCoefficient, D: float, phi_grid: PhiGrid):
-    """Coefficients of z^0, z^1, z^2 in
-    (d_t + d_phi(Phi .) - D d_phi^2)(w_hat V e^{-zV}) * e^{+zV},
-    with d_t(w_hat) eliminated through the wall equation
-    d_t w = -d_phi(Phi w) + D d_phi^2 w + V u0_hat.
-
-    Product-rule collection with Q = w_hat V:
-        A1 = d_t Q + d_phi(Phi Q) - D d_phi^2 Q
-        A2 = -V' Phi Q + D (V'' Q + 2 V' d_phi Q)
-        A3 = -D (V')^2 Q
-
-    Returns (A1, A2, A3).
+    """Coefficients (A1, A2, A3) of z^0, z^1, z^2 in
+    (d_t + d_phi(Phi .) - D d_phi^2)(w_hat V e^{-zV}) * e^{+zV}: the
+    transport expansion of Q = w_hat V with d_t(w_hat) eliminated through
+    the wall equation d_t w = -d_phi(Phi w) + D d_phi^2 w + V u0_hat.
     """
+    Vv, Vp, Vpp = (eval_on_nodes(V, phi_grid, k) for k in range(3))
+    Phiv = eval_on_nodes(Phi, phi_grid)
     w_hat = np.asarray(w_hat, dtype=float)
-    u0_hat = np.asarray(u0_hat, dtype=float)
-    Vv = eval_on_nodes(V, phi_grid, 0)
-    Vp = eval_on_nodes(V, phi_grid, 1)
-    Vpp = eval_on_nodes(V, phi_grid, 2)
-    Phiv = eval_on_nodes(Phi, phi_grid, 0)
-
-    Q = w_hat * Vv
-    dQ = phi_derivative(Q, 1)
-    dt_w = -phi_derivative(Phiv * w_hat, 1) + D * phi_derivative(w_hat, 2) \
-        + Vv * u0_hat
-
-    A1 = Vv * dt_w + phi_derivative(Phiv * Q, 1) - D * phi_derivative(Q, 2)
-    A2 = -Vp * Phiv * Q + D * (Vpp * Q + 2.0 * Vp * dQ)
-    A3 = -D * Vp ** 2 * Q
-    return A1, A2, A3
+    dt_w = _wall_rate(w_hat, np.asarray(u0_hat, dtype=float), Vv, Phiv, D)
+    return _transport(w_hat * Vv, Vv * dt_w, Vp, Vpp, Phiv, D)
 
 
 def p0_coeffs(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray,
               V_nodes: np.ndarray, u0_hat: np.ndarray):
     """Cubic corrector coefficients from matching powers of z in
-    m3'' - V m3' = A1 + A2 z + A3 z^2, plus the flux-compatibility
-    defect at the wall.
+    m3'' - V m3' = A1 + A2 z + A3 z^2 (the constant term of m3 is zero),
+    plus the flux-compatibility defect at the wall.
 
         c3 = -A3/(3V);  c2 = (6 c3 - A2)/(2V);  c1 = (2 c2 - A1)/V;
-        c0 = 0;  compat_residual = c1 + V u0_hat.
+        compat_residual = c1 + V u0_hat.
 
     The wall flux condition demands c1 = -V u0_hat exactly when the
     wall equation holds exactly; the residual measures the gap.
+    Returns (c1, c2, c3, compat_residual).
     """
     V = np.asarray(V_nodes, dtype=float)
     if np.any(V <= 0):
@@ -120,25 +99,20 @@ def p0_coeffs(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray,
     c3 = -A3 / (3.0 * V)
     c2 = (6.0 * c3 - A2) / (2.0 * V)
     c1 = (2.0 * c2 - A1) / V
-    c0 = np.zeros_like(c1)
     compat = c1 + V * np.asarray(u0_hat, dtype=float)
-    return c0, c1, c2, c3, compat
+    return c1, c2, c3, compat
 
 
 def build_inner(state: BulkWallState, params: ModelParams) -> InnerExpansion:
     """Assemble the corrector data from a limiting solve."""
     phi_grid = state.bulk.phi_grid
-    w_hat = state.wall
     u0_source = state.bulk.values[0, :].copy()
-    u0_hat = trace_wall(state.bulk)
-    A1, A2, A3 = a_coeffs(w_hat, u0_source, params.V, params.Phi, params.D,
-                          phi_grid)
-    V_nodes = eval_on_nodes(params.V, phi_grid)
-    c0, c1, c2, c3, compat = p0_coeffs(A1, A2, A3, V_nodes, u0_hat)
-    return InnerExpansion(w_hat=np.asarray(w_hat, dtype=float),
-                          u0_hat=u0_hat, u0_source=u0_source,
-                          a1=A1, a2=A2, a3=A3,
-                          c0=c0, c1=c1, c2=c2, c3=c3,
+    A1, A2, A3 = a_coeffs(state.wall, u0_source, params.V, params.Phi,
+                          params.D, phi_grid)
+    c1, c2, c3, compat = p0_coeffs(A1, A2, A3,
+                                   eval_on_nodes(params.V, phi_grid),
+                                   trace_wall(state.bulk))
+    return InnerExpansion(u0_source=u0_source, c1=c1, c2=c2, c3=c3,
                           compat_residual=compat)
 
 
@@ -157,7 +131,7 @@ def composite_refined(state: BulkWallState, inner: InnerExpansion, eps: float,
     layer m3(y/eps) e^{-V y/eps}, cell-averaged in closed form."""
     base = composite_simple(state, eps, V)
     V_nodes = eval_on_nodes(V, base.phi_grid)
-    coeffs = np.stack([inner.c0, inner.c1, inner.c2, inner.c3])
+    coeffs = np.stack([np.zeros_like(inner.c1), inner.c1, inner.c2, inner.c3])
     corr = poly_exp_cell_averages(coeffs, V_nodes, eps, base.y_grid)
     return PhaseField(base.values + corr, base.y_grid, base.phi_grid)
 
@@ -196,10 +170,8 @@ def residual_report(state: BulkWallState, inner: InnerExpansion,
     phi_grid = state.bulk.phi_grid
     y_lim = state.bulk.y_grid
     eval_y = eval_y_grid or y_lim
-    Vv = eval_on_nodes(params.V, phi_grid, 0)
-    Vp = eval_on_nodes(params.V, phi_grid, 1)
-    Vpp = eval_on_nodes(params.V, phi_grid, 2)
-    Phiv = eval_on_nodes(params.Phi, phi_grid, 0)
+    Vv, Vp, Vpp = (eval_on_nodes(params.V, phi_grid, k) for k in range(3))
+    Phiv = eval_on_nodes(params.Phi, phi_grid)
     D = params.D
 
     rho = state.bulk.values
@@ -210,25 +182,14 @@ def residual_report(state: BulkWallState, inner: InnerExpansion,
     dt_rho = (Vv[None, :] * dy_rho
               - phi_derivative(Phiv[None, :] * rho, 1)
               + D * phi_derivative(rho, 2))
-    dt_w = (-phi_derivative(Phiv * state.wall, 1)
-            + D * phi_derivative(state.wall, 2)
-            + Vv * inner.u0_source)
-    dt_u0_source = dt_rho[0, :]
+    dt_w = _wall_rate(state.wall, inner.u0_source, Vv, Phiv, D)
+    dt_A = a_coeffs(dt_w, dt_rho[0, :], params.V, params.Phi, D, phi_grid)
+    dt_cs = p0_coeffs(*dt_A, Vv, np.zeros_like(Vv))[:3]
 
-    dtA1, dtA2, dtA3 = a_coeffs(dt_w, dt_u0_source, params.V, params.Phi, D,
-                                phi_grid)
-    _, dt_c1, dt_c2, dt_c3, _ = p0_coeffs(dtA1, dtA2, dtA3, Vv,
-                                          np.zeros_like(Vv))
-
-    cs = {1: inner.c1, 2: inner.c2, 3: inner.c3}
-    dt_cs = {1: dt_c1, 2: dt_c2, 3: dt_c3}
     q = np.zeros((6, phi_grid.n_phi))
-    for k, ck in cs.items():
-        q[k] += dt_cs[k] + phi_derivative(Phiv * ck, 1) \
-            - D * phi_derivative(ck, 2)
-        q[k + 1] += -Vp * Phiv * ck \
-            + D * (Vpp * ck + 2.0 * Vp * phi_derivative(ck, 1))
-        q[k + 2] += -D * Vp ** 2 * ck
+    for k, (ck, dt_ck) in enumerate(zip((inner.c1, inner.c2, inner.c3),
+                                        dt_cs), start=1):
+        q[k:k + 3] += _transport(ck, dt_ck, Vp, Vpp, Phiv, D)
 
     layer_part = poly_exp_cell_averages(q, Vv, eps, eval_y)
 

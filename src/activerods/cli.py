@@ -12,9 +12,9 @@ Subcommands:
     check-resolvent  regularized resolvent stability ratios
     check-all        the full acceptance suite, one line per criterion
 
-Exit codes: 0 success, 1 failed check, 2 configuration problem,
-3 violated model assumption, 4 numerical failure.  The output directory
-comes from the config's [output] section, overridden by the
+Exit codes: 0 success, 1 failed check, 2 configuration problem or out of
+memory, 3 violated model assumption, 4 numerical failure.  The output
+directory comes from the config's [output] section, overridden by the
 ACTIVERODS_OUT_DIR environment variable, overridden by --out.
 """
 
@@ -278,6 +278,10 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory for the requested sizes; reduce "
+              "n_particles or the grid sizes", file=sys.stderr)
         return 2
 
 

@@ -29,7 +29,7 @@ from .coefficients import AngularCoefficient, ModelParams
 from .errors import ConfigurationError
 from .full_solver import FullSolverConfig, steady_layer
 from .grids import (PhaseField, PhiGrid, YGrid, build_phi_grid, build_y_grid,
-                    exp_cell_integrals)
+                    exp_cell_averages)
 from .limit_solver import BulkWallState
 
 _INITIAL_CHOICES = ("bulk_exp", "steady_layer")
@@ -125,10 +125,8 @@ class RunConfig:
 
 def bulk_exp_field(y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
     """Exact cell averages of e^{-y} / (2 pi), angle-independent."""
-    ones = np.ones(phi_grid.n_phi)
-    I = exp_cell_integrals(ones, 1.0, y_grid.faces)
-    vals = I / y_grid.widths[:, None] / (2.0 * np.pi)
-    return PhaseField(vals, y_grid, phi_grid)
+    vals = exp_cell_averages(np.ones(phi_grid.n_phi), 1.0, y_grid)
+    return PhaseField(vals / (2.0 * np.pi), y_grid, phi_grid)
 
 
 # -- parsing ----------------------------------------------------------------

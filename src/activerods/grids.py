@@ -217,6 +217,19 @@ def exp_cell_averages(V_nodes: np.ndarray, eps: float,
     return I / y_grid.widths[:, None]
 
 
+def wall_layer(w_hat: np.ndarray, V: AngularCoefficient, eps: float,
+               y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
+    """Exact cell averages of the wall layer (1/eps) w_hat(phi) V(phi)
+    e^{-V y / eps}, which carries mass w_hat per angle up to domain
+    truncation."""
+    if eps <= 0:
+        raise ConfigurationError(f"eps must be positive, got {eps}")
+    w_hat = np.asarray(w_hat, dtype=float)
+    V_nodes = eval_on_nodes(V, phi_grid)
+    avg = exp_cell_averages(V_nodes, eps, y_grid)
+    return PhaseField((w_hat * V_nodes / eps)[None, :] * avg, y_grid, phi_grid)
+
+
 def poly_exp_cell_averages(coeffs: np.ndarray, V_nodes: np.ndarray,
                            eps: float, y_grid: YGrid) -> np.ndarray:
     """Exact cell averages of sum_k c_k(phi) * z^k * exp(-V z), z = y/eps.

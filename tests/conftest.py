@@ -1,9 +1,30 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from activerods import (AngularCoefficient, ModelParams, build_phi_grid,
                         build_y_grid)
+from activerods.config import _KEYS
+
+# Every [section] key of the config table, plus one coefficient parameter.
+CONFIG_KEYS = ([(section, key) for section, keys in _KEYS.items()
+                for key in keys] + [("model", "V.params.a")])
+
+# Values the config fuzzers set a key to: parse errors, non-finite and
+# extreme numbers, and words.
+FUZZ_VALUES = ["", "abc", "nan", "inf", "-1", "0", "1.5", "1e300", "1e-300",
+               "auto"]
+
+
+def with_key(text, section, key, value):
+    """Config text with [section] key set to value."""
+    text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text,
+                      flags=re.M)
+    if n == 0:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text
 
 
 def const(v):

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -10,7 +9,8 @@ from activerods import (ConfigurationError, PhaseField, build_phi_grid,
                         build_y_grid, field_rows, format_value, load_config,
                         norms, parse_config, profile_rows, steady_layer,
                         write_csv)
-from activerods.config import _KEYS
+
+from conftest import CONFIG_KEYS, FUZZ_VALUES, with_key
 
 FULL_TEXT = """
 [model]
@@ -124,23 +124,11 @@ def test_parse_rejects_at_load(text):
         parse_config(text)
 
 
-def _with_key(section, key, value):
-    """FULL_TEXT with [section] key set to value."""
-    text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}",
-                      FULL_TEXT, flags=re.M)
-    if n == 0:
-        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
-    return text
-
-
-@given(st.sampled_from([(section, key) for section, keys in _KEYS.items()
-                        for key in keys]
-                       + [("model", "V.params.x"), ("model", "V.params.a")]),
-       st.sampled_from(["", "abc", "nan", "inf", "-1", "0", "1.5", "1e300",
-                        "1e-300", "auto"]))
+@given(st.sampled_from(CONFIG_KEYS + [("model", "V.params.x")]),
+       st.sampled_from(FUZZ_VALUES))
 def test_parse_fuzz_returns_or_raises_configuration_error(where, value):
     # parse only: a fuzzed n_y or n_particles must never reach a solver
-    text = _with_key(*where, value)
+    text = with_key(FULL_TEXT, *where, value)
     assert f"{where[1]} = {value}" in text
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -132,8 +132,6 @@ def test_solver_config_validation():
         FullSolverConfig(dt=-0.1)
     with pytest.raises(ConfigurationError):
         FullSolverConfig(dt="later")
-    with pytest.raises(ConfigurationError):
-        FullSolverConfig(safety=0.0)
 
 
 def test_subcycle_cap():

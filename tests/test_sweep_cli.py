@@ -1,16 +1,22 @@
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from activerods import (ConfigurationError, FitError, SweepRecord, fit_order,
                         parse_config, sweep_epsilon, weak_pairing_sweep)
 from activerods.cli import main
+
+from conftest import CONFIG_KEYS, FUZZ_VALUES, with_key
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -488,3 +494,91 @@ def test_cli_tiny_dt_exits_2(command, dt, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "steps, more than" in err
+
+
+def test_cli_out_of_memory_exits_2(cli_config, tmp_path, monkeypatch,
+                                   capsys):
+    # stands in for an ensemble too large to allocate, without allocating it
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("activerods.cli.sample_initial", no_memory)
+    out = tmp_path / "out"
+    assert main(["particles", "--config", cli_config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: out of memory")
+    assert not os.path.exists(out / "particles.csv")
+
+
+CONFIG_COMMANDS = ["run-full", "run-limit", "composite", "sweep", "decompose",
+                   "particles", "check-coercivity", "check-resolvent"]
+
+# Per key, edge values beyond the parse fuzz's list: the smallest angular
+# grids (odd sizes included), the smallest layer blocks, an epsilon ladder
+# at the edge of double precision, snapshot times past T, and a speed that
+# touches or nearly touches zero.
+CLI_EDGE_VALUES = {"n_phi": ["4", "5", "7"], "layer_cells": ["7", "8"],
+                   "epsilon_list": ["1e-9 1e-10 1e-11"],
+                   "snapshot_times": ["0.1 0.05"],
+                   "V.params.a": ["-0.5", "-0.4999"]}
+
+
+def _small_example():
+    """The example config shrunk to a fraction of a second per command."""
+    with open(os.path.join(ROOT, "configs", "example.cfg")) as fh:
+        text = fh.read()
+    for section, key, value in (
+            ("grid", "n_y", "24"), ("grid", "n_phi", "8"),
+            ("experiment", "n_particles", "2000"), ("model", "T", "0.05"),
+            ("experiment", "snapshot_times", "0.0 0.025 0.05")):
+        text = with_key(text, section, key, value)
+    return text
+
+
+SMALL_EXAMPLE = _small_example()
+
+
+@st.composite
+def fuzzed_keys(draw):
+    section, key = draw(st.sampled_from(CONFIG_KEYS))
+    value = draw(st.sampled_from(FUZZ_VALUES + CLI_EDGE_VALUES.get(key, [])))
+    return section, key, value
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CONFIG_COMMANDS), fuzzed_keys())
+@example("run-full", ("grid", "n_phi", "4"))
+@example("composite", ("grid", "n_phi", "5"))
+@example("particles", ("grid", "n_phi", "7"))
+@example("run-limit", ("grid", "layer_cells", "7"))
+@example("sweep", ("grid", "layer_cells", "8"))
+@example("sweep", ("experiment", "epsilon_list", "1e-9 1e-10 1e-11"))
+@example("run-full", ("experiment", "snapshot_times", "0.1 0.05"))
+@example("particles", ("model", "V.params.a", "-0.5"))
+@example("check-resolvent", ("model", "V.params.a", "-0.4999"))
+def test_cli_fuzz_exits_with_documented_code(command, where):
+    # one key of the small example changed: a documented exit code, one
+    # error line on an error exit, no traceback and no numpy warning
+    text = with_key(SMALL_EXAMPLE, *where)
+    assert f"{where[1]} = {where[2]}" in text
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path,
+                         "--out", os.path.join(tmp, "out")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = err.getvalue()
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code == 1:
+        assert command.startswith("check-") and "FAIL" in out.getvalue()
+    else:
+        assert code in (0, 2, 3, 4)
+    assert len(errors) == (0 if code in (0, 1) else 1), err
