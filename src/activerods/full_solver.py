@@ -17,10 +17,15 @@ which reduces to upwind-from-above as eps -> 0 and to the plain
 two-point diffusive flux as V -> 0, keeps the M-matrix property, and
 annihilates exact cell averages of e^{-V y/eps} on the uniform layer
 block to machine precision. Its tridiagonal matrix changes only with the
-step size, so it is LU-factored (LAPACK dgttrf) once per step size and
-every step runs only the triangular solves (dgttrs). The phi-substep is
-explicit conservative upwind plus centered diffusion, sub-cycled under a
-CFL bound in work arrays kept for the whole substep.
+step size, so it is factored once per step size, by cyclic reduction in
+y over all angle columns at once, and every step runs only the
+precomputed eliminations: about nine numpy calls per level of the
+reduction, log2(n_y) levels, and no loop over rows (0.4 ms at
+256 x 128). The matrix is an M-matrix and every multiplier of the solve
+is non-negative, so the step maps non-negative data to exactly
+non-negative data. The phi-substep is explicit conservative upwind plus
+centered diffusion, sub-cycled under a CFL bound in work arrays kept for
+the whole substep.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .coefficients import ModelParams, sup_abs, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
@@ -96,28 +100,100 @@ def _fitted_flux_coeffs(V_nodes: np.ndarray, eps: float, y_grid: YGrid):
 
 def _factor_columns(lower: np.ndarray, diag: np.ndarray,
                     upper: np.ndarray):
-    """LU-factor the tridiagonal system of every angle column at once and
-    return solve(rhs), which runs only the triangular solves.
+    """Factor the tridiagonal system of every angle column at once by
+    cyclic reduction and return solve(rhs), which runs only the
+    precomputed eliminations.
 
     All arguments are shaped (n_y, n_phi); row i of column j reads
     lower[i, j] x[i-1, j] + diag[i, j] x[i, j] + upper[i, j] x[i+1, j]
-    = rhs[i, j] (lower[0] and upper[-1] are ignored). The columns are laid
-    end to end, phi-major, as one tridiagonal system with zero coupling
-    between columns, factored by LAPACK dgttrf. dgttrs then does the
-    arithmetic of an unfactored gtsv solve, pivots included."""
+    = rhs[i, j] (lower[0] and upper[-1] are ignored). Each level of the
+    reduction takes the rows at a stride 2^k from the wall, eliminates the
+    odd ones of them from the even ones, and halves the system, until only
+    the wall row is left; the back-substitution then recovers the odd rows
+    of each level from the even ones. The factorization keeps, per level,
+    the multipliers that add the odd rows into the even ones, the negated
+    off-diagonals and reciprocal pivots of the back-substitution, and the
+    views of one work buffer that each of them acts on, so that a solve is
+    about nine numpy calls per level and no loop over rows.
+
+    The columns lie end to end in the buffer, each padded with identity
+    rows to a power-of-two length, so that the rows of one level are a
+    single strided view across all columns. The system stays block
+    diagonal, so the multipliers that join two columns, or a column and
+    its padding, are zeros, and x + 0 * y is x for finite y: the padding
+    rows stay zero, and each column comes out as if solved alone (up to
+    the sign of a zero).
+
+    For an M-matrix (positive diagonal, non-positive off-diagonals,
+    non-negative inverse), which both y-operators are, every reduced
+    system is one too, so every multiplier is non-negative and a solve
+    only multiplies and adds: a non-negative rhs gives an exactly
+    non-negative solution. Raises NumericalFailureError if a reduced pivot
+    is not positive and finite or the elimination overflows."""
     n_y, n_phi = diag.shape
-    dl = np.zeros((n_phi, n_y))
-    dl[:, :-1] = lower[1:].T
-    du = np.zeros((n_phi, n_y))
-    du[:, :-1] = upper[:-1].T
-    dl, d, du, du2, ipiv, info = dgttrf(dl.ravel()[:-1], diag.T.flatten(),
-                                        du.ravel()[:-1], 1, 1, 1)
-    if info != 0:
-        raise NumericalFailureError("tridiagonal y-operator is singular")
+    size = 1 << (n_y - 1).bit_length()         # rows per padded column
+    buf = np.zeros((n_phi, size))
+    flat = buf.reshape(-1)
+    d = np.ones((n_phi, size))
+    d[:, :n_y] = diag.T
+    lo, up = np.zeros_like(d), np.zeros_like(d)
+    lo[:, 1:n_y] = lower[1:].T
+    up[:, :n_y - 1] = upper[:-1].T
+    d, lo, up = d.reshape(-1), lo.reshape(-1), up.reshape(-1)
+    down, back, pivots = [], [], []
+
+    def add_product(ops, m, x, acc):
+        """Append acc += m * x, through a work array, to ops."""
+        tmp = np.empty_like(m)
+        ops += [(np.multiply, m, x, tmp), (np.add, acc, tmp, acc)]
+
+    # an overflow, a division by zero or an invalid operation stops the
+    # factorization; a NaN or an infinity in the input reaches a reduced
+    # pivot, whose reciprocal is then not positive
+    stride = 1
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise",
+                         under="ignore"):
+            while stride < size:
+                even, odd = flat[::2 * stride], flat[stride::2 * stride]
+                d_odd, lo_odd, up_odd = d[1::2], lo[1::2], up[1::2]
+                left = -lo[2::2] / d_odd[:-1]
+                right = -up[::2] / d_odd
+                add_product(down, left, odd[:-1], even[1:])
+                add_product(down, right, odd, even)
+                level = []
+                add_product(level, -lo_odd, even, odd)
+                add_product(level, -up_odd[:-1], even[1:], odd[:-1])
+                pivots.append(1.0 / d_odd)
+                level.append((np.multiply, pivots[-1], odd, odd))
+                back = level + back
+                d = d[::2].copy()
+                d[1:] += left * up_odd[:-1]
+                d += right * lo_odd
+                lo = np.zeros_like(d)
+                lo[1:] = left * lo_odd[:-1]
+                up = right * up_odd
+                stride *= 2
+            pivots.append(1.0 / d)
+            failed = not (np.concatenate(pivots) > 0.0).all()
+    except FloatingPointError:
+        failed = True
+    if failed:
+        raise NumericalFailureError(
+            "tridiagonal y-operator has a pivot that is not positive and "
+            "finite")
+    wall = flat[::size]
+    ops = down + [(np.multiply, pivots[-1], wall, wall)] + back
+    real, padding = buf[:, :n_y], buf[:, n_y:]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x, _ = dgttrs(dl, d, du, du2, ipiv, rhs.T.flatten(), overwrite_b=1)
-        return x.reshape(n_phi, n_y).T
+        np.copyto(real, rhs.T)
+        # a solve of finite data leaves the padding zero; this keeps a
+        # non-finite one from reaching the next
+        padding.fill(0.0)
+        for op, m, x, out in ops:
+            op(m, x, out)
+        return real.copy().T
 
     return solve
 

@@ -12,13 +12,14 @@ density w(phi):
     d_t w + d_phi(Phi w - D d_phi w) = V rho|_{y=0}.
 
 Discretely the bulk y-step is implicit upwind-from-above, an upper
-bidiagonal system that goes through the full solver's LAPACK
-tridiagonal column factorization with a zero sub-diagonal, once per step
-size, so that each step runs only the back-substitution; the wall source
-is defined as exactly the discrete flux through the wall face, so the
-combined mass telescopes to machine precision. The splitting, the
-angular substep and the march to snapshot times are shared with the
-full solver.
+bidiagonal system that goes through the full solver's tridiagonal
+column factorization (cyclic reduction in y, with a zero sub-diagonal)
+once per step size, so that each step runs only the precomputed
+eliminations, whose multipliers are all non-negative: non-negative data
+stay exactly non-negative. The wall source is defined as exactly the
+discrete flux through the wall face, so the combined mass telescopes to
+machine precision. The splitting, the angular substep and the march to
+snapshot times are shared with the full solver.
 
 The operator spot checks (coercivity gap, regularized resolvent bound)
 live on a separate uniform whole-line y grid, because the underlying
@@ -74,9 +75,8 @@ def _upwind_y_step(V_nodes: np.ndarray, widths: np.ndarray, dt: float):
     Row i of the backward-Euler system reads
     f_i (1 + r_i) - r_i f_{i+1} = f_i_old, r_i = dt V / w_i, with
     f_n = 0 (zero inflow at the top): an upper bidiagonal system, factored
-    by _factor_columns with a zero sub-diagonal, so that each solve is the
-    top-down back-substitution. The wall then gains exactly
-    dt * V * f_0_new, the discrete outgoing flux.
+    by _factor_columns with a zero sub-diagonal. The wall then gains
+    exactly dt * V * f_0_new, the discrete outgoing flux.
     """
     r = dt * V_nodes[None, :] / widths[:, None]
     solve = _factor_columns(np.zeros_like(r), 1.0 + r, -r)

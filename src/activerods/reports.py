@@ -8,28 +8,44 @@ byte-identical files.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
 
+def _conversion(cls) -> str:
+    """The printf conversion of a cell of type cls: strings as they are,
+    booleans and integers as decimal integers, anything else as a float
+    with 17 significant digits."""
+    if issubclass(cls, str):
+        return "%s"
+    if issubclass(cls, (bool, np.bool_, int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
+@lru_cache(maxsize=256)
+def _row_format(types: tuple) -> str:
+    """The printf format of a row whose cells have these types; a
+    program writes rows of a handful of type signatures."""
+    return ",".join(map(_conversion, types))
+
+
 def format_value(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    return _row_format((type(x),)) % (x,)
 
 
 def write_csv(path: str, header, rows) -> str:
-    """Write rows (iterables of cells) under a header; returns the path."""
+    """Write rows (iterables of cells) under a header; returns the path.
+    Each row is formatted by one printf call, with the format of its cell
+    types."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     lines = [",".join(str(h) for h in header)]
     for row in rows:
-        lines.append(",".join(format_value(c) for c in row))
+        row = tuple(row)
+        lines.append(_row_format(tuple(map(type, row))) % row)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

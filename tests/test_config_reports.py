@@ -208,6 +208,24 @@ def test_write_csv(tmp_path):
     assert open(path, "rb").read() == raw
 
 
+def test_write_csv_pins_cell_bytes(tmp_path):
+    cells = ["tag", True, False, np.bool_(True), np.bool_(False), 7, -3,
+             np.int64(-12), np.uint8(200), 0.1, 1e-320, np.float64(1 / 3),
+             np.float32(0.1), 0.0, -0.0, math.nan, math.inf, -math.inf]
+    want = ("tag,1,0,1,0,7,-3,-12,200,0.10000000000000001,"
+            "9.9998886718268301e-321,0.33333333333333331,0.10000000149011612,"
+            "0,-0,nan,inf,-inf")
+    header = [f"c{k}" for k in range(len(cells))]
+    path = str(tmp_path / "cells.csv")
+    # a list, a tuple and a generator row, and a row of other types
+    write_csv(path, header, [cells, tuple(cells), (c for c in cells),
+                             cells[::-1]])
+    back = ",".join(reversed(want.split(",")))
+    assert open(path, "rb").read() == "\n".join(
+        [",".join(header), want, want, want, back, ""]).encode()
+    assert ",".join(format_value(c) for c in cells) == want
+
+
 def test_row_helpers():
     yg = build_y_grid(4.0, 48, 0.4, 16)
     pg = build_phi_grid(8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from activerods import (AssumptionViolationError, ConfigurationError,
                         PhaseField, build_phi_grid, build_y_grid,
                         eval_on_nodes, manufactured_state, norms, phi_substep,
                         run_full, run_limit, steady_layer)
-from activerods.full_solver import (_fitted_flux_coeffs, _implicit_y_step,
-                                    resolve_dt)
+from activerods.full_solver import (_factor_columns, _fitted_flux_coeffs,
+                                    _implicit_y_step, resolve_dt)
 from activerods.limit_solver import _upwind_y_step
 
 from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
@@ -189,13 +190,15 @@ def test_step_preserves_mass_and_positivity(yg, n_phi, V, Phi, D, eps, dt,
     assert np.min(out.values) >= -1e-12
 
 
-def _thomas_reference(values, a, b, widths, dt):
-    """Row-loop Thomas solve of the fitted-flux backward-Euler system."""
-    n_y = values.shape[0]
+def _fitted_diagonals(a, b, widths, dt):
+    """(lower, diag, upper) of the fitted-flux backward-Euler system."""
     r = dt / widths[:, None]
-    diag = 1.0 + r * (a[1:, :] + b[:-1, :])
-    lower = -r * a[:-1, :]
-    upper = -r * b[1:, :]
+    return -r * a[:-1, :], 1.0 + r * (a[1:, :] + b[:-1, :]), -r * b[1:, :]
+
+
+def _thomas(lower, diag, upper, values):
+    """Row-loop Thomas solve of a tridiagonal system over angle columns."""
+    n_y = values.shape[0]
     cp = np.empty_like(values)
     dp = np.empty_like(values)
     cp[0] = upper[0] / diag[0]
@@ -209,6 +212,11 @@ def _thomas_reference(values, a, b, widths, dt):
     for i in range(n_y - 2, -1, -1):
         out[i] = dp[i] - cp[i] * out[i + 1]
     return out
+
+
+def _thomas_reference(values, a, b, widths, dt):
+    """Row-loop Thomas solve of the fitted-flux backward-Euler system."""
+    return _thomas(*_fitted_diagonals(a, b, widths, dt), values)
 
 
 def _upwind_reference(bulk, wall, V_nodes, widths, dt):
@@ -233,31 +241,136 @@ def test_y_steps_match_row_loop_references(yg, n_phi, V, eps, dt, seed):
     w = yg.widths[:, None]
     mass = np.sum(vals * w)
 
-    # LAPACK pivots, which reorders the fitted-flux arithmetic
+    # cyclic reduction orders the arithmetic differently from both
+    # row-loop Thomas and LAPACK's pivoted gtsv: all agree to round-off
     a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
     tol = round_off_bound(1.0 + dt / w * (a[1:] + b[:-1]))
-    ref = _thomas_reference(vals, a, b, yg.widths, dt)
     out = _implicit_y_step(a, b, yg.widths, dt)(vals)
-    assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
+    for ref in (_thomas_reference(vals, a, b, yg.widths, dt),
+                _solve_banded_reference(*_fitted_diagonals(a, b, yg.widths,
+                                                           dt), vals)):
+        assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
     assert abs(np.sum(out * w) - mass) <= tol * mass
 
-    # with a zero sub-diagonal it does the reference's arithmetic exactly
+    # the zero sub-diagonal makes it the top-down back-substitution, up to
+    # round-off; the wall gains exactly the discrete outgoing flux
     tol = round_off_bound(1.0 + dt * V_nodes / w)
     bulk, wall_new = _upwind_y_step(V_nodes, yg.widths, dt)((vals, wall))
-    ref_bulk, ref_wall = _upwind_reference(vals, wall, V_nodes, yg.widths, dt)
-    np.testing.assert_array_equal(bulk, ref_bulk)
-    np.testing.assert_array_equal(wall_new, ref_wall)
+    ref_bulk, _ = _upwind_reference(vals, wall, V_nodes, yg.widths, dt)
+    assert np.sum(np.abs(bulk - ref_bulk) * w) <= tol * np.sum(ref_bulk * w)
+    np.testing.assert_array_equal(wall_new, wall + dt * V_nodes * bulk[0])
     total = mass + np.sum(wall)
     assert abs(np.sum(bulk * w) + np.sum(wall_new) - total) <= tol * total
 
 
+def _random_fitted_system(rng, n_y, n_phi):
+    """Random fitted-flux diagonals (face rates a, b >= 0, zero on the
+    wall and top faces) and cell widths, and the round-off allowance of
+    their solve."""
+    a = np.zeros((n_y + 1, n_phi))
+    b = np.zeros_like(a)
+    a[1:n_y] = rng.uniform(0.0, 5.0, size=(n_y - 1, n_phi))
+    b[1:n_y] = rng.uniform(0.0, 5.0, size=(n_y - 1, n_phi))
+    widths = rng.uniform(0.01, 1.0, size=n_y)
+    dt = rng.uniform(1e-3, 1.0)
+    lower, diag, upper = _fitted_diagonals(a, b, widths, dt)
+    return lower, diag, upper, widths[:, None], round_off_bound(diag)
+
+
+def test_cyclic_reduction_at_every_size():
+    # padded or not, each column agrees with Thomas to round-off and comes
+    # out bit for bit as when it is solved alone
+    rng = np.random.default_rng(20240817)
+    for n_y in range(1, 71):
+        for n_phi in range(1, 6):
+            lower, diag, upper, w, tol = _random_fitted_system(rng, n_y,
+                                                               n_phi)
+            rhs = patchy_values(n_y * 10 + n_phi, (n_y, n_phi))
+            out = _factor_columns(lower, diag, upper)(rhs)
+            ref = _thomas(lower, diag, upper, rhs)
+            assert out.shape == (n_y, n_phi)
+            assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
+            for j in range(n_phi):
+                col = slice(j, j + 1)
+                _assert_same_bits(out[:, col], _factor_columns(
+                    lower[:, col], diag[:, col], upper[:, col])(rhs[:, col]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_y_grids(), st.integers(4, 16), positive_speeds,
+       st.floats(1e-3, 0.5), st.floats(1e-4, 2.0), st.integers(-300, 300),
+       st.integers(0, 2 ** 32 - 1))
+def test_y_steps_keep_nonnegative_data_nonnegative(yg, n_phi, V, eps, dt,
+                                                   exponent, seed):
+    # every multiplier of the solve is >= 0, so this holds exactly, at any
+    # scale of the data
+    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    vals = patchy_values(seed, (yg.n_y, n_phi)) * 10.0 ** exponent
+    wall = patchy_values(seed + 1, n_phi)
+    a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
+    assert np.min(_implicit_y_step(a, b, yg.widths, dt)(vals)) >= 0.0
+    bulk, wall_new = _upwind_y_step(V_nodes, yg.widths, dt)((vals, wall))
+    assert np.min(bulk) >= 0.0
+    assert np.min(wall_new) >= 0.0
+
+
+def test_y_step_at_peclet_overflow_is_upwind(small_grids):
+    # V d / eps overflows: rho = inf, so a = 0 and the fitted flux is
+    # upwind from above, with a no-flux wall
+    yg, pg = small_grids
+    V_nodes = eval_on_nodes(shifted_sine(1e308, 0.5), pg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = _fitted_flux_coeffs(V_nodes, 0.05, yg)
+        assert not a.any()
+        vals = patchy_values(3, (yg.n_y, pg.n_phi))
+        out = _implicit_y_step(a, b, yg.widths, 0.005)(vals)
+    ref = _thomas_reference(vals, a, b, yg.widths, 0.005)
+    w = yg.widths[:, None]
+    tol = round_off_bound(1.0 + 0.005 / w * (a[1:] + b[:-1]))
+    assert np.min(out) >= 0.0
+    assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
+    assert abs(np.sum(out * w) - np.sum(vals * w)) <= tol * np.sum(vals * w)
+
+
+@pytest.mark.parametrize("case", [
+    "zero pivot", "negative diagonal", "singular", "nan lower", "nan diag",
+    "nan upper", "inf upper"])
+def test_factor_rejects_bad_systems_quietly(case):
+    n_y, n_phi = 9, 3
+    lower = np.full((n_y, n_phi), -0.25)
+    diag = np.ones((n_y, n_phi))
+    upper = np.full((n_y, n_phi), -0.25)
+    if case == "zero pivot":
+        diag[4, 1] = 0.0
+    elif case == "negative diagonal":
+        diag[7, 2] = -1.0
+    elif case == "singular":
+        # rows of zero sum: the constant column is in the null space
+        lower[:] = upper[:] = -0.5
+        diag[0] = diag[-1] = 0.5
+    elif case == "nan lower":
+        lower[6, 0] = np.nan
+    elif case == "nan diag":
+        diag[2, 2] = np.nan
+    elif case == "nan upper":
+        upper[3, 1] = np.nan
+    else:
+        upper[0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError):
+            _factor_columns(lower, diag, upper)
+
+
 # ---------------------------------------------------------------------------
 # the solvers as they were before each y-operator was factored once per step
-# size and the angular substep kept its work arrays: every result must match
-# them bit for bit
+# size and the angular substep kept its work arrays, with each y-solve a cyclic
+# reduction worked out afresh row by row: every result must match them bit for
+# bit
 
 
-def _solve_columns_reference(lower, diag, upper, rhs):
+def _solve_banded_reference(lower, diag, upper, rhs):
     """One unfactored LAPACK gtsv solve (scipy solve_banded) over the
     phi-major angle columns with zero coupling between them."""
     n_y, n_phi = rhs.shape
@@ -268,6 +381,50 @@ def _solve_columns_reference(lower, diag, upper, rhs):
     x = solve_banded((1, 1), ab.reshape(3, -1), rhs.T.flatten(),
                      overwrite_ab=True, overwrite_b=True, check_finite=False)
     return x.reshape(n_phi, n_y).T
+
+
+def _cyclic_reduction_rows(rows):
+    """Odd-even cyclic reduction of the rows (lower, diag, upper, rhs),
+    each a vector over the angles, written out row by row: add each odd
+    row into its even neighbours, solve the even rows the same way, then
+    recover the odd rows. Returns the solution rows."""
+    m = len(rows)
+    if m == 1:
+        _, d, _, r = rows[0]
+        return [1.0 / d * r]
+    reduced = []
+    for j in range(0, m, 2):
+        lo, d, up, r = rows[j]
+        new_lo = new_up = 0.0
+        if j > 0:
+            lo_l, d_l, up_l, r_l = rows[j - 1]
+            left = -lo / d_l
+            d = d + left * up_l
+            new_lo = left * lo_l
+            r = r + left * r_l
+        if j + 1 < m:
+            lo_r, d_r, up_r, r_r = rows[j + 1]
+            right = -up / d_r
+            d = d + right * lo_r
+            new_up = right * up_r
+            r = r + right * r_r
+        reduced.append((new_lo, d, new_up, r))
+    x = [None] * m
+    x[::2] = _cyclic_reduction_rows(reduced)
+    for j in range(1, m, 2):
+        lo, d, up, r = rows[j]
+        x[j] = r + -lo * x[j - 1]
+        if j + 1 < m:
+            x[j] = x[j] + -up * x[j + 1]
+        x[j] = 1.0 / d * x[j]
+    return x
+
+
+def _solve_columns_reference(lower, diag, upper, rhs):
+    """Cyclic reduction of every angle column, multipliers and all,
+    derived afresh row by row on each call."""
+    return np.array(_cyclic_reduction_rows(list(zip(lower, diag, upper,
+                                                    rhs))))
 
 
 def _phi_substep_reference(values, Phi_face, D, h, dt, safety=0.9):

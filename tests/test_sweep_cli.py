@@ -335,6 +335,15 @@ def _run_python(args):
                           capture_output=True, text=True, timeout=120)
 
 
+def test_package_imports_without_scipy():
+    # scipy.linalg alone would add about 0.16 s and 20 MiB to every start
+    proc = _run_python(["-c", "import sys, activerods, activerods.cli; "
+                              "print(sorted(m for m in sys.modules "
+                              "if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_cli_empty_seeds_exits_2(tmp_path):
     path = tmp_path / "no_seeds.ini"
     path.write_text(CLI_TEXT + "seeds =\n")
