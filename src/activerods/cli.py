@@ -52,10 +52,6 @@ def _out_dir(cfg: RunConfig, args) -> str:
     return cfg.out_dir
 
 
-def _wrote(path: str, n_rows: int):
-    print(f"wrote {path} ({n_rows} rows)")
-
-
 def _require_finite(what: str, *values):
     """Refuse to write results that overflowed or went NaN."""
     if not all(np.isfinite(v).all() for v in values):
@@ -67,7 +63,7 @@ def _require_finite(what: str, *values):
 def _write(cfg, args, name, header, rows) -> str:
     path = os.path.join(_out_dir(cfg, args), name)
     write_csv(path, header, rows)
-    _wrote(path, len(rows))
+    print(f"wrote {path} ({len(rows)} rows)")
     return path
 
 
@@ -229,13 +225,16 @@ def _cmd_check_all(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_config_cmd(sub, name, fn, helptext):
-    p = sub.add_parser(name, help=helptext)
-    p.add_argument("--config", required=True, help="path to a run config")
-    p.add_argument("--out", default=None,
-                   help="output directory (overrides config and environment)")
-    p.set_defaults(func=fn)
-    return p
+_CONFIG_COMMANDS = {
+    "run-full": (_cmd_run_full, "integrate the kinetic model"),
+    "run-limit": (_cmd_run_limit, "integrate the bulk-wall limiting system"),
+    "composite": (_cmd_composite, "matched-layer reconstruction and residuals"),
+    "sweep": (_cmd_sweep, "epsilon ladder with composite errors"),
+    "decompose": (_cmd_decompose, "wall-mode decomposition along a D=0 run"),
+    "particles": (_cmd_particles, "stochastic ensemble histogram"),
+    "check-coercivity": (_cmd_check_coercivity, "accretivity gap battery"),
+    "check-resolvent": (_cmd_check_resolvent, "resolvent stability ratios"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,22 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solvers and checks for wall-confined active rod "
                     "kinetics and its thin-layer limit.")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_config_cmd(sub, "run-full", _cmd_run_full,
-                    "integrate the kinetic model")
-    _add_config_cmd(sub, "run-limit", _cmd_run_limit,
-                    "integrate the bulk-wall limiting system")
-    _add_config_cmd(sub, "composite", _cmd_composite,
-                    "matched-layer reconstruction and residuals")
-    _add_config_cmd(sub, "sweep", _cmd_sweep,
-                    "epsilon ladder with composite errors")
-    _add_config_cmd(sub, "decompose", _cmd_decompose,
-                    "wall-mode decomposition along a D=0 run")
-    _add_config_cmd(sub, "particles", _cmd_particles,
-                    "stochastic ensemble histogram")
-    _add_config_cmd(sub, "check-coercivity", _cmd_check_coercivity,
-                    "accretivity gap battery")
-    _add_config_cmd(sub, "check-resolvent", _cmd_check_resolvent,
-                    "resolvent stability ratios")
+    for name, (fn, helptext) in _CONFIG_COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        p.add_argument("--config", required=True, help="path to a run config")
+        p.add_argument("--out", default=None, help="output directory "
+                       "(overrides config and environment)")
+        p.set_defaults(func=fn)
     p_all = sub.add_parser("check-all", help="run the full acceptance suite")
     p_all.set_defaults(func=_cmd_check_all)
     return parser

@@ -222,8 +222,9 @@ def _step_count(span: float, step: float, what: str, remedy: str) -> int:
 
 
 def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
-                h: float, dt: float, safety: float = 0.9) -> np.ndarray:
-    """Explicit conservative angular substep, sub-cycled under CFL.
+                h: float, dt: float) -> np.ndarray:
+    """Explicit conservative angular substep, sub-cycled at
+    FullSolverConfig.safety of the CFL bound.
 
     Upwinds on the sign of Phi at each face, centered two-point
     diffusion. Works on any array whose last axis is the angle; the
@@ -241,7 +242,7 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
                    dtype=float, order="C")
     if denom <= 0.0 or dt <= 0.0:
         return out.transpose(*range(1, out.ndim), 0)
-    n_sub = _step_count(dt, safety / denom,
+    n_sub = _step_count(dt, FullSolverConfig.safety / denom,
                         "angular sub-cycling at the CFL bound",
                         "reduce dt or D, or use fewer angles")
     c = (dt / n_sub) / h
@@ -287,8 +288,8 @@ def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,
         params.Phi(phi_grid.faces), dtype=float) * np.ones(phi_grid.n_phi)
 
     def phi_step(state, dt):
-        return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt,
-                                 cfg.safety) for v in state)
+        return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt)
+                     for v in state)
 
     def step_for(dt):
         y = y_step(dt)

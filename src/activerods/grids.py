@@ -73,9 +73,6 @@ class PhaseField:
                 f"field shape {self.values.shape} does not match grid {expected}"
             )
 
-    def copy(self) -> "PhaseField":
-        return PhaseField(self.values.copy(), self.y_grid, self.phi_grid)
-
 
 def build_phi_grid(n_phi: int) -> PhiGrid:
     n_phi = int(n_phi)
@@ -259,24 +256,19 @@ def poly_exp_cell_averages(coeffs: np.ndarray, V_nodes: np.ndarray,
     return out / y_grid.widths[:, None]
 
 
-def phi_derivative(values: np.ndarray, order: int = 1,
-                   axis: int = -1) -> np.ndarray:
-    """Spectral derivative along the periodic angle axis.
+def phi_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
+    """Spectral derivative along the periodic last (angle) axis.
 
     Exact for trigonometric polynomials below the Nyquist mode; the odd
     derivative of the unpaired Nyquist mode is set to zero as usual.
     """
     values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
+    n = values.shape[-1]
     k = np.arange(n // 2 + 1, dtype=float)
     mult = (1j * k) ** order
     if order % 2 == 1 and n % 2 == 0:
         mult[-1] = 0.0
-    spec = np.fft.rfft(values, axis=axis)
-    shape = [1] * values.ndim
-    shape[axis] = mult.size
-    spec = spec * mult.reshape(shape)
-    return np.fft.irfft(spec, n=n, axis=axis)
+    return np.fft.irfft(np.fft.rfft(values) * mult, n=n)
 
 
 def overlap_average_y(src_faces: np.ndarray, src_values: np.ndarray,
@@ -314,17 +306,11 @@ def aggregate_phi(values: np.ndarray, factor: int) -> np.ndarray:
     factor = int(factor)
     if factor < 1 or n % factor:
         raise GridError(f"angular size {n} not divisible by factor {factor}")
-    if factor == 1:
-        return values.copy()
+    half = factor // 2
+    offsets = np.arange(-half, half + 1)
+    weights = np.ones(offsets.size)
     if factor % 2 == 0:
-        half = factor // 2
-        offsets = np.arange(-half, half + 1)
-        weights = np.ones(offsets.size)
         weights[0] = weights[-1] = 0.5
-    else:
-        half = (factor - 1) // 2
-        offsets = np.arange(-half, half + 1)
-        weights = np.ones(offsets.size)
     coarse_idx = np.arange(0, n, factor)
     out = np.zeros(values.shape[:-1] + (coarse_idx.size,))
     for off, wgt in zip(offsets, weights):

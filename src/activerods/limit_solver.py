@@ -57,9 +57,6 @@ class BulkWallState:
                 f"n_phi = {self.bulk.phi_grid.n_phi}"
             )
 
-    def copy(self) -> "BulkWallState":
-        return BulkWallState(self.bulk.copy(), self.wall.copy())
-
     def combined_mass(self) -> float:
         h = self.bulk.phi_grid.h
         bulk_mass = float(

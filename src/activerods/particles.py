@@ -11,10 +11,12 @@ workers. No generator state is carried between calls.
 
 em_step, sample_initial and histogram work through the ensemble in
 cache-sized chunks and, when there is more than one chunk, run them on
-a thread pool with one thread per available CPU (numpy releases the
-interpreter lock inside its loops). A particle's update reads only its
-own position, angle and counter-keyed draws, and the chunk kernels
-apply the same elementwise operations in the same order as a
+the process's thread pool, with one thread per available CPU (numpy
+releases the interpreter lock inside its loops). The pool is made on
+first use and kept, so every step of a march and every lone call share
+its threads; a forked child makes its own. A particle's update reads
+only its own position, angle and counter-keyed draws, and the chunk
+kernels apply the same elementwise operations in the same order as a
 whole-array pass; histogram adds up integer counts per chunk. So the
 result is bitwise the same for every chunk size, thread count and
 completion order.
@@ -37,19 +39,15 @@ step overwrites the copy's arrays (em_step's out=), so the caller's
 ensemble is never touched and no step allocates its output. _step_chunk
 reads each particle's old position and angle before it writes the new
 ones, and nothing else reads them, so a step in place gives the same
-bits as a step into fresh arrays. The march also opens one chunk pool for all its
-steps, instead of one per step, and shuts it down before it returns;
-which thread runs a chunk never changed a bit. Called alone, em_step,
-sample_initial and histogram each open and close a pool of their own.
+bits as a step into fresh arrays.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +55,7 @@ import numpy as np
 from .coefficients import ModelParams, _values, sup_abs
 from .errors import ConfigurationError, NumericalFailureError
 from .full_solver import _step_count
-from .grids import PhaseField, PhiGrid, YGrid
+from .grids import PhaseField, PhiGrid, YGrid, norms
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _STRIDE = 0xBF58476D1CE4E5B9   # odd, so substream keys stay distinct
@@ -68,9 +66,6 @@ _CHANNELS = 4
 # than they gain (2^12 and 2^14 were slower on a 2-CPU Xeon at 1e6
 # particles; 2^16 splits 2e5 particles unevenly across two threads).
 _CHUNK = 1 << 15
-# The chunk pool of the run_particles march in progress in this context,
-# if any; _run_chunks opens a pool per call when there is none.
-_MARCH_POOL = contextvars.ContextVar("activerods_march_pool", default=None)
 
 
 @dataclass
@@ -176,26 +171,30 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
     return out
 
 
-def _run_chunks(n: int, kernel):
-    """Call kernel(sl) on consecutive _CHUNK-particle slices of 0..n-1:
-    when there is more than one chunk, on the march's pool if one is
-    open, else on a pool with one thread per available CPU for this call
-    only; inline otherwise."""
+def _run_chunks(n: int, kernel) -> list:
+    """kernel(sl) of consecutive _CHUNK-particle slices of 0..n-1, in
+    chunk order: on the process's pool for this CPU count when there is
+    more than one chunk and CPU, inline otherwise. Every chunk has
+    finished before this returns or raises the first chunk's error."""
     chunks = [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    workers = min(_cpu_count(), len(chunks))
-    if workers <= 1:
-        for sl in chunks:
-            kernel(sl)
-        return
-    march_pool = _MARCH_POOL.get()
-    with (ThreadPoolExecutor(max_workers=workers) if march_pool is None
-          else contextlib.nullcontext(march_pool)) as pool:
-        # each chunk runs in a copy of the caller's context, so that
-        # numpy's error state (a context variable) holds in it too
-        futures = [pool.submit(contextvars.copy_context().run, kernel, sl)
-                   for sl in chunks]
-        for future in futures:
-            future.result()
+    workers = _cpu_count()
+    if len(chunks) <= 1 or workers <= 1:
+        return [kernel(sl) for sl in chunks]
+    pool = _pool(workers, os.getpid())
+    # each chunk runs in a copy of the caller's context, so that numpy's
+    # error state (a context variable) holds in it too
+    futures = [pool.submit(contextvars.copy_context().run, kernel, sl)
+               for sl in chunks]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+@functools.cache
+def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
+    """The chunk pool for this CPU count in process pid: a forked child
+    has none of its parent's threads, so it makes its own. Threads start
+    on demand: never more than the most chunks one call has had."""
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _cpu_count() -> int:
@@ -288,8 +287,7 @@ def run_particles(e: ParticleEnsemble, params: ModelParams, dt: float,
                   t_final: float, y_max: float | None = None) -> ParticleEnsemble:
     """March to a finite t_final >= 0 in equal steps of at most dt.
 
-    The march runs in place on a copy of e, which is left unchanged, and
-    all its steps share one chunk pool, shut down before this returns.
+    The march runs in place on a copy of e, which is left unchanged.
     More than full_solver._MAX_STEPS steps raise ConfigurationError."""
     if not 0.0 <= t_final < np.inf:
         raise ConfigurationError(
@@ -298,16 +296,10 @@ def run_particles(e: ParticleEnsemble, params: ModelParams, dt: float,
         t_final, dt, f"the particle march to t = {t_final:g} at "
         f"particle_dt = {dt:g}", "increase particle_dt")
     e = replace(e, y=e.y.copy(), phi=e.phi.copy())
-    # threads start on demand, so never more than a step has chunks
-    with ThreadPoolExecutor(max_workers=_cpu_count()) as pool:
-        token = _MARCH_POOL.set(pool)
-        try:
-            # em_step through the module, once per step, so that
-            # wrappers of the module attribute see every step
-            for _ in range(n_steps):
-                em_step(e, params, t_final / n_steps, y_max=y_max, out=e)
-        finally:
-            _MARCH_POOL.reset(token)
+    # em_step through the module, once per step, so that wrappers of the
+    # module attribute see every step
+    for _ in range(n_steps):
+        em_step(e, params, t_final / n_steps, y_max=y_max, out=e)
     return e
 
 
@@ -322,10 +314,10 @@ def histogram(e: ParticleEnsemble, y_grid: YGrid,
     h = phi_grid.h
     edges_phi = np.linspace(0.0, 2.0 * np.pi, phi_grid.n_phi + 1)
     n_y, n_phi = y_grid.n_y, phi_grid.n_phi
-    parts = np.zeros((-(-e.n // _CHUNK), n_y * n_phi), dtype=np.int64)
-    _run_chunks(e.n, functools.partial(
-        _count_chunk, e, y_grid.faces, edges_phi, 0.5 * h, parts))
-    counts = parts.sum(axis=0).reshape(n_y, n_phi)
+    parts = _run_chunks(e.n, functools.partial(
+        _count_chunk, e, y_grid.faces, edges_phi, 0.5 * h))
+    counts = sum(parts, np.zeros(n_y * n_phi, dtype=np.int64)).reshape(
+        n_y, n_phi)
     total = int(counts.sum())
     if total == 0:
         raise NumericalFailureError("no particles fell inside the grid")
@@ -335,10 +327,10 @@ def histogram(e: ParticleEnsemble, y_grid: YGrid,
 
 
 def _count_chunk(e: ParticleEnsemble, y_faces: np.ndarray,
-                 edges_phi: np.ndarray, half_h: float, parts: np.ndarray,
-                 sl: slice):
-    """Cell counts of particles sl into row sl.start // _CHUNK of parts;
-    the rows sum to the histogram's counts in any order."""
+                 edges_phi: np.ndarray, half_h: float,
+                 sl: slice) -> np.ndarray:
+    """Flat cell counts of particles sl; the chunks' counts sum to the
+    histogram's counts in any order."""
     n_y, n_phi = len(y_faces) - 1, len(edges_phi) - 1
     iy = _cell_index(e.y[sl], y_faces)
     shifted = e.phi[sl] + half_h
@@ -346,8 +338,8 @@ def _count_chunk(e: ParticleEnsemble, y_faces: np.ndarray,
                               np.empty(2 * len(shifted), dtype=np.bool_)),
                      edges_phi)
     inside = (iy >= 0) & (iy < n_y) & (ip >= 0) & (ip < n_phi)
-    parts[sl.start // _CHUNK] = np.bincount(iy[inside] * n_phi + ip[inside],
-                                           minlength=n_y * n_phi)
+    return np.bincount(iy[inside] * n_phi + ip[inside],
+                       minlength=n_y * n_phi)
 
 
 def _cell_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -361,7 +353,6 @@ def _cell_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def tv_distance(h_field: PhaseField, f_field: PhaseField) -> float:
     """Total variation distance between two normalized densities on the
     same grids: half the volume-weighted L1 difference."""
-    from .grids import norms
     if h_field.values.shape != f_field.values.shape:
         raise ConfigurationError("histogram and field shapes differ")
     m_h = norms(h_field)["mass"]

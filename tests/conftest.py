@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from activerods import (AngularCoefficient, ModelParams, build_phi_grid,
                         build_y_grid)
 from activerods.config import _KEYS
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 # Every [section] key of the config table, plus one coefficient parameter.
 CONFIG_KEYS = ([(section, key) for section, keys in _KEYS.items()
                 for key in keys] + [("model", "V.params.a")])
@@ -16,6 +21,15 @@ CONFIG_KEYS = ([(section, key) for section, keys in _KEYS.items()
 # extreme numbers, and words.
 FUZZ_VALUES = ["", "abc", "nan", "inf", "-1", "0", "1.5", "1e300", "1e-300",
                "auto"]
+
+
+def run_python(args):
+    """Run a fresh interpreter on the package in this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
 
 
 def with_key(text, section, key, value):

@@ -160,6 +160,20 @@ def test_aggregate_phi():
         aggregate_phi(vals, 5)
 
 
+def test_aggregate_phi_identity_and_odd_factor():
+    vals = np.random.default_rng(4).uniform(size=(3, 48))
+    np.testing.assert_array_equal(aggregate_phi(vals, 1), vals)
+    out = aggregate_phi(vals, 3)
+    assert out.shape == (3, 16)
+    # coarse cell k is fine cells 3k-1, 3k and 3k+1 whole, wrapping at 0
+    for k in range(16):
+        cells = vals[:, [(3 * k - 1) % 48, 3 * k, 3 * k + 1]]
+        np.testing.assert_allclose(out[:, k], cells.sum(axis=1) / 3,
+                                   rtol=1e-15)
+    np.testing.assert_allclose(out.mean(axis=1), vals.mean(axis=1),
+                               rtol=1e-13)
+
+
 def test_field_shape_mismatch():
     yg = build_y_grid(4.0, 48, 0.4, 16)
     pg = build_phi_grid(8)

@@ -1,6 +1,9 @@
 import math
+import os
 import sys
+import textwrap
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -13,8 +16,8 @@ from activerods import (ConfigurationError, ModelParams,
                         tv_distance)
 from activerods import particles
 
-from conftest import (coeff_value_reference, const, shear, shifted_sine,
-                      wall_drive)
+from conftest import (coeff_value_reference, const, run_python, shear,
+                      shifted_sine, wall_drive)
 
 
 # -- whole-array references ---------------------------------------------------
@@ -416,26 +419,75 @@ def test_run_particles_independent_of_thread_count(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_run_particles_shares_one_pool_and_leaves_no_thread(monkeypatch):
-    # the pool's threads live from the first step to the end of the march
-    # (one pool for all steps), and none is left once run_particles returns
+def test_chunk_pool_lives_with_the_process(monkeypatch):
+    # one pool per CPU count serves every step of a march and every lone
+    # call, and its threads outlive each call: once a march has started
+    # them, no later march or lone call starts or stops a thread
     monkeypatch.setattr(particles, "_cpu_count", lambda: 2)
-    step, alive = particles.em_step, []
+    make_pool, pools = particles._pool, []
 
-    def counted_step(*args, **kwargs):
-        out = step(*args, **kwargs)
-        alive.append(threading.active_count())
-        return out
+    def recorded_pool(*args):
+        pools.append(make_pool(*args))
+        return pools[-1]
 
-    monkeypatch.setattr(particles, "em_step", counted_step)
+    monkeypatch.setattr(particles, "_pool", recorded_pool)
     e0 = sample_initial(int(2.5 * particles._CHUNK), 14, 3.0)
+    run_particles(e0, _MARCH_PARAMS, 0.01, 0.04)
     start = threading.active_count()
     run_particles(e0, _MARCH_PARAMS, 0.01, 0.04)
+    em_step(e0, _MARCH_PARAMS, 0.01)
+    sample_initial(e0.n, 15, 3.0)
+    histogram(e0, build_y_grid(4.0, 48, 0.4, 16), build_phi_grid(8))
     assert threading.active_count() == start
-    assert len(alive) == 4 and min(alive) > start
-    # em_step alone still shuts its own pool down
-    step(e0, _MARCH_PARAMS, 0.01)
-    assert threading.active_count() == start
+    # sample_initial, two marches of four steps, em_step, sample_initial
+    # and histogram: all on the one pool
+    assert len(pools) == 12
+    assert all(pool is pools[0] for pool in pools)
+
+
+def test_run_chunks_returns_in_order_and_waits_on_error(monkeypatch):
+    monkeypatch.setattr(particles, "_CHUNK", 10)
+    monkeypatch.setattr(particles, "_cpu_count", lambda: 3)
+
+    def later_first(sl):
+        # the earliest chunks finish last
+        time.sleep(0.01 * (5 - sl.start // 10))
+        return sl.start, sl.stop
+
+    assert particles._run_chunks(45, later_first) == [
+        (0, 10), (10, 20), (20, 30), (30, 40), (40, 45)]
+    finished = []
+
+    def first_fails(sl):
+        if sl.start == 0:
+            raise ValueError("first chunk")
+        time.sleep(0.05)
+        finished.append(sl.start)
+
+    with pytest.raises(ValueError, match="first chunk"):
+        particles._run_chunks(45, first_fails)
+    assert sorted(finished) == [10, 20, 30, 40]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool():
+    # a forked child has none of the pool threads its parent started: on
+    # the parent's pool its chunks would wait in the queue for ever (the
+    # alarm ends such a child)
+    proc = run_python(["-c", textwrap.dedent("""
+        import os, signal
+        import numpy as np
+        from activerods import particles
+        particles._cpu_count = lambda: 2
+        e = particles.sample_initial(3 * particles._CHUNK, 1, 3.0)
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)
+            child = particles.sample_initial(e.n, 1, 3.0)
+            os._exit(0 if np.array_equal(child.y, e.y) else 1)
+        raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_histogram_wraps_edge_angles_like_np_mod():

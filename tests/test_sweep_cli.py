@@ -1,8 +1,6 @@
 import io
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import time
 import warnings
@@ -16,9 +14,8 @@ from activerods import (ConfigurationError, FitError, SweepRecord, fit_order,
                         parse_config, sweep_epsilon, weak_pairing_sweep)
 from activerods.cli import main
 
-from conftest import CONFIG_KEYS, FUZZ_VALUES, with_key
+from conftest import CONFIG_KEYS, FUZZ_VALUES, ROOT, run_python, with_key
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STEADY_TEXT = """
 [model]
@@ -327,17 +324,9 @@ def test_cli_out_dir_precedence(cli_config, tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(flag_dir, "particles.csv"))
 
 
-def _run_python(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_package_imports_without_scipy():
     # scipy.linalg alone would add about 0.16 s and 20 MiB to every start
-    proc = _run_python(["-c", "import sys, activerods, activerods.cli; "
+    proc = run_python(["-c", "import sys, activerods, activerods.cli; "
                               "print(sorted(m for m in sys.modules "
                               "if m.split('.')[0] == 'scipy'))"])
     assert proc.returncode == 0, proc.stderr
@@ -347,7 +336,7 @@ def test_package_imports_without_scipy():
 def test_cli_empty_seeds_exits_2(tmp_path):
     path = tmp_path / "no_seeds.ini"
     path.write_text(CLI_TEXT + "seeds =\n")
-    proc = _run_python(["-m", "activerods.cli", "particles", "--config",
+    proc = run_python(["-m", "activerods.cli", "particles", "--config",
                         str(path), "--out", str(tmp_path / "out")])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
