@@ -24,14 +24,17 @@ reduction, log2(n_y) levels, and no loop over rows (0.4 ms at
 256 x 128). The matrix is an M-matrix and every multiplier of the solve
 is non-negative, so the step maps non-negative data to exactly
 non-negative data. The phi-substep is explicit conservative upwind plus
-centered diffusion, sub-cycled under a CFL bound in work arrays kept for
-the whole substep.
+centered diffusion, sub-cycled under a CFL bound. Its set-up (the
+sub-cycle count, the two face weights of the flux with the step folded
+in, and the work arrays) is built once per array shape and snapshot
+segment, so each sub-cycle is five numpy passes and no gather.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -221,8 +224,61 @@ def _step_count(span: float, step: float, what: str, remedy: str) -> int:
     return max(1, math.ceil(n))
 
 
+@dataclass(frozen=True)
+class _AngularPlan:
+    """What _angular_plan sets up for phi_substep."""
+
+    key: tuple              # (D, h, dt, values.shape) it was built for
+    Phi_face: np.ndarray
+    n_sub: int              # sub-cycles; 0 when the substep is the identity
+    own: np.ndarray         # weight of u_j in the flux at face j + 1/2
+    nxt: np.ndarray         # weight of u_{j+1} in that flux
+    work: tuple             # two angle-major work arrays
+
+
+def _angular_plan(Phi_face: np.ndarray, D: float, h: float, dt: float,
+                  shape: tuple) -> _AngularPlan:
+    """The set-up of phi_substep for values of one shape and one step dt:
+    the sub-cycle count, the face weights and the work arrays.
+
+    With c = (dt / n_sub) / h, the flux through face j + 1/2 times c is
+    own_j u_j + nxt_j u_{j+1}, where own = c (max(Phi, 0) + D / h) and
+    nxt = c (min(Phi, 0) - D / h); the weights are angle-major columns that
+    broadcast over the other axes. Raises ConfigurationError for a negative
+    or non-finite dt or D, an h that is not positive and finite, a
+    non-finite Phi_face, or more than _MAX_STEPS sub-cycles."""
+    Phi_face = np.asarray(Phi_face, dtype=float)
+    if not (math.isfinite(dt) and dt >= 0.0):
+        raise ConfigurationError(
+            f"angular substep needs a finite dt >= 0, got {dt!r}")
+    if not (math.isfinite(D) and D >= 0.0):
+        raise ConfigurationError(
+            f"angular diffusion D must be finite and >= 0, got {D!r}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigurationError(
+            f"angular cell width h must be finite and > 0, got {h!r}")
+    if not np.isfinite(Phi_face).all():
+        raise ConfigurationError("angular drift Phi has non-finite values")
+    drain = np.maximum(Phi_face, 0.0) - np.minimum(
+        np.concatenate((Phi_face[-1:], Phi_face[:-1])), 0.0)
+    denom = float(np.max(drain)) / h + 2.0 * D / h ** 2
+    key = (D, h, dt, tuple(shape))
+    if denom <= 0.0 or dt == 0.0:
+        return _AngularPlan(key, Phi_face, 0, None, None, (None, None))
+    n_sub = _step_count(dt, FullSolverConfig.safety / denom,
+                        "angular sub-cycling at the CFL bound",
+                        "reduce dt or D, or use fewer angles")
+    c = (dt / n_sub) / h
+    Phi = np.reshape(Phi_face, (-1,) + (1,) * (len(shape) - 1))
+    return _AngularPlan(key, Phi_face, n_sub,
+                        c * (np.maximum(Phi, 0.0) + D / h),
+                        c * (np.minimum(Phi, 0.0) - D / h),
+                        np.empty((2, shape[-1]) + tuple(shape[:-1])))
+
+
 def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
-                h: float, dt: float) -> np.ndarray:
+                h: float, dt: float, *, plan: _AngularPlan | None = None
+                ) -> np.ndarray:
     """Explicit conservative angular substep, sub-cycled at
     FullSolverConfig.safety of the CFL bound.
 
@@ -230,45 +286,35 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
     diffusion. Works on any array whose last axis is the angle; the
     result is laid out angle-major in memory. The sub-cycle bound counts
     the outflow through both faces of a cell (Phi can change sign outward
-    across one), which keeps non-negative values non-negative."""
-    drain = np.maximum(Phi_face, 0.0) - np.minimum(
-        np.concatenate((Phi_face[-1:], Phi_face[:-1])), 0.0)
-    denom = float(np.max(drain)) / h + 2.0 * D / h ** 2
-    # Work arrays for the whole call, angle-major, so that shifting the
-    # angle by one is a copy of contiguous blocks. It is also the layout
-    # of the y-solve's columns, so neither substep transposes the other's
-    # output.
+    across one), which keeps non-negative values non-negative.
+
+    Each sub-cycle forms the face fluxes F = own u + nxt u_{j+1} from the
+    weights of _angular_plan, which fold in the step, and takes
+    u -= F_j - F_{j-1}, so that mass telescopes. plan, from _angular_plan
+    with the same arguments and values.shape, skips that set-up; a plan
+    built for other arguments raises ValueError. Raises
+    ConfigurationError for a negative or non-finite dt or D, an h that is
+    not positive and finite, or a non-finite Phi_face; dt = 0 or a
+    vanishing operator returns a copy."""
+    if plan is None:
+        plan = _angular_plan(Phi_face, D, h, dt, values.shape)
+    elif plan.key != (D, h, dt, values.shape) or (
+            plan.Phi_face is not Phi_face
+            and not np.array_equal(plan.Phi_face, Phi_face)):
+        raise ValueError("angular plan was built for other arguments")
+    # angle-major, so that shifting the angle by one is a copy of
+    # contiguous blocks; it is also the layout of the y-solve's columns,
+    # so neither substep transposes the other's output
     out = np.array(values.transpose(-1, *range(values.ndim - 1)),
                    dtype=float, order="C")
-    if denom <= 0.0 or dt <= 0.0:
-        return out.transpose(*range(1, out.ndim), 0)
-    n_sub = _step_count(dt, FullSolverConfig.safety / denom,
-                        "angular sub-cycling at the CFL bound",
-                        "reduce dt or D, or use fewer angles")
-    c = (dt / n_sub) / h
-    nxt, F, tmp = np.empty((3,) + out.shape)
-    Phi = np.reshape(Phi_face, (-1,) + (1,) * (out.ndim - 1))
-    # The upwind value is out on faces with Phi >= 0 and nxt on the
-    # others: one of the two arrays where Phi has one sign, else a gather
-    # of angles of out.
-    pos = Phi_face >= 0.0
-    upwind = out if pos.all() else None if pos.any() else nxt
-    angles = np.where(pos, np.arange(pos.size), np.arange(1, pos.size + 1))
-    for _ in range(n_sub):
-        nxt[:-1] = out[1:]
-        nxt[-1] = out[0]
-        if upwind is None:
-            np.take(out, angles, axis=0, out=F, mode="wrap")
-            np.multiply(Phi, F, out=F)
-        else:
-            np.multiply(Phi, upwind, out=F)
-        np.subtract(nxt, out, out=tmp)
-        np.multiply(D, tmp, out=tmp)
-        np.divide(tmp, h, out=tmp)
-        np.subtract(F, tmp, out=F)
+    own, nxt, (F, tmp) = plan.own, plan.nxt, plan.work
+    for _ in range(plan.n_sub):
+        np.multiply(own, out, out=F)
+        np.multiply(nxt[:-1], out[1:], out=tmp[:-1])
+        np.multiply(nxt[-1:], out[:1], out=tmp[-1:])
+        np.add(F, tmp, out=F)
         np.subtract(F[1:], F[:-1], out=tmp[1:])
         np.subtract(F[:1], F[-1:], out=tmp[:1])
-        np.multiply(c, tmp, out=tmp)
         np.subtract(out, tmp, out=out)
     return out.transpose(*range(1, out.ndim), 0)
 
@@ -283,20 +329,25 @@ def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,
     model, (bulk, wall) for the limiting system. y_step(dt) factors the
     y-operator for the step size dt once and returns the substep that
     advances the whole tuple at once; each array then takes its own
-    angular substep."""
+    angular substep, from one plan per array shape and step size dt (or
+    dt / 2 for both of Strang's halves)."""
     Phi_face = np.asarray(
         params.Phi(phi_grid.faces), dtype=float) * np.ones(phi_grid.n_phi)
-
-    def phi_step(state, dt):
-        return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt)
-                     for v in state)
+    D, h = params.D, phi_grid.h
 
     def step_for(dt):
         y = y_step(dt)
+        sub = dt if cfg.splitting == "lie" else 0.5 * dt
+        plan_for = cache(lambda shape: _angular_plan(Phi_face, D, h, sub,
+                                                     shape))
+
+        def phi_step(state):
+            return tuple(phi_substep(v, Phi_face, D, h, sub,
+                                     plan=plan_for(v.shape)) for v in state)
+
         if cfg.splitting == "lie":
-            return lambda state: phi_step(y(state), dt)
-        return lambda state: phi_step(
-            y(phi_step(state, 0.5 * dt)), 0.5 * dt)
+            return lambda state: phi_step(y(state))
+        return lambda state: phi_step(y(phi_step(state)))
 
     return step_for
 

@@ -11,8 +11,9 @@ from activerods import (AssumptionViolationError, ConfigurationError,
                         PhaseField, build_phi_grid, build_y_grid,
                         eval_on_nodes, manufactured_state, norms, phi_substep,
                         run_full, run_limit, steady_layer)
-from activerods.full_solver import (_factor_columns, _fitted_flux_coeffs,
-                                    _implicit_y_step, resolve_dt)
+from activerods.full_solver import (_angular_plan, _factor_columns,
+                                    _fitted_flux_coeffs, _implicit_y_step,
+                                    resolve_dt)
 from activerods.limit_solver import _upwind_y_step
 
 from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
@@ -427,14 +428,38 @@ def _solve_columns_reference(lower, diag, upper, rhs):
                                                     rhs))))
 
 
-def _phi_substep_reference(values, Phi_face, D, h, dt, safety=0.9):
-    """The angular substep with np.roll and np.where on every sub-cycle."""
+def _phi_substeps(Phi_face, D, h, dt, safety):
+    """The sub-cycle count and sub-step of the angular substep, 0 sub-cycles
+    when it is the identity."""
     drain = np.maximum(Phi_face, 0.0) - np.minimum(np.roll(Phi_face, 1), 0.0)
     denom = float(np.max(drain)) / h + 2.0 * D / h ** 2
     if denom <= 0.0 or dt <= 0.0:
-        return values.copy()
+        return 0, 0.0
     n_sub = max(1, math.ceil(dt / (safety / denom) - 1e-12))
-    dts = dt / n_sub
+    return n_sub, dt / n_sub
+
+
+def _phi_substep_reference(values, Phi_face, D, h, dt, safety=0.9):
+    """The angular substep in face-weight form, with np.roll on every
+    sub-cycle: F = own u + nxt u_{j+1}, u -= F_j - F_{j-1}."""
+    n_sub, dts = _phi_substeps(Phi_face, D, h, dt, safety)
+    out = values.copy()
+    if n_sub == 0:
+        return out
+    c = dts / h
+    own = c * (np.maximum(Phi_face, 0.0) + D / h)
+    nxt = c * (np.minimum(Phi_face, 0.0) - D / h)
+    for _ in range(n_sub):
+        F = own * out + nxt * np.roll(out, -1, axis=-1)
+        out = out - (F - np.roll(F, 1, axis=-1))
+    return out
+
+
+def _phi_flux_reference(values, Phi_face, D, h, dt, safety=0.9):
+    """The angular substep in flux form, with np.roll and np.where on every
+    sub-cycle: F = Phi u_upwind - D (u_{j+1} - u_j) / h,
+    u -= (dt / h) (F_j - F_{j-1})."""
+    n_sub, dts = _phi_substeps(Phi_face, D, h, dt, safety)
     out = values.copy()
     pos = Phi_face >= 0.0
     for _ in range(n_sub):
@@ -463,15 +488,17 @@ def _upwind_y_reference(V_nodes, widths):
     return y_step
 
 
-def _march_reference(y_step, state, params, pg, cfg, times):
+def _march_reference(y_step, state, params, pg, cfg, times,
+                     phi=_phi_substep_reference):
     """Split steps with every y-operator solved from scratch, marched to
-    the snapshot times in ceil(span / dt) equal steps per segment."""
+    the snapshot times in ceil(span / dt) equal steps per segment; phi is
+    the angular substep."""
     Phi_face = np.asarray(params.Phi(pg.faces), dtype=float) * np.ones(
         pg.n_phi)
 
     def phi_step(state, dt):
-        return tuple(_phi_substep_reference(v, Phi_face, params.D, pg.h, dt,
-                                            cfg.safety) for v in state)
+        return tuple(phi(v, Phi_face, params.D, pg.h, dt, cfg.safety)
+                     for v in state)
 
     def step(state, dt):
         if cfg.splitting == "lie":
@@ -531,24 +558,124 @@ def test_solvers_match_unfactored_reference(splitting, D, Phi):
         _assert_same_bits(s.wall, wall)
 
 
+def _drift_table(pg):
+    k = np.arange(pg.n_phi)
+    return {
+        "positive": 0.2 + np.cos(pg.faces) ** 2,
+        "negative": -0.5 - np.sin(pg.faces) ** 2,
+        "sign change": np.sin(pg.faces) - 0.3,
+        # -0.0 reaches the face weights through max(Phi, 0) and
+        # min(Phi, 0)
+        "signed zeros": -np.sin(pg.faces) ** 2 * (k % 3 != 0),
+        "zero": np.zeros(pg.n_phi),
+    }
+
+
 @pytest.mark.parametrize("shape", [(16,), (5, 16), (2, 3, 16)])
 @pytest.mark.parametrize("D", [0.0, 0.3])
 def test_phi_substep_matches_roll_reference(shape, D):
     pg = build_phi_grid(16)
-    k = np.arange(16)
-    drifts = {
-        "positive": 0.2 + np.cos(pg.faces) ** 2,
-        "negative": -0.5 - np.sin(pg.faces) ** 2,
-        "sign change": np.sin(pg.faces) - 0.3,
-        # -0.0 counts as Phi >= 0, so the faces with it upwind from out
-        "signed zeros": -np.sin(pg.faces) ** 2 * (k % 3 != 0),
-        "zero": np.zeros(16),
-    }
     # about half the cells empty, so that signed zeros occur in the result
     vals = patchy_values(7, shape)
-    for name, Phi_face in drifts.items():
+    for name, Phi_face in _drift_table(pg).items():
         for dt in (0.0, 0.01, 0.4, 3.0):
             for v in (vals, np.asfortranarray(vals)):
                 out = phi_substep(v, Phi_face, D, pg.h, dt)
                 _assert_same_bits(
                     out, _phi_substep_reference(v, Phi_face, D, pg.h, dt))
+
+
+@pytest.mark.parametrize("shape", [(16,), (5, 16), (2, 3, 16)])
+@pytest.mark.parametrize("D", [0.0, 0.3])
+def test_face_weights_match_flux_form(shape, D):
+    # folding dt / h into the face weights changes the result by round-off
+    # only, with dt = 3.0 taking several sub-cycles
+    pg = build_phi_grid(16)
+    vals = patchy_values(7, shape)
+    for name, Phi_face in _drift_table(pg).items():
+        for dt in (0.0, 0.01, 0.4, 3.0):
+            out = _phi_substep_reference(vals, Phi_face, D, pg.h, dt)
+            ref = _phi_flux_reference(vals, Phi_face, D, pg.h, dt)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), \
+                (name, dt)
+
+
+def _lone_phi_substep(v, Phi_face, D, h, dt, safety):
+    return phi_substep(v, Phi_face, D, h, dt)
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+def test_march_plans_match_lone_phi_substep(splitting):
+    # one plan per segment and array shape gives the bits of a plan built
+    # afresh by every call
+    yg = build_y_grid(4.0, 48, 0.4, 16)
+    pg = build_phi_grid(16)
+    params = ModelParams(epsilon=0.05, D=0.2, T=0.5, V=shifted_sine(1.0, 0.5),
+                         Phi=wall_drive(0.3, 1.0))
+    cfg = FullSolverConfig(dt=0.02, splitting=splitting)
+    times = [0.03, 0.1, 0.31]
+    V_nodes = eval_on_nodes(params.V, pg)
+
+    a, b = _fitted_flux_coeffs(V_nodes, params.epsilon, yg)
+    f0 = steady_layer(params.V, params.epsilon, yg, pg)
+    ref = _march_reference(
+        lambda state, dt: (_implicit_y_step(a, b, yg.widths, dt)(state[0]),),
+        (f0.values,), params, pg, cfg, times, phi=_lone_phi_substep)
+    for (_, f), (f_ref,) in zip(run_full(f0, params, cfg, times), ref):
+        _assert_same_bits(f.values, f_ref)
+
+    s0 = manufactured_state(0.0, 1.0, 0.5, 0.2, yg, pg)
+    ref = _march_reference(
+        lambda state, dt: _upwind_y_step(V_nodes, yg.widths, dt)(state),
+        (s0.bulk.values, s0.wall), params, pg, cfg, times,
+        phi=_lone_phi_substep)
+    for (_, s), (bulk, wall) in zip(run_limit(s0, params, cfg, times), ref):
+        _assert_same_bits(s.bulk.values, bulk)
+        _assert_same_bits(s.wall, wall)
+
+
+def test_angular_plan_refused_for_other_arguments():
+    pg = build_phi_grid(16)
+    Phi_face = np.sin(pg.faces) - 0.3
+    vals = patchy_values(7, (5, 16))
+    plan = _angular_plan(Phi_face, 0.3, pg.h, 0.4, vals.shape)
+    _assert_same_bits(phi_substep(vals, Phi_face, 0.3, pg.h, 0.4, plan=plan),
+                      phi_substep(vals, Phi_face, 0.3, pg.h, 0.4))
+    # an equal copy of the drift is the same plan
+    phi_substep(vals, Phi_face.copy(), 0.3, pg.h, 0.4, plan=plan)
+    for args in [(vals, Phi_face, 0.3, pg.h, 0.2),
+                 (vals[:4], Phi_face, 0.3, pg.h, 0.4),
+                 (vals[None], Phi_face, 0.3, pg.h, 0.4),
+                 (vals, Phi_face, 0.2, pg.h, 0.4),
+                 (vals, Phi_face + 0.1, 0.3, pg.h, 0.4)]:
+        with pytest.raises(ValueError):
+            phi_substep(*args, plan=plan)
+
+
+@pytest.mark.parametrize("D, h, dt, Phi", [
+    (-5.0, 1.0, 0.1, 0.3), (-0.001, 1.0, 0.1, 0.3), (0.2, 1.0, -0.1, 0.3),
+    (math.nan, 1.0, 0.1, 0.3), (math.inf, 1.0, 0.1, 0.3),
+    (0.2, 1.0, math.nan, 0.3), (0.2, 1.0, math.inf, 0.3),
+    (0.2, 1.0, 0.1, math.nan), (0.2, 1.0, 0.1, -math.inf),
+    (0.2, 0.0, 0.1, 0.3), (0.2, -1.0, 0.1, 0.3),
+], ids=["D_negative", "D_small_negative", "dt_negative", "D_nan", "D_inf",
+        "dt_nan", "dt_inf", "Phi_nan", "Phi_inf", "h_zero", "h_negative"])
+def test_phi_substep_rejects_bad_arguments(D, h, dt, Phi):
+    # a negative D, dt or h made the CFL bound negative, and the substep
+    # then returned its input unchanged, or for a small negative D ran
+    # anti-diffusion
+    h *= build_phi_grid(16).h
+    Phi_face = np.full(16, 0.3)
+    Phi_face[5] = Phi
+    with pytest.raises(ConfigurationError):
+        phi_substep(patchy_values(7, (4, 16)), Phi_face, D, h, dt)
+
+
+@pytest.mark.parametrize("Phi, D, dt", [(0.3, 0.2, 0.0), (0.0, 0.0, 0.1)],
+                         ids=["dt_zero", "operator_zero"])
+def test_phi_substep_identity_returns_copy(Phi, D, dt):
+    pg = build_phi_grid(16)
+    vals = patchy_values(7, (4, 16))
+    out = phi_substep(vals, np.full(16, Phi), D, pg.h, dt)
+    assert not np.shares_memory(out, vals)
+    _assert_same_bits(out, vals)
