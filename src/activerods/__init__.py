@@ -23,7 +23,7 @@ from .decomposition import (Decomposition, decompose, default_tests,
 from .particles import (ParticleEnsemble, em_step, histogram, run_particles,
                         sample_initial, tv_distance)
 from .config import bulk_exp_field, load_config, parse_config
-from .reports import field_rows, format_value, profile_rows, write_csv
+from .reports import field_rows, profile_rows, write_csv
 from .sweep import SweepRecord, fit_order, sweep_epsilon, weak_pairing_sweep
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "composite_simple", "decompose", "default_tests", "em_step",
     "energy_step", "epsilon_from_physical", "eval_on_nodes",
     "exp_cell_averages", "exp_cell_integrals", "field_rows", "fit_order",
-    "format_value", "histogram", "load_config", "manufactured_state",
+    "histogram", "load_config", "manufactured_state",
     "mu0", "norms", "overlap_average_y", "p0_coeffs", "parse_config",
     "phi_derivative", "phi_substep", "poly_exp_cell_averages",
     "profile_rows", "residual_report", "resolvent_solve", "run_full",

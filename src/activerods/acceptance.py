@@ -24,8 +24,8 @@ from .errors import ActiveRodsError, NumericalFailureError
 from .full_solver import FullSolverConfig, run_full, steady_layer
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
                     eval_on_nodes, exp_cell_integrals, norms, overlap_average_y)
-from .limit_solver import (BulkWallState, LineField, ResolventProblem,
-                           _gap_scale, build_line_grid, coercivity_gap,
+from .limit_solver import (LineField, ResolventProblem, _gap_scale,
+                           build_line_grid, coercivity_gap,
                            manufactured_state, resolvent_solve, run_limit)
 from .particles import histogram, run_particles, sample_initial, tv_distance
 from .sweep import fit_order, sweep_epsilon, weak_pairing_sweep
@@ -108,7 +108,7 @@ def _manufactured_ladder():
     """Limit solves of the closed-form bulk-wall pair at three dyadic
     resolutions; returns (params, levels) with the solved states."""
     params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_const(1.0),
-                         Phi=_const(0.0), allow_zero_epsilon=False)
+                         Phi=_const(0.0))
     levels = []
     for n_y, n_phi, dt in ((64, 32, 0.05), (128, 64, 0.025),
                            (256, 128, 0.0125)):

@@ -31,10 +31,6 @@ def _row_format(types: tuple) -> str:
     return ",".join(map(_conversion, types))
 
 
-def format_value(x) -> str:
-    return _row_format((type(x),)) % (x,)
-
-
 def write_csv(path: str, header, rows) -> str:
     """Write rows (iterables of cells) under a header; returns the path.
     Each row is formatted by one printf call, with the format of its cell

@@ -9,9 +9,9 @@ from scipy.linalg import solve_banded
 from activerods import (AssumptionViolationError, ConfigurationError,
                         FullSolverConfig, ModelParams, NumericalFailureError,
                         PhaseField, build_phi_grid, build_y_grid,
-                        eval_on_nodes, manufactured_state, norms, phi_substep,
-                        run_full, run_limit, steady_layer)
-from activerods.full_solver import (_angular_plan, _factor_columns,
+                        eval_on_nodes, full_solver, manufactured_state, norms,
+                        phi_substep, run_full, run_limit, steady_layer)
+from activerods.full_solver import (_angular_setup, _factor_columns,
                                     _fitted_flux_coeffs, _implicit_y_step,
                                     resolve_dt)
 from activerods.limit_solver import _upwind_y_step
@@ -488,17 +488,15 @@ def _upwind_y_reference(V_nodes, widths):
     return y_step
 
 
-def _march_reference(y_step, state, params, pg, cfg, times,
-                     phi=_phi_substep_reference):
+def _march_reference(y_step, state, params, pg, cfg, times):
     """Split steps with every y-operator solved from scratch, marched to
-    the snapshot times in ceil(span / dt) equal steps per segment; phi is
-    the angular substep."""
+    the snapshot times in ceil(span / dt) equal steps per segment."""
     Phi_face = np.asarray(params.Phi(pg.faces), dtype=float) * np.ones(
         pg.n_phi)
 
     def phi_step(state, dt):
-        return tuple(phi(v, Phi_face, params.D, pg.h, dt, cfg.safety)
-                     for v in state)
+        return tuple(_phi_substep_reference(v, Phi_face, params.D, pg.h, dt,
+                                            cfg.safety) for v in state)
 
     def step(state, dt):
         if cfg.splitting == "lie":
@@ -600,56 +598,57 @@ def test_face_weights_match_flux_form(shape, D):
                 (name, dt)
 
 
-def _lone_phi_substep(v, Phi_face, D, h, dt, safety):
-    return phi_substep(v, Phi_face, D, h, dt)
-
-
 @pytest.mark.parametrize("splitting", ["lie", "strang"])
-def test_march_plans_match_lone_phi_substep(splitting):
-    # one plan per segment and array shape gives the bits of a plan built
-    # afresh by every call
+def test_march_calls_phi_substep_per_array_and_half_step(splitting,
+                                                         monkeypatch):
+    # the march reaches the angular substep through the module attribute:
+    # once per state array and step for Lie, at dt / 2 twice for Strang
+    calls = []
+
+    def counted(values, Phi_face, D, h, dt):
+        calls.append((values.shape, dt))
+        return phi_substep(values, Phi_face, D, h, dt)
+
+    monkeypatch.setattr(full_solver, "phi_substep", counted)
     yg = build_y_grid(4.0, 48, 0.4, 16)
     pg = build_phi_grid(16)
     params = ModelParams(epsilon=0.05, D=0.2, T=0.5, V=shifted_sine(1.0, 0.5),
                          Phi=wall_drive(0.3, 1.0))
     cfg = FullSolverConfig(dt=0.02, splitting=splitting)
     times = [0.03, 0.1, 0.31]
-    V_nodes = eval_on_nodes(params.V, pg)
+    # 2 steps of 0.015, 4 of 0.0175 and 11 of 0.21 / 11
+    steps = ([0.03 / 2] * 2 + [(0.1 - 0.03) / 4] * 4
+             + [(0.31 - 0.1) / 11] * 11)
+    per_step = 1 if splitting == "lie" else 2
+    subs = [dt / per_step for dt in steps for _ in range(per_step)]
 
-    a, b = _fitted_flux_coeffs(V_nodes, params.epsilon, yg)
-    f0 = steady_layer(params.V, params.epsilon, yg, pg)
-    ref = _march_reference(
-        lambda state, dt: (_implicit_y_step(a, b, yg.widths, dt)(state[0]),),
-        (f0.values,), params, pg, cfg, times, phi=_lone_phi_substep)
-    for (_, f), (f_ref,) in zip(run_full(f0, params, cfg, times), ref):
-        _assert_same_bits(f.values, f_ref)
+    run_full(steady_layer(params.V, params.epsilon, yg, pg), params, cfg,
+             times)
+    assert [shape for shape, _ in calls] == [(48, 16)] * len(subs)
+    assert [dt for _, dt in calls] == subs
 
-    s0 = manufactured_state(0.0, 1.0, 0.5, 0.2, yg, pg)
-    ref = _march_reference(
-        lambda state, dt: _upwind_y_step(V_nodes, yg.widths, dt)(state),
-        (s0.bulk.values, s0.wall), params, pg, cfg, times,
-        phi=_lone_phi_substep)
-    for (_, s), (bulk, wall) in zip(run_limit(s0, params, cfg, times), ref):
-        _assert_same_bits(s.bulk.values, bulk)
-        _assert_same_bits(s.wall, wall)
+    calls.clear()
+    run_limit(manufactured_state(0.0, 1.0, 0.5, 0.2, yg, pg), params, cfg,
+              times)
+    assert [shape for shape, _ in calls] == [(48, 16), (16,)] * len(subs)
+    assert [dt for _, dt in calls] == [dt for dt in subs for _ in range(2)]
 
 
-def test_angular_plan_refused_for_other_arguments():
+def test_angular_weights_are_read_only():
     pg = build_phi_grid(16)
     Phi_face = np.sin(pg.faces) - 0.3
-    vals = patchy_values(7, (5, 16))
-    plan = _angular_plan(Phi_face, 0.3, pg.h, 0.4, vals.shape)
-    _assert_same_bits(phi_substep(vals, Phi_face, 0.3, pg.h, 0.4, plan=plan),
-                      phi_substep(vals, Phi_face, 0.3, pg.h, 0.4))
-    # an equal copy of the drift is the same plan
-    phi_substep(vals, Phi_face.copy(), 0.3, pg.h, 0.4, plan=plan)
-    for args in [(vals, Phi_face, 0.3, pg.h, 0.2),
-                 (vals[:4], Phi_face, 0.3, pg.h, 0.4),
-                 (vals[None], Phi_face, 0.3, pg.h, 0.4),
-                 (vals, Phi_face, 0.2, pg.h, 0.4),
-                 (vals, Phi_face + 0.1, 0.3, pg.h, 0.4)]:
+    n_sub, own, nxt = _angular_setup(Phi_face.tobytes(), 0.3, pg.h, 0.4)
+    assert n_sub > 1
+    for w in (own, nxt):
         with pytest.raises(ValueError):
-            phi_substep(*args, plan=plan)
+            w[0] = 1.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+    # the cache hands the same weights to the next call with equal
+    # arguments, and they are unchanged
+    assert _angular_setup(Phi_face.copy().tobytes(), 0.3, pg.h, 0.4)[1] is own
+    _assert_same_bits(own[:, 0], 0.4 / n_sub / pg.h
+                      * (np.maximum(Phi_face, 0.0) + 0.3 / pg.h))
 
 
 @pytest.mark.parametrize("D, h, dt, Phi", [

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from activerods import (ConfigurationError, FitError, SweepRecord, fit_order,
-                        parse_config, sweep_epsilon, weak_pairing_sweep)
+                        full_solver, parse_config, sweep_epsilon,
+                        weak_pairing_sweep)
 from activerods.cli import main
 
 from conftest import CONFIG_KEYS, FUZZ_VALUES, ROOT, run_python, with_key
@@ -206,10 +207,19 @@ def test_cli_composite(cli_config, tmp_path):
 
 
 def test_cli_sweep_and_rerun_identical(cli_config, tmp_path):
+    # the first run sets the angular substeps up from a cold cache, the
+    # second reuses every one of them
+    setup = full_solver._angular_setup
+    setup.cache_clear()
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
     assert main(["sweep", "--config", cli_config, "--out", out_a]) == 0
+    cold = setup.cache_info()
     assert main(["sweep", "--config", cli_config, "--out", out_b]) == 0
+    warm = setup.cache_info()
+    assert cold.misses > 0 and warm.misses == cold.misses
+    assert warm.hits > cold.hits
+    assert os.listdir(out_a) == os.listdir(out_b) == ["sweep.csv"]
     raw_a = open(os.path.join(out_a, "sweep.csv"), "rb").read()
     raw_b = open(os.path.join(out_b, "sweep.csv"), "rb").read()
     assert raw_a == raw_b
