@@ -181,6 +181,24 @@ def test_load_config(tmp_path):
         load_config(str(tmp_path / "missing.ini"))
 
 
+def _cell(tmp_path, value) -> str:
+    # the text write_csv gives one value, read back from a one-cell file
+    path = str(tmp_path / "cell.csv")
+    write_csv(path, ["v"], [(value,)])
+    with open(path) as fh:
+        header, cell = fh.read().splitlines()
+    return cell
+
+
+def test_format_value(tmp_path):
+    assert _cell(tmp_path, 0.02) == "0.02"
+    assert _cell(tmp_path, 7) == "7"
+    assert _cell(tmp_path, True) == "1"
+    assert _cell(tmp_path, False) == "0"
+    assert _cell(tmp_path, "label") == "label"
+    assert float(_cell(tmp_path, np.float64(0.1))) == 0.1
+
+
 def test_write_csv(tmp_path):
     path = str(tmp_path / "sub" / "data.csv")
     rows = [(0.0, 1, "a"), (0.5, 2, "b"), (0.02, True, "label"),
