@@ -354,18 +354,19 @@ def resolvent_check(params: ModelParams):
     return pairs, spread, spread < SPREAD_MAX
 
 
+# The model of both operator probes, criteria 11 and 12.
+_PROBE_PARAMS = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
+                            Phi=_shear(1.0))
+
+
 def _c11_coercivity() -> tuple:
-    params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
-                         Phi=_shear(1.0))
-    samples, worst, ok = coercivity_check(params)
+    samples, worst, ok = coercivity_check(_PROBE_PARAMS)
     return ok, (f"min gap {worst:.3e} over {len(samples)} fields "
                 f"(tol {GAP_TOL:g})")
 
 
 def _c12_resolvent() -> tuple:
-    params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=_SHIFTED_SINE,
-                         Phi=_shear(1.0))
-    pairs, spread, ok = resolvent_check(params)
+    pairs, spread, ok = resolvent_check(_PROBE_PARAMS)
     ratio_txt = ",".join(f"{r:.3f}" for _, r in pairs)
     return ok, (f"ratios [{ratio_txt}], spread {spread:.3f} "
                 f"(need < {SPREAD_MAX:g})")

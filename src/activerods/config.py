@@ -83,32 +83,28 @@ class RunConfig:
 
     # -- derived builders ---------------------------------------------------
 
-    def model_params(self, epsilon: float | None = None) -> ModelParams:
-        return ModelParams(
-            epsilon=self.epsilon if epsilon is None else float(epsilon),
-            D=self.D, T=self.T, V=self.V, Phi=self.Phi)
+    def model_params(self) -> ModelParams:
+        return ModelParams(epsilon=self.epsilon, D=self.D, T=self.T,
+                           V=self.V, Phi=self.Phi)
 
     def layer_width_for(self, epsilon: float) -> float:
         if self.grid.layer_width == "auto":
             return min(8.0 * epsilon, 0.25 * self.grid.y_max)
         return float(self.grid.layer_width)
 
-    def build_grids(self, epsilon: float | None = None):
-        eps = self.epsilon if epsilon is None else float(epsilon)
+    def build_grids(self):
         g = self.grid
-        y_grid = build_y_grid(g.y_max, g.n_y, self.layer_width_for(eps),
+        y_grid = build_y_grid(g.y_max, g.n_y,
+                              self.layer_width_for(self.epsilon),
                               g.layer_cells)
-        phi_grid = build_phi_grid(g.n_phi)
-        return y_grid, phi_grid
+        return y_grid, build_phi_grid(g.n_phi)
 
     def solver_config(self) -> FullSolverConfig:
         return FullSolverConfig(dt=self.dt, splitting=self.splitting)
 
-    def initial_field(self, y_grid: YGrid, phi_grid: PhiGrid,
-                      epsilon: float | None = None) -> PhaseField:
-        eps = self.epsilon if epsilon is None else float(epsilon)
+    def initial_field(self, y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
         if self.experiment.initial == "steady_layer":
-            return steady_layer(self.V, eps, y_grid, phi_grid)
+            return steady_layer(self.V, self.epsilon, y_grid, phi_grid)
         return bulk_exp_field(y_grid, phi_grid)
 
     def initial_limit_state(self, y_grid: YGrid,

@@ -330,20 +330,6 @@ def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,
     return step_for
 
 
-def _full_stepper(params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
-                  cfg: FullSolverConfig):
-    """Split-step builder of the kinetic model on the state (f,)."""
-    validate_assumptions(params.V)
-    a, b = _fitted_flux_coeffs(eval_on_nodes(params.V, phi_grid),
-                               params.epsilon, y_grid)
-
-    def y_step(dt):
-        solve = _implicit_y_step(a, b, y_grid.widths, dt)
-        return lambda state: (solve(state[0]),)
-
-    return _split_stepper(y_step, params, phi_grid, cfg)
-
-
 def _check_health(values: np.ndarray, y_grid: YGrid, phi_grid: PhiGrid):
     mass = float(np.sum(values * y_grid.widths[:, None]) * phi_grid.h)
     if not np.isfinite(mass):
@@ -400,7 +386,15 @@ def run_full(f0: PhaseField, params: ModelParams, cfg: FullSolverConfig,
     (including t = 0 if requested, which returns a copy of f0).
     """
     y_grid, phi_grid = f0.y_grid, f0.phi_grid
-    snaps = _march(_full_stepper(params, y_grid, phi_grid, cfg), (f0.values,),
+    validate_assumptions(params.V)
+    a, b = _fitted_flux_coeffs(eval_on_nodes(params.V, phi_grid),
+                               params.epsilon, y_grid)
+
+    def y_step(dt):
+        solve = _implicit_y_step(a, b, y_grid.widths, dt)
+        return lambda state: (solve(state[0]),)
+
+    snaps = _march(_split_stepper(y_step, params, phi_grid, cfg), (f0.values,),
                    snapshot_times, params.T,
                    resolve_dt(params, phi_grid, cfg),
                    lambda state: _check_health(state[0], y_grid, phi_grid))

@@ -42,12 +42,9 @@ class PhiGrid:
 class YGrid:
     """Graded cell-centered wall-normal grid on [0, y_max]."""
 
-    y_max: float
     faces: np.ndarray
     centers: np.ndarray
     widths: np.ndarray
-    layer_width: float
-    layer_cells: int
 
     @property
     def n_y(self) -> int:
@@ -162,8 +159,7 @@ def build_y_grid(y_max: float, n_y: int, layer_width: float,
     faces = np.concatenate([uniform_faces, stretch_faces])
     centers = 0.5 * (faces[:-1] + faces[1:])
     widths = np.diff(faces)
-    return YGrid(y_max=y_max, faces=faces, centers=centers, widths=widths,
-                 layer_width=layer_width, layer_cells=layer_cells)
+    return YGrid(faces=faces, centers=centers, widths=widths)
 
 
 def eval_on_nodes(coeff: AngularCoefficient, phi_grid: PhiGrid,

@@ -87,17 +87,6 @@ def _upwind_y_step(V_nodes: np.ndarray, widths: np.ndarray, dt: float):
     return step
 
 
-def _limit_stepper(params: ModelParams, y_grid: YGrid, phi_grid: PhiGrid,
-                   cfg: FullSolverConfig):
-    """Split-step builder of the limiting system on the state (bulk,
-    wall)."""
-    validate_assumptions(params.V)
-    V_nodes = eval_on_nodes(params.V, phi_grid)
-    return _split_stepper(
-        lambda dt: _upwind_y_step(V_nodes, y_grid.widths, dt),
-        params, phi_grid, cfg)
-
-
 def _check_finite(state):
     if not all(np.isfinite(v).all() for v in state):
         raise NumericalFailureError("limit solver produced non-finite values")
@@ -108,9 +97,13 @@ def run_limit(s0: BulkWallState, params: ModelParams, cfg: FullSolverConfig,
     """Integrate the limiting system, landing exactly on the requested
     times. Returns a list of (t, BulkWallState) pairs."""
     y_grid, phi_grid = s0.bulk.y_grid, s0.bulk.phi_grid
-    snaps = _march(_limit_stepper(params, y_grid, phi_grid, cfg),
-                   (s0.bulk.values, s0.wall), snapshot_times, params.T,
-                   resolve_dt(params, phi_grid, cfg), _check_finite)
+    validate_assumptions(params.V)
+    V_nodes = eval_on_nodes(params.V, phi_grid)
+    step_for = _split_stepper(
+        lambda dt: _upwind_y_step(V_nodes, y_grid.widths, dt),
+        params, phi_grid, cfg)
+    snaps = _march(step_for, (s0.bulk.values, s0.wall), snapshot_times,
+                   params.T, resolve_dt(params, phi_grid, cfg), _check_finite)
     return [(t, BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall))
             for t, (bulk, wall) in snaps]
 
@@ -142,24 +135,21 @@ class WholeLineGrid:
 
     nodes: np.ndarray
     h: float
+    trapezoid_weights: np.ndarray
 
     @property
     def n_y(self) -> int:
         return self.nodes.size
-
-    @property
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.nodes.size, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
 
 
 def build_line_grid(y_half: float, n_y: int) -> WholeLineGrid:
     if y_half <= 0 or n_y < 8:
         raise ConfigurationError("whole-line grid needs y_half > 0, n_y >= 8")
     nodes = np.linspace(-y_half, y_half, int(n_y))
-    return WholeLineGrid(nodes=nodes, h=float(nodes[1] - nodes[0]))
+    h = float(nodes[1] - nodes[0])
+    weights = np.full(nodes.size, h)
+    weights[[0, -1]] *= 0.5
+    return WholeLineGrid(nodes=nodes, h=h, trapezoid_weights=weights)
 
 
 @dataclass
@@ -176,14 +166,6 @@ class LineField:
         if self.values.shape != expected:
             raise ConfigurationError(
                 f"line field shape {self.values.shape} != grid {expected}")
-
-
-def _d_y(values: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (values[1] - values[0]) / h
-    out[-1] = (values[-1] - values[-2]) / h
-    return out
 
 
 def _line_inner(a: np.ndarray, b: np.ndarray, grid: WholeLineGrid,
@@ -207,7 +189,7 @@ def _gap_parts(u: LineField, lam: float, params: ModelParams):
     vals = u.values
     V_nodes = eval_on_nodes(params.V, u.phi_grid)
     Phi_nodes = eval_on_nodes(params.Phi, u.phi_grid)
-    return (m0, V_nodes[None, :] * _d_y(vals, u.line_grid.h),
+    return (m0, V_nodes[None, :] * np.gradient(vals, u.line_grid.h, axis=0),
             phi_derivative(Phi_nodes[None, :] * vals, 1),
             params.D * phi_derivative(vals, 2), phi_derivative(vals, 1))
 
@@ -320,5 +302,6 @@ def resolvent_solve(p: ResolventProblem, params: ModelParams) -> ResolventSoluti
         return ResolventSolution(u=u, ratio=0.0)
     num = sum(_line_inner(g, g, grid, phi_grid)
               for g in (u_vals, phi_derivative(u_vals, 1),
-                        _d_y(u_vals, grid.h), phi_derivative(u_vals, 2)))
+                        np.gradient(u_vals, grid.h, axis=0),
+                        phi_derivative(u_vals, 2)))
     return ResolventSolution(u=u, ratio=float(num / f2))

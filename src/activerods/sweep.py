@@ -12,7 +12,7 @@ the smooth data for the layer corrector and the residual report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,10 +79,11 @@ def reference_limit_state(cfg: RunConfig):
 def _paired_solve(cfg: RunConfig, eps: float):
     """Kinetic and limiting solves to T at one epsilon, on that epsilon's
     grids. Returns (f_T, s_T, params)."""
-    y_grid, phi_grid = cfg.build_grids(eps)
-    params = cfg.model_params(epsilon=eps)
+    cfg = replace(cfg, epsilon=eps)
+    y_grid, phi_grid = cfg.build_grids()
+    params = cfg.model_params()
     scfg = cfg.solver_config()
-    f0 = cfg.initial_field(y_grid, phi_grid, eps)
+    f0 = cfg.initial_field(y_grid, phi_grid)
     f_T = run_full(f0, params, scfg, [cfg.T])[-1][1]
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
     s_T = run_limit(s0, params, scfg, [cfg.T])[-1][1]

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -151,7 +152,9 @@ def test_build_grids_and_initial_fields():
     cfg = parse_config(FULL_TEXT)
     yg, pg = cfg.build_grids()
     assert yg.n_y == 64 and pg.n_phi == 32
-    assert yg.layer_width == pytest.approx(cfg.layer_width_for(0.05))
+    # the uniform layer block ends at the auto layer width
+    assert yg.faces[cfg.grid.layer_cells] == pytest.approx(
+        cfg.layer_width_for(0.05))
 
     f0 = cfg.initial_field(yg, pg)
     ref = steady_layer(cfg.V, 0.05, yg, pg)
@@ -205,13 +208,13 @@ def test_write_csv(tmp_path):
             (np.float64(0.1), False, "")]
     out = write_csv(path, ["t", "k", "tag"], rows)
     assert out == path
-    raw = open(path, "rb").read()
+    raw = pathlib.Path(path).read_bytes()
     assert raw.endswith(b"\n")
     assert raw.decode() == ("t,k,tag\n0,1,a\n0.5,2,b\n0.02,1,label\n"
                             "0.10000000000000001,0,\n")
     # rewriting the same rows is byte identical
     write_csv(path, ["t", "k", "tag"], rows)
-    assert open(path, "rb").read() == raw
+    assert pathlib.Path(path).read_bytes() == raw
 
 
 def test_write_csv_pins_cell_bytes(tmp_path):
@@ -227,7 +230,7 @@ def test_write_csv_pins_cell_bytes(tmp_path):
     write_csv(path, header, [cells, tuple(cells), (c for c in cells),
                              cells[::-1]])
     back = ",".join(reversed(want.split(",")))
-    assert open(path, "rb").read() == "\n".join(
+    assert pathlib.Path(path).read_bytes() == "\n".join(
         [",".join(header), want, want, want, back, ""]).encode()
 
 

@@ -9,6 +9,7 @@ from activerods import (ConfigurationError, Decomposition, FullSolverConfig,
                         decompose, default_tests, energy_step, eval_on_nodes,
                         exp_cell_averages, exp_cell_integrals, norms,
                         run_full, steady_layer, weak_pairings)
+from activerods.grids import YGrid
 
 from conftest import const, shifted_sine
 
@@ -54,6 +55,26 @@ def test_energy_of_pure_amplitude():
     E, diss = energy_step(dec, const(1.0))
     assert E == pytest.approx(math.pi / 2, rel=1e-12)
     assert diss == 0.0
+
+
+def test_energy_step_by_hand():
+    # 3 cells x 4 angles: faces 0, 1, 3, 4 give widths 1, 2, 1, centers
+    # 0.5, 2, 3.5 and center distances 1.5; angle width h = pi / 2
+    faces = np.array([0.0, 1.0, 3.0, 4.0])
+    yg = YGrid(faces=faces, centers=0.5 * (faces[1:] + faces[:-1]),
+               widths=np.diff(faces))
+    pg = build_phi_grid(4)
+    u = PhaseField(np.array([[1.0, 0.0, 2.0, 1.0],
+                             [4.0, 3.0, 2.0, 1.0],
+                             [1.0, 3.0, 2.0, 0.0]]), yg, pg)
+    dec = Decomposition(m=np.array([1.0, 2.0, 0.0, -1.0]), u=u, epsilon=0.1)
+    E, diss = energy_step(dec, const(2.0))
+    # sum u^2 w = 6 * 1 + 30 * 2 + 14 * 1 = 80; sum m^2 / (4 V) = 6 / 8
+    assert E == pytest.approx((80.0 + 0.75) * math.pi / 2, rel=1e-14)
+    # per angle, slopes^2 * 1.5 plus the first slope^2 * 0.5 at the wall:
+    # slopes (2, -2): 12 + 2; (2, 0): 6 + 2; (0, 0): 0; (0, -2/3): 2/3
+    assert diss == pytest.approx(0.1 * (68.0 / 3.0) * math.pi / 2,
+                                 rel=1e-14)
 
 
 def test_energy_dissipation_positive():

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import pathlib
 import tempfile
 import time
 import warnings
@@ -220,8 +221,8 @@ def test_cli_sweep_and_rerun_identical(cli_config, tmp_path):
     assert cold.misses > 0 and warm.misses == cold.misses
     assert warm.hits > cold.hits
     assert os.listdir(out_a) == os.listdir(out_b) == ["sweep.csv"]
-    raw_a = open(os.path.join(out_a, "sweep.csv"), "rb").read()
-    raw_b = open(os.path.join(out_b, "sweep.csv"), "rb").read()
+    raw_a = pathlib.Path(out_a, "sweep.csv").read_bytes()
+    raw_b = pathlib.Path(out_b, "sweep.csv").read_bytes()
     assert raw_a == raw_b
     lines = raw_a.decode().splitlines()
     assert lines[0].startswith("epsilon,t_final,l1_error")
