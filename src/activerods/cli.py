@@ -12,10 +12,14 @@ Subcommands:
     check-resolvent  regularized resolvent stability ratios
     check-all        the full acceptance suite, one line per criterion
 
+Each config subcommand is a function of the loaded config and a writer.
+One runner loads the config and resolves the output directory: --out,
+else ACTIVERODS_OUT_DIR, else the config's [output] directory, an empty
+value counting as unset.  Its write(name, header, rows) writes a CSV
+there and prints one "wrote" line.
+
 Exit codes: 0 success, 1 failed check, 2 configuration problem or out of
-memory, 3 violated model assumption, 4 numerical failure.  The output
-directory comes from the config's [output] section, overridden by the
-ACTIVERODS_OUT_DIR environment variable, overridden by --out.
+memory, 3 violated model assumption, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from . import acceptance
 from .asymptotics import build_inner, composite_refined, composite_simple, \
     residual_report
 from .coefficients import validate_assumptions
-from .config import RunConfig, load_config
+from .config import load_config
 from .decomposition import decompose, default_tests, energy_step, weak_pairings
 from .errors import (ActiveRodsError, ConfigurationError, FitError,
                      NumericalFailureError)
@@ -42,16 +46,6 @@ from .reports import field_rows, profile_rows, write_csv
 from .sweep import SWEEP_COLUMNS, fit_order, sweep_epsilon
 
 
-def _out_dir(cfg: RunConfig, args) -> str:
-    out = getattr(args, "out", None)
-    if out:
-        return out
-    env = os.environ.get("ACTIVERODS_OUT_DIR")
-    if env:
-        return env
-    return cfg.out_dir
-
-
 def _require_finite(what: str, *values):
     """Refuse to write results that overflowed or went NaN."""
     if not all(np.isfinite(v).all() for v in values):
@@ -60,33 +54,42 @@ def _require_finite(what: str, *values):
             "too large for double precision")
 
 
-def _write(cfg, args, name, header, rows) -> str:
-    path = os.path.join(_out_dir(cfg, args), name)
-    write_csv(path, header, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return path
+def _run(args) -> int:
+    """Load the config, resolve the output directory and run the config
+    subcommand args.cmd with a CSV writer into that directory."""
+    cfg = load_config(args.config)
+    out_dir = args.out or os.environ.get("ACTIVERODS_OUT_DIR") or cfg.out_dir
+
+    def write(name, header, rows):
+        path = os.path.join(out_dir, name)
+        write_csv(path, header, rows)
+        print(f"wrote {path} ({len(rows)} rows)")
+
+    return args.cmd(cfg, write)
+
+
+def _cell_rows(y_grid, phi_grid, *values) -> list:
+    """(y, phi, v[i, j] for each v) rows, y-major like field_rows."""
+    return [(y, phi, *cell) for y, *rows in zip(y_grid.centers, *values)
+            for phi, *cell in zip(phi_grid.nodes, *rows)]
 
 
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_run_full(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_run_full(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
     f0 = cfg.initial_field(y_grid, phi_grid)
     snaps = run_full(f0, cfg.model_params(), cfg.solver_config(),
                      cfg.experiment.snapshot_times)
-    rows = []
-    for t, f in snaps:
-        rows.extend(field_rows(t, f))
-    _write(cfg, args, "full_snapshots.csv", ("t", "y", "phi", "f"), rows)
+    write("full_snapshots.csv", ("t", "y", "phi", "f"),
+          [row for t, f in snaps for row in field_rows(t, f)])
     last = snaps[-1][1]
     print(f"final mass {norms(last)['mass']:.12g} at t={snaps[-1][0]:g}")
     return 0
 
 
-def _cmd_run_limit(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_run_limit(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
     snaps = run_limit(s0, cfg.model_params(), cfg.solver_config(),
@@ -95,15 +98,13 @@ def _cmd_run_limit(args) -> int:
     for t, s in snaps:
         bulk_rows.extend(field_rows(t, s.bulk))
         wall_rows.extend(profile_rows(t, phi_grid.nodes, s.wall))
-    _write(cfg, args, "limit_bulk.csv", ("t", "y", "phi", "rho_bulk"),
-           bulk_rows)
-    _write(cfg, args, "limit_wall.csv", ("t", "phi", "rho_wall"), wall_rows)
+    write("limit_bulk.csv", ("t", "y", "phi", "rho_bulk"), bulk_rows)
+    write("limit_wall.csv", ("t", "phi", "rho_wall"), wall_rows)
     print(f"final combined mass {snaps[-1][1].combined_mass():.12g}")
     return 0
 
 
-def _cmd_composite(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_composite(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
     # overflow shows as one error from _require_finite, not numpy warnings
@@ -116,25 +117,19 @@ def _cmd_composite(args) -> int:
         resid = residual_report(s_T, inner, cfg.model_params())
     _require_finite("composite", f_bar.values, f_hat.values, resid.l1_R,
                     resid.l1_r)
-    rows = []
-    for i in range(y_grid.n_y):
-        for j in range(phi_grid.n_phi):
-            rows.append((y_grid.centers[i], phi_grid.nodes[j],
-                         f_bar.values[i, j], f_hat.values[i, j]))
-    _write(cfg, args, "composite.csv", ("y", "phi", "f_bar", "f_hat"), rows)
-    _write(cfg, args, "residual.csv", ("epsilon", "l1_R", "l1_r"),
-           [(resid.epsilon, resid.l1_R, resid.l1_r)])
+    write("composite.csv", ("y", "phi", "f_bar", "f_hat"),
+          _cell_rows(y_grid, phi_grid, f_bar.values, f_hat.values))
+    write("residual.csv", ("epsilon", "l1_R", "l1_r"),
+          [(resid.epsilon, resid.l1_R, resid.l1_r)])
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_sweep(cfg, write) -> int:
     with np.errstate(all="ignore"):
         records = sweep_epsilon(cfg)
     # the last column, order_vs_prev, is NaN by design on the first row
     _require_finite("sweep", [r.row()[:-1] for r in records])
-    _write(cfg, args, "sweep.csv", SWEEP_COLUMNS,
-           [r.row() for r in records])
+    write("sweep.csv", SWEEP_COLUMNS, [r.row() for r in records])
     try:
         order = fit_order(records)
         refined = fit_order(records, "l1_error_refined")
@@ -145,8 +140,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_decompose(cfg, write) -> int:
     if cfg.D != 0.0:
         raise ConfigurationError(
             "decompose requires D = 0 (set D = 0 in [model])")
@@ -164,17 +158,15 @@ def _cmd_decompose(args) -> int:
             energy_rows.append((t, E, diss))
         pairings = weak_pairings(dec, tests)
     _require_finite("decompose", mode_rows, energy_rows, pairings)
-    _write(cfg, args, "modes.csv", ("t", "phi", "m"), mode_rows)
-    _write(cfg, args, "energy.csv", ("t", "E", "dissipation"), energy_rows)
+    write("modes.csv", ("t", "phi", "m"), mode_rows)
+    write("energy.csv", ("t", "E", "dissipation"), energy_rows)
     pair_rows = [(cfg.epsilon, name, val) for (name, _), val in
                  zip(tests, pairings)]
-    _write(cfg, args, "pairings.csv", ("epsilon", "test", "pairing"),
-           pair_rows)
+    write("pairings.csv", ("epsilon", "test", "pairing"), pair_rows)
     return 0
 
 
-def _cmd_particles(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_particles(cfg, write) -> int:
     validate_assumptions(cfg.V)
     y_grid, phi_grid = cfg.build_grids()
     seed = cfg.experiment.seeds[0]
@@ -182,32 +174,24 @@ def _cmd_particles(args) -> int:
     ens = run_particles(ens, cfg.model_params(), cfg.experiment.particle_dt,
                         cfg.T, y_max=cfg.grid.y_max)
     h = histogram(ens, y_grid, phi_grid)
-    rows = []
-    for i in range(y_grid.n_y):
-        for j in range(phi_grid.n_phi):
-            rows.append((y_grid.centers[i], phi_grid.nodes[j],
-                         h.values[i, j]))
-    _write(cfg, args, "particles.csv", ("y", "phi", "density"), rows)
-    print(f"{cfg.experiment.n_particles} particles, seed {seed}, "
-          f"T={cfg.T:g}")
+    write("particles.csv", ("y", "phi", "density"),
+          _cell_rows(y_grid, phi_grid, h.values))
+    print(f"{cfg.experiment.n_particles} particles, seed {seed}, T={cfg.T:g}")
     return 0
 
 
-def _cmd_check_coercivity(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_check_coercivity(cfg, write) -> int:
     samples, worst, ok = acceptance.coercivity_check(cfg.model_params())
-    _write(cfg, args, "coercivity.csv",
-           ("sample", "n_y", "n_phi", "lambda", "gap"),
-           [(k, *s) for k, s in enumerate(samples)])
+    write("coercivity.csv", ("sample", "n_y", "n_phi", "lambda", "gap"),
+          [(k, *s) for k, s in enumerate(samples)])
     print(f"{'PASS' if ok else 'FAIL'} coercivity: min gap {worst:.3e} "
           f"over {len(samples)} fields (tol {acceptance.GAP_TOL:g})")
     return 0 if ok else 1
 
 
-def _cmd_check_resolvent(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_check_resolvent(cfg, write) -> int:
     pairs, spread, ok = acceptance.resolvent_check(cfg.model_params())
-    _write(cfg, args, "resolvent.csv", ("eps_reg", "ratio"), pairs)
+    write("resolvent.csv", ("eps_reg", "ratio"), pairs)
     print(f"{'PASS' if ok else 'FAIL'} resolvent: ratio spread {spread:.3f} "
           f"across eps_reg ladder (need < {acceptance.SPREAD_MAX:g})")
     return 0 if ok else 1
@@ -248,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a run config")
         p.add_argument("--out", default=None, help="output directory "
                        "(overrides config and environment)")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_run, cmd=fn)
     p_all = sub.add_parser("check-all", help="run the full acceptance suite")
     p_all.set_defaults(func=_cmd_check_all)
     return parser
@@ -262,12 +246,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ActiveRodsError as exc:
+    except (ActiveRodsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
     except MemoryError:
         print("error: out of memory for the requested sizes; reduce "
               "n_particles or the grid sizes", file=sys.stderr)

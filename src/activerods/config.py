@@ -240,9 +240,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    """Parse the config file at path, UTF-8 with or without a BOM."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}")
     return parse_config(text)

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import pathlib
+import re
 import tempfile
 import time
 import warnings
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from activerods import (ConfigurationError, FitError, SweepRecord, fit_order,
-                        full_solver, parse_config, sweep_epsilon,
+                        full_solver, load_config, parse_config, sweep_epsilon,
                         weak_pairing_sweep)
 from activerods.cli import main
 
@@ -334,6 +335,44 @@ def test_cli_out_dir_precedence(cli_config, tmp_path, monkeypatch):
     assert main(["particles", "--config", cli_config, "--out", flag_dir]) == 0
     assert os.path.exists(os.path.join(flag_dir, "particles.csv"))
 
+    # an empty --out or ACTIVERODS_OUT_DIR counts as unset
+    env_dir = str(tmp_path / "env2")
+    monkeypatch.setenv("ACTIVERODS_OUT_DIR", env_dir)
+    assert main(["particles", "--config", cli_config, "--out", ""]) == 0
+    assert os.listdir(env_dir) == ["particles.csv"]
+    cfg_dir = tmp_path / "cfg"
+    with_dir = tmp_path / "with_dir.ini"
+    with_dir.write_text(CLI_TEXT + f"\n[output]\ndirectory = {cfg_dir}\n")
+    monkeypatch.setenv("ACTIVERODS_OUT_DIR", "")
+    assert main(["particles", "--config", str(with_dir), "--out", ""]) == 0
+    assert os.listdir(cfg_dir) == ["particles.csv"]
+
+
+def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[model]\nepsilon = 0.05\n# caf\xe9\n")
+    out = tmp_path / "out"
+    assert main(["run-full", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: cannot read config file")
+    assert not out.exists()
+
+
+def test_cli_config_with_byte_order_mark(tmp_path, capsys):
+    # as some Windows editors save UTF-8
+    plain = os.path.join(ROOT, "configs", "example.cfg")
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(plain).read_bytes())
+    assert load_config(str(bom)) == load_config(plain)
+    for name, path in (("plain", plain), ("bom", str(bom))):
+        assert main(["run-full", "--config", path,
+                     "--out", str(tmp_path / name)]) == 0
+    name = "full_snapshots.csv"
+    assert pathlib.Path(tmp_path, "bom", name).read_bytes() == \
+        pathlib.Path(tmp_path, "plain", name).read_bytes()
+
 
 def test_package_imports_without_scipy():
     # scipy.linalg alone would add about 0.16 s and 20 MiB to every start
@@ -574,14 +613,14 @@ def test_cli_fuzz_exits_with_documented_code(command, where):
     assert f"{where[1]} = {where[2]}" in text
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzz.ini")
+        path, out_dir = os.path.join(tmp, "fuzz.ini"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
             fh.write(text)
         with warnings.catch_warnings(record=True) as caught, \
                 redirect_stdout(out), redirect_stderr(err):
             warnings.simplefilter("always")
-            code = main([command, "--config", path,
-                         "--out", os.path.join(tmp, "out")])
+            code = main([command, "--config", path, "--out", out_dir])
+        written = os.listdir(out_dir) if os.path.isdir(out_dir) else []
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = err.getvalue()
     assert "Traceback" not in err
@@ -591,3 +630,36 @@ def test_cli_fuzz_exits_with_documented_code(command, where):
     else:
         assert code in (0, 2, 3, 4)
     assert len(errors) == (0 if code in (0, 1) else 1), err
+    # every result is computed before the first CSV is written
+    if code in (2, 3, 4):
+        assert written == [], written
+
+
+def _readme_csvs():
+    """Subcommand -> the CSVs of its row in the README's CLI table, in
+    the order the table lists them."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        cli = fh.read().split("\n## CLI\n")[1].split("\n## ")[0]
+    return {m[1]: re.findall(r"`(\w+\.csv)`", m[2])
+            for m in re.finditer(r"^\| `([a-z-]+)` +\|([^|]*)\|", cli,
+                                 flags=re.M)}
+
+
+README_CSVS = _readme_csvs()
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_cli_writes_the_readme_csvs(command, tmp_path, capsys):
+    # exactly the files of the README's CLI table, each announced by one
+    # "wrote" line in the order written, with its count of data rows
+    names = README_CSVS[command]
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL_EXAMPLE)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", str(path), "--out", out]) == 0
+    assert sorted(os.listdir(out)) == sorted(names)
+    wrote = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("wrote ")]
+    assert wrote == [f"wrote {os.path.join(out, name)} "
+                     f"({len(_lines(os.path.join(out, name))) - 1} rows)"
+                     for name in names]
