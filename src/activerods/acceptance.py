@@ -62,14 +62,13 @@ def _const(v) -> AngularCoefficient:
     return AngularCoefficient("constant", {"value": v})
 
 
-def _base_config(**overrides) -> RunConfig:
+def _base_config(D=0.2, dt="auto") -> RunConfig:
     """The conservation-check configuration: graded 256 x 128 grid."""
-    kw = dict(epsilon=0.02, D=0.2, T=1.0, V=_SHIFTED_SINE,
-              Phi=_shear(0.5),
-              grid=GridSection(n_phi=128, n_y=256, y_max=8.0,
-                               layer_width="auto", layer_cells=32))
-    kw.update(overrides)
-    return RunConfig(**kw)
+    return RunConfig(ModelParams(epsilon=0.02, D=D, T=1.0, V=_SHIFTED_SINE,
+                                 Phi=_shear(0.5)),
+                     GridSection(n_phi=128, n_y=256, y_max=8.0,
+                                 layer_width="auto", layer_cells=32),
+                     FullSolverConfig(dt=dt))
 
 
 # -- cached heavy runs --------------------------------------------------------
@@ -135,8 +134,7 @@ def _c2_conservation() -> tuple:
     cfg = _base_config()
     y_grid, phi_grid = cfg.build_grids()
     f0 = bulk_exp_field(y_grid, phi_grid)
-    params = cfg.model_params()
-    snaps = run_full(f0, params, cfg.solver_config(), [cfg.T])
+    snaps = run_full(f0, cfg.model, cfg.time, [cfg.model.T])
     m0 = norms(f0)["mass"]
     mT = norms(snaps[-1][1])["mass"]
     drift = abs(mT - m0) / abs(m0)

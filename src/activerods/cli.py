@@ -15,8 +15,8 @@ Subcommands:
 Each config subcommand is a function of the loaded config and a writer.
 One runner loads the config and resolves the output directory: --out,
 else ACTIVERODS_OUT_DIR, else the config's [output] directory, an empty
-value counting as unset.  Its write(name, header, rows) writes a CSV
-there and prints one "wrote" line.
+value counting as unset.  Its write(*tables) writes all the CSVs of a
+subcommand there at once, all or none, with one "wrote" line per CSV.
 
 Exit codes: 0 success, 1 failed check, 2 configuration problem or out of
 memory, 3 violated model assumption, 4 numerical failure.
@@ -25,6 +25,7 @@ memory, 3 violated model assumption, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -60,10 +61,32 @@ def _run(args) -> int:
     cfg = load_config(args.config)
     out_dir = args.out or os.environ.get("ACTIVERODS_OUT_DIR") or cfg.out_dir
 
-    def write(name, header, rows):
-        path = os.path.join(out_dir, name)
-        write_csv(path, header, rows)
-        print(f"wrote {path} ({len(rows)} rows)")
+    def write(*tables):
+        """Write each (name, header, rows) table to out_dir/name, all or
+        none: each CSV is staged under a temporary name, and once all are
+        staged they are renamed into place, each printing its "wrote"
+        line. On an error the files not yet renamed are removed."""
+        temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+                 for name, _, _ in tables]
+        paths = [os.path.join(out_dir, name) for name, _, _ in tables]
+        renamed = 0
+        try:
+            for (name, header, rows), tmp in zip(tables, temps):
+                write_csv(tmp, header, rows)
+            for (name, _, _), path in zip(tables, paths):
+                if os.path.isdir(path):
+                    raise IsADirectoryError(f"{path} is a directory")
+            for (name, _, rows), tmp, path in zip(tables, temps, paths):
+                os.replace(tmp, path)
+                renamed += 1
+                print(f"wrote {path} ({len(rows)} rows)")
+        except OSError as exc:
+            raise OSError(
+                f"{args.command}: cannot write {name}: {exc}") from exc
+        finally:
+            for tmp in temps[renamed:]:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
 
     return args.cmd(cfg, write)
 
@@ -80,10 +103,9 @@ def _cell_rows(y_grid, phi_grid, *values) -> list:
 def _cmd_run_full(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
     f0 = cfg.initial_field(y_grid, phi_grid)
-    snaps = run_full(f0, cfg.model_params(), cfg.solver_config(),
-                     cfg.experiment.snapshot_times)
-    write("full_snapshots.csv", ("t", "y", "phi", "f"),
-          [row for t, f in snaps for row in field_rows(t, f)])
+    snaps = run_full(f0, cfg.model, cfg.time, cfg.experiment.snapshot_times)
+    write(("full_snapshots.csv", ("t", "y", "phi", "f"),
+           [row for t, f in snaps for row in field_rows(t, f)]))
     last = snaps[-1][1]
     print(f"final mass {norms(last)['mass']:.12g} at t={snaps[-1][0]:g}")
     return 0
@@ -92,14 +114,13 @@ def _cmd_run_full(cfg, write) -> int:
 def _cmd_run_limit(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
-    snaps = run_limit(s0, cfg.model_params(), cfg.solver_config(),
-                      cfg.experiment.snapshot_times)
+    snaps = run_limit(s0, cfg.model, cfg.time, cfg.experiment.snapshot_times)
     bulk_rows, wall_rows = [], []
     for t, s in snaps:
         bulk_rows.extend(field_rows(t, s.bulk))
         wall_rows.extend(profile_rows(t, phi_grid.nodes, s.wall))
-    write("limit_bulk.csv", ("t", "y", "phi", "rho_bulk"), bulk_rows)
-    write("limit_wall.csv", ("t", "phi", "rho_wall"), wall_rows)
+    write(("limit_bulk.csv", ("t", "y", "phi", "rho_bulk"), bulk_rows),
+          ("limit_wall.csv", ("t", "phi", "rho_wall"), wall_rows))
     print(f"final combined mass {snaps[-1][1].combined_mass():.12g}")
     return 0
 
@@ -109,18 +130,17 @@ def _cmd_composite(cfg, write) -> int:
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
     # overflow shows as one error from _require_finite, not numpy warnings
     with np.errstate(all="ignore"):
-        s_T = run_limit(s0, cfg.model_params(), cfg.solver_config(),
-                        [cfg.T])[-1][1]
-        inner = build_inner(s_T, cfg.model_params())
-        f_bar = composite_simple(s_T, cfg.epsilon, cfg.V)
-        f_hat = composite_refined(s_T, inner, cfg.epsilon, cfg.V)
-        resid = residual_report(s_T, inner, cfg.model_params())
+        s_T = run_limit(s0, cfg.model, cfg.time, [cfg.model.T])[-1][1]
+        inner = build_inner(s_T, cfg.model)
+        f_bar = composite_simple(s_T, cfg.model.epsilon, cfg.model.V)
+        f_hat = composite_refined(s_T, inner, cfg.model.epsilon, cfg.model.V)
+        resid = residual_report(s_T, inner, cfg.model)
     _require_finite("composite", f_bar.values, f_hat.values, resid.l1_R,
                     resid.l1_r)
-    write("composite.csv", ("y", "phi", "f_bar", "f_hat"),
-          _cell_rows(y_grid, phi_grid, f_bar.values, f_hat.values))
-    write("residual.csv", ("epsilon", "l1_R", "l1_r"),
-          [(resid.epsilon, resid.l1_R, resid.l1_r)])
+    write(("composite.csv", ("y", "phi", "f_bar", "f_hat"),
+           _cell_rows(y_grid, phi_grid, f_bar.values, f_hat.values)),
+          ("residual.csv", ("epsilon", "l1_R", "l1_r"),
+           [(resid.epsilon, resid.l1_R, resid.l1_r)]))
     return 0
 
 
@@ -129,7 +149,7 @@ def _cmd_sweep(cfg, write) -> int:
         records = sweep_epsilon(cfg)
     # the last column, order_vs_prev, is NaN by design on the first row
     _require_finite("sweep", [r.row()[:-1] for r in records])
-    write("sweep.csv", SWEEP_COLUMNS, [r.row() for r in records])
+    write(("sweep.csv", SWEEP_COLUMNS, [r.row() for r in records]))
     try:
         order = fit_order(records)
         refined = fit_order(records, "l1_error_refined")
@@ -141,7 +161,7 @@ def _cmd_sweep(cfg, write) -> int:
 
 
 def _cmd_decompose(cfg, write) -> int:
-    if cfg.D != 0.0:
+    if cfg.model.D != 0.0:
         raise ConfigurationError(
             "decompose requires D = 0 (set D = 0 in [model])")
     y_grid, phi_grid = cfg.build_grids()
@@ -149,49 +169,50 @@ def _cmd_decompose(cfg, write) -> int:
     tests = default_tests(phi_grid)
     mode_rows, energy_rows = [], []
     with np.errstate(all="ignore"):
-        snaps = run_full(f0, cfg.model_params(), cfg.solver_config(),
+        snaps = run_full(f0, cfg.model, cfg.time,
                          cfg.experiment.snapshot_times)
         for t, f in snaps:
-            dec = decompose(f, cfg.V, cfg.epsilon)
-            E, diss = energy_step(dec, cfg.V)
+            dec = decompose(f, cfg.model.V, cfg.model.epsilon)
+            E, diss = energy_step(dec, cfg.model.V)
             mode_rows.extend(profile_rows(t, phi_grid.nodes, dec.m))
             energy_rows.append((t, E, diss))
         pairings = weak_pairings(dec, tests)
     _require_finite("decompose", mode_rows, energy_rows, pairings)
-    write("modes.csv", ("t", "phi", "m"), mode_rows)
-    write("energy.csv", ("t", "E", "dissipation"), energy_rows)
-    pair_rows = [(cfg.epsilon, name, val) for (name, _), val in
+    pair_rows = [(cfg.model.epsilon, name, val) for (name, _), val in
                  zip(tests, pairings)]
-    write("pairings.csv", ("epsilon", "test", "pairing"), pair_rows)
+    write(("modes.csv", ("t", "phi", "m"), mode_rows),
+          ("energy.csv", ("t", "E", "dissipation"), energy_rows),
+          ("pairings.csv", ("epsilon", "test", "pairing"), pair_rows))
     return 0
 
 
 def _cmd_particles(cfg, write) -> int:
-    validate_assumptions(cfg.V)
+    validate_assumptions(cfg.model.V)
     y_grid, phi_grid = cfg.build_grids()
     seed = cfg.experiment.seeds[0]
     ens = sample_initial(cfg.experiment.n_particles, seed, cfg.grid.y_max)
-    ens = run_particles(ens, cfg.model_params(), cfg.experiment.particle_dt,
-                        cfg.T, y_max=cfg.grid.y_max)
+    ens = run_particles(ens, cfg.model, cfg.experiment.particle_dt,
+                        cfg.model.T, y_max=cfg.grid.y_max)
     h = histogram(ens, y_grid, phi_grid)
-    write("particles.csv", ("y", "phi", "density"),
-          _cell_rows(y_grid, phi_grid, h.values))
-    print(f"{cfg.experiment.n_particles} particles, seed {seed}, T={cfg.T:g}")
+    write(("particles.csv", ("y", "phi", "density"),
+           _cell_rows(y_grid, phi_grid, h.values)))
+    print(f"{cfg.experiment.n_particles} particles, seed {seed}, "
+          f"T={cfg.model.T:g}")
     return 0
 
 
 def _cmd_check_coercivity(cfg, write) -> int:
-    samples, worst, ok = acceptance.coercivity_check(cfg.model_params())
-    write("coercivity.csv", ("sample", "n_y", "n_phi", "lambda", "gap"),
-          [(k, *s) for k, s in enumerate(samples)])
+    samples, worst, ok = acceptance.coercivity_check(cfg.model)
+    write(("coercivity.csv", ("sample", "n_y", "n_phi", "lambda", "gap"),
+           [(k, *s) for k, s in enumerate(samples)]))
     print(f"{'PASS' if ok else 'FAIL'} coercivity: min gap {worst:.3e} "
           f"over {len(samples)} fields (tol {acceptance.GAP_TOL:g})")
     return 0 if ok else 1
 
 
 def _cmd_check_resolvent(cfg, write) -> int:
-    pairs, spread, ok = acceptance.resolvent_check(cfg.model_params())
-    write("resolvent.csv", ("eps_reg", "ratio"), pairs)
+    pairs, spread, ok = acceptance.resolvent_check(cfg.model)
+    write(("resolvent.csv", ("eps_reg", "ratio"), pairs))
     print(f"{'PASS' if ok else 'FAIL'} resolvent: ratio spread {spread:.3f} "
           f"across eps_reg ladder (need < {acceptance.SPREAD_MAX:g})")
     return 0 if ok else 1

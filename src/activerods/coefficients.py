@@ -199,14 +199,15 @@ class ModelParams:
 
     epsilon is the translational/rotational diffusion ratio driving the
     wall layer width; epsilon = 0 is allowed only for limiting-system
-    runs. D is the angular diffusion coefficient, T the final time.
+    runs. D is the angular diffusion coefficient, T the final time; the
+    defaults are a config's: D = 0, T = 1, V = 1 and Phi = 0.
     """
 
     epsilon: float
-    D: float
-    T: float
-    V: AngularCoefficient
-    Phi: AngularCoefficient
+    D: float = 0.0
+    T: float = 1.0
+    V: AngularCoefficient = AngularCoefficient("constant", {"value": 1.0})
+    Phi: AngularCoefficient = AngularCoefficient("constant", {"value": 0.0})
     allow_zero_epsilon: bool = False
 
     def __post_init__(self):

@@ -1,5 +1,10 @@
 """Run configuration: sectioned key=value files parsed into dataclasses.
 
+A loaded config is RunConfig(model, grid, time, experiment, out_dir),
+one field per section: the ModelParams of [model], the GridSection of
+[grid], the FullSolverConfig of [time], the ExperimentSection of
+[experiment], and [output] directory.
+
 `_KEYS` is the one table of sections and keys, each with its parser:
 number, integer, number list (commas or spaces), integer list,
 "auto"-or-number, or choice. [model] also takes V.params.<name> and
@@ -9,10 +14,10 @@ epsilon is required; an absent key keeps its dataclass default.
 Unknown sections or keys and non-finite numbers are rejected, naming
 the [section] key. The table adds only the rules no constructor owns:
 epsilon_list entries > 0, at least one seed, integer seeds,
-n_particles > 0 and particle_dt > 0. ModelParams (epsilon > 0; D,
-T >= 0), FullSolverConfig (dt > 0, splitting lie | strang), RunConfig
-(initial bulk_exp | steady_layer) and AngularCoefficient (the families)
-check the rest while the config loads. The environment variable
+n_particles > 0, particle_dt > 0 and initial bulk_exp | steady_layer.
+ModelParams (epsilon > 0; D, T >= 0), FullSolverConfig (dt > 0,
+splitting lie | strang) and AngularCoefficient (the families) check the
+rest while the config loads. The environment variable
 ACTIVERODS_OUT_DIR overrides [output] directory; a CLI --out flag
 overrides both.
 """
@@ -31,8 +36,6 @@ from .full_solver import FullSolverConfig, steady_layer
 from .grids import (PhaseField, PhiGrid, YGrid, build_phi_grid, build_y_grid,
                     exp_cell_averages)
 from .limit_solver import BulkWallState
-
-_INITIAL_CHOICES = ("bulk_exp", "steady_layer")
 
 
 @dataclass
@@ -56,36 +59,19 @@ class ExperimentSection:
 
 @dataclass
 class RunConfig:
-    epsilon: float = 0.02
-    D: float = 0.0
-    T: float = 1.0
-    V: AngularCoefficient = AngularCoefficient("constant", {"value": 1.0})
-    Phi: AngularCoefficient = AngularCoefficient("constant", {"value": 0.0})
+    model: ModelParams
     grid: GridSection = field(default_factory=GridSection)
-    dt: object = "auto"
-    splitting: str = "lie"
+    time: FullSolverConfig = field(default_factory=FullSolverConfig)
     experiment: ExperimentSection = field(default_factory=ExperimentSection)
     out_dir: str = "out"
 
     def __post_init__(self):
         if not self.experiment.epsilon_list:
-            self.experiment.epsilon_list = [self.epsilon]
+            self.experiment.epsilon_list = [self.model.epsilon]
         if not self.experiment.snapshot_times:
-            self.experiment.snapshot_times = [0.0, self.T]
-        if self.experiment.initial not in _INITIAL_CHOICES:
-            raise ConfigurationError(
-                f"initial must be one of {_INITIAL_CHOICES}, "
-                f"got {self.experiment.initial!r}")
-        # ModelParams and FullSolverConfig own the rules on epsilon, D, T,
-        # dt and splitting; building both here applies them at load time
-        self.model_params()
-        self.solver_config()
+            self.experiment.snapshot_times = [0.0, self.model.T]
 
     # -- derived builders ---------------------------------------------------
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(epsilon=self.epsilon, D=self.D, T=self.T,
-                           V=self.V, Phi=self.Phi)
 
     def layer_width_for(self, epsilon: float) -> float:
         if self.grid.layer_width == "auto":
@@ -95,16 +81,14 @@ class RunConfig:
     def build_grids(self):
         g = self.grid
         y_grid = build_y_grid(g.y_max, g.n_y,
-                              self.layer_width_for(self.epsilon),
+                              self.layer_width_for(self.model.epsilon),
                               g.layer_cells)
         return y_grid, build_phi_grid(g.n_phi)
 
-    def solver_config(self) -> FullSolverConfig:
-        return FullSolverConfig(dt=self.dt, splitting=self.splitting)
-
     def initial_field(self, y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
         if self.experiment.initial == "steady_layer":
-            return steady_layer(self.V, self.epsilon, y_grid, phi_grid)
+            return steady_layer(self.model.V, self.model.epsilon, y_grid,
+                                phi_grid)
         return bulk_exp_field(y_grid, phi_grid)
 
     def initial_limit_state(self, y_grid: YGrid,
@@ -174,7 +158,8 @@ def _rule(parse, holds, need: str):
     return parse_checked
 
 
-# A key fills the field of its name; [output] directory fills out_dir.
+# A key fills the field of its name in its section's dataclass;
+# [output] directory fills RunConfig.out_dir.
 _KEYS = {
     "model": {"epsilon": _number, "D": _number, "T": _number,
               "V.family": _choice, "Phi.family": _choice},
@@ -189,7 +174,8 @@ _KEYS = {
         "seeds": _rule(_integers, bool, "a list of at least one seed"),
         "n_particles": _rule(_integer, lambda n: n > 0, "> 0"),
         "particle_dt": _rule(_number, lambda dt: dt > 0, "> 0"),
-        "initial": _choice},
+        "initial": _rule(_choice, lambda v: v in ("bulk_exp", "steady_layer"),
+                         "bulk_exp or steady_layer")},
     "output": {"directory": _choice},
 }
 
@@ -222,21 +208,22 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigurationError(
                     f"[{section}] {key} = {raw!r}: {exc}") from None
 
-    run = found["model"]
-    if "epsilon" not in run:
+    model = found["model"]
+    if "epsilon" not in model:
         raise ConfigurationError("missing key epsilon in [model]")
     for coeff, values in params.items():
-        family = run.pop(f"{coeff}.family", None)
+        family = model.pop(f"{coeff}.family", None)
         if family is not None:
-            run[coeff] = AngularCoefficient(family, values)
+            model[coeff] = AngularCoefficient(family, values)
         elif values:
             raise ConfigurationError(
                 f"{coeff}.params.* in [model] needs a {coeff}.family")
+    cfg = RunConfig(ModelParams(**model), GridSection(**found["grid"]),
+                    FullSolverConfig(**found["time"]),
+                    ExperimentSection(**found["experiment"]))
     if "directory" in found["output"]:
-        run["out_dir"] = found["output"]["directory"]
-    return RunConfig(**run, **found["time"],
-                     grid=GridSection(**found["grid"]),
-                     experiment=ExperimentSection(**found["experiment"]))
+        cfg.out_dir = found["output"]["directory"]
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -303,33 +303,6 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
     return out.transpose(*range(1, out.ndim), 0)
 
 
-def _split_stepper(y_step, params: ModelParams, phi_grid: PhiGrid,
-                   cfg: FullSolverConfig):
-    """The Lie (y then phi) or Strang (half phi, y, half phi) splitting
-    of an implicit y-substep with the explicit angular substep, as a
-    builder step_for(dt) that returns the step(state) of size dt.
-
-    The state is a tuple of angle-last arrays: (f,) for the kinetic
-    model, (bulk, wall) for the limiting system. y_step(dt) factors the
-    y-operator for the step size dt once and returns the substep that
-    advances the whole tuple at once; each array then takes its own
-    angular substep."""
-    Phi_face = params.Phi(phi_grid.faces)
-
-    def phi_step(state, dt):
-        return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt)
-                     for v in state)
-
-    def step_for(dt):
-        y = y_step(dt)
-        if cfg.splitting == "lie":
-            return lambda state: phi_step(y(state), dt)
-        return lambda state: phi_step(
-            y(phi_step(state, 0.5 * dt)), 0.5 * dt)
-
-    return step_for
-
-
 def _check_health(values: np.ndarray, y_grid: YGrid, phi_grid: PhiGrid):
     mass = float(np.sum(values * y_grid.widths[:, None]) * phi_grid.h)
     if not np.isfinite(mass):
@@ -339,22 +312,36 @@ def _check_health(values: np.ndarray, y_grid: YGrid, phi_grid: PhiGrid):
         raise NumericalFailureError(f"total mass went negative: {mass}")
 
 
-def _march(step_for, state: tuple, snapshot_times, T: float,
-           dt_target: float, check) -> list:
-    """Advance state from t = 0, landing exactly on every requested time.
+def _march(y_step, state: tuple, params: ModelParams, phi_grid: PhiGrid,
+           cfg: FullSolverConfig, snapshot_times, check) -> list:
+    """Advance state from t = 0 by split steps of the resolved dt,
+    landing exactly on every requested time.
 
-    Each segment between snapshots takes ceil(span / dt_target) equal
-    steps, built once by step_for(dt) because segments can differ in dt,
-    and ends with check(state). Returns a list of (t, state copy) pairs,
-    one per requested time (t = 0 gives a copy of the input). A segment
-    that would need more than _MAX_STEPS steps is refused before any step
-    is taken."""
+    The state is a tuple of angle-last arrays: (f,) for the kinetic
+    model, (bulk, wall) for the limiting system. y_step(dt) factors the
+    y-operator for the step size dt once and returns the substep that
+    advances the whole tuple at once; each array then takes its own
+    angular substep, after the y-substep (Lie) or in two halves around it
+    (Strang).
+
+    Each segment between snapshots takes ceil(span / dt) equal steps,
+    factored once per segment because segments can differ in dt, and ends
+    with check(state). Returns a list of (t, state copy) pairs, one per
+    requested time (t = 0 gives a copy of the input). A segment that would
+    need more than _MAX_STEPS steps is refused before any step is taken."""
+    Phi_face = params.Phi(phi_grid.faces)
+    dt_target = resolve_dt(params, phi_grid, cfg)
+
+    def phi_step(state, dt):
+        return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt)
+                     for v in state)
+
     times = sorted(set(float(t) for t in snapshot_times))
     if not times:
         raise ConfigurationError("need at least one snapshot time")
-    if times[0] < -1e-15 or times[-1] > T + 1e-12:
+    if times[0] < -1e-15 or times[-1] > params.T + 1e-12:
         raise ConfigurationError(
-            f"snapshot times must lie in [0, T={T}], got {times}"
+            f"snapshot times must lie in [0, T={params.T}], got {times}"
         )
     plan = []
     t = 0.0
@@ -370,9 +357,13 @@ def _march(step_for, state: tuple, snapshot_times, T: float,
     out = []
     for t_next, span, n in plan:
         if n:
-            step = step_for(span / n)
+            dt = span / n
+            y = y_step(dt)
             for _ in range(n):
-                state = step(state)
+                if cfg.splitting == "lie":
+                    state = phi_step(y(state), dt)
+                else:
+                    state = phi_step(y(phi_step(state, 0.5 * dt)), 0.5 * dt)
             check(state)
         out.append((t_next, tuple(v.copy() for v in state)))
     return out
@@ -394,9 +385,8 @@ def run_full(f0: PhaseField, params: ModelParams, cfg: FullSolverConfig,
         solve = _implicit_y_step(a, b, y_grid.widths, dt)
         return lambda state: (solve(state[0]),)
 
-    snaps = _march(_split_stepper(y_step, params, phi_grid, cfg), (f0.values,),
-                   snapshot_times, params.T,
-                   resolve_dt(params, phi_grid, cfg),
+    snaps = _march(y_step, (f0.values,), params, phi_grid, cfg,
+                   snapshot_times,
                    lambda state: _check_health(state[0], y_grid, phi_grid))
     return [(t, PhaseField(f, y_grid, phi_grid)) for t, (f,) in snaps]
 

@@ -36,8 +36,7 @@ import numpy as np
 
 from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
-from .full_solver import (FullSolverConfig, _factor_columns, _march,
-                          _split_stepper, resolve_dt)
+from .full_solver import FullSolverConfig, _factor_columns, _march
 from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes,
                     phi_derivative)
 
@@ -99,11 +98,9 @@ def run_limit(s0: BulkWallState, params: ModelParams, cfg: FullSolverConfig,
     y_grid, phi_grid = s0.bulk.y_grid, s0.bulk.phi_grid
     validate_assumptions(params.V)
     V_nodes = eval_on_nodes(params.V, phi_grid)
-    step_for = _split_stepper(
-        lambda dt: _upwind_y_step(V_nodes, y_grid.widths, dt),
-        params, phi_grid, cfg)
-    snaps = _march(step_for, (s0.bulk.values, s0.wall), snapshot_times,
-                   params.T, resolve_dt(params, phi_grid, cfg), _check_finite)
+    snaps = _march(lambda dt: _upwind_y_step(V_nodes, y_grid.widths, dt),
+                   (s0.bulk.values, s0.wall), params, phi_grid, cfg,
+                   snapshot_times, _check_finite)
     return [(t, BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall))
             for t, (bulk, wall) in snaps]
 

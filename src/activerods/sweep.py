@@ -72,21 +72,20 @@ def reference_limit_state(cfg: RunConfig):
     y_grid = build_y_grid(cfg.grid.y_max, n, cfg.grid.y_max / 2.0, n // 2)
     phi_grid = build_phi_grid(cfg.grid.n_phi)
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
-    snaps = run_limit(s0, cfg.model_params(), cfg.solver_config(), [cfg.T])
+    snaps = run_limit(s0, cfg.model, cfg.time, [cfg.model.T])
     return snaps[-1][1]
 
 
 def _paired_solve(cfg: RunConfig, eps: float):
     """Kinetic and limiting solves to T at one epsilon, on that epsilon's
     grids. Returns (f_T, s_T, params)."""
-    cfg = replace(cfg, epsilon=eps)
+    cfg = replace(cfg, model=replace(cfg.model, epsilon=eps))
     y_grid, phi_grid = cfg.build_grids()
-    params = cfg.model_params()
-    scfg = cfg.solver_config()
+    params = cfg.model
     f0 = cfg.initial_field(y_grid, phi_grid)
-    f_T = run_full(f0, params, scfg, [cfg.T])[-1][1]
+    f_T = run_full(f0, params, cfg.time, [params.T])[-1][1]
     s0 = cfg.initial_limit_state(y_grid, phi_grid)
-    s_T = run_limit(s0, params, scfg, [cfg.T])[-1][1]
+    s_T = run_limit(s0, params, cfg.time, [params.T])[-1][1]
     return f_T, s_T, params
 
 
@@ -95,15 +94,15 @@ def sweep_epsilon(cfg: RunConfig) -> list:
     eps_list = _check_ladder(cfg.experiment.epsilon_list)
 
     ref_state = reference_limit_state(cfg)
-    inner_ref = build_inner(ref_state, cfg.model_params())
+    inner_ref = build_inner(ref_state, cfg.model)
 
     records = []
     prev_err = None
     for eps in eps_list:
         f_T, s_T, params = _paired_solve(cfg, eps)
         y_grid, phi_grid = f_T.y_grid, f_T.phi_grid
-        f_bar = composite_simple(s_T, eps, cfg.V)
-        f_hat = composite_refined(s_T, inner_ref, eps, cfg.V)
+        f_bar = composite_simple(s_T, eps, cfg.model.V)
+        f_hat = composite_refined(s_T, inner_ref, eps, cfg.model.V)
 
         diff_bar = PhaseField(f_T.values - f_bar.values, y_grid, phi_grid)
         diff_hat = PhaseField(f_T.values - f_hat.values, y_grid, phi_grid)
@@ -117,7 +116,7 @@ def sweep_epsilon(cfg: RunConfig) -> list:
             math.log2(prev_err / err) if err > 0 and prev_err > 0 else \
             float("nan")
         records.append(SweepRecord(
-            epsilon=eps, t_final=cfg.T, l1_error=err,
+            epsilon=eps, t_final=cfg.model.T, l1_error=err,
             l1_error_refined=err_hat, l1_R=resid.l1_R, l1_r=resid.l1_r,
             mass_full=norms(f_T)["mass"],
             mass_limit_combined=s_T.combined_mass(),
@@ -158,7 +157,7 @@ def weak_pairing_sweep(cfg: RunConfig) -> list:
     Only defined for D = 0, where the decomposition's boundary profile
     has an exact counterpart in the limiting wall density.
     """
-    if cfg.D != 0.0:
+    if cfg.model.D != 0.0:
         raise ConfigurationError("weak pairing sweep requires D = 0")
     eps_list = _check_ladder(cfg.experiment.epsilon_list)
 
@@ -166,8 +165,8 @@ def weak_pairing_sweep(cfg: RunConfig) -> list:
     for eps in eps_list:
         f_T, s_T, _ = _paired_solve(cfg, eps)
         phi_grid = f_T.phi_grid
-        dec = decompose(f_T, cfg.V, eps)
-        m_limit = eval_on_nodes(cfg.V, phi_grid) * s_T.wall
+        dec = decompose(f_T, cfg.model.V, eps)
+        m_limit = eval_on_nodes(cfg.model.V, phi_grid) * s_T.wall
 
         tests = default_tests(phi_grid)
         pair_full = weak_pairings(dec, tests)

@@ -50,16 +50,16 @@ directory = results
 
 def test_parse_full_config():
     cfg = parse_config(FULL_TEXT)
-    assert cfg.epsilon == 0.05
-    assert cfg.D == 0.2
-    assert cfg.T == 1.0
-    assert cfg.V(math.pi / 2) == pytest.approx(2.0)
-    assert cfg.Phi(math.pi / 4) == pytest.approx(-0.25)
+    assert cfg.model.epsilon == 0.05
+    assert cfg.model.D == 0.2
+    assert cfg.model.T == 1.0
+    assert cfg.model.V(math.pi / 2) == pytest.approx(2.0)
+    assert cfg.model.Phi(math.pi / 4) == pytest.approx(-0.25)
     assert cfg.grid.n_phi == 32
     assert cfg.grid.n_y == 64
     assert cfg.grid.layer_width == "auto"
-    assert cfg.dt == 0.01
-    assert cfg.splitting == "strang"
+    assert cfg.time.dt == 0.01
+    assert cfg.time.splitting == "strang"
     assert cfg.experiment.epsilon_list == [0.08, 0.04, 0.02]
     assert cfg.experiment.seeds == [1, 2]
     assert cfg.experiment.n_particles == 1000
@@ -69,10 +69,10 @@ def test_parse_full_config():
 
 def test_parse_defaults():
     cfg = parse_config("[model]\nepsilon = 0.1\n")
-    assert cfg.V(0.3) == 1.0
-    assert cfg.Phi(0.3) == 0.0
-    assert cfg.dt == "auto"
-    assert cfg.splitting == "lie"
+    assert cfg.model.V(0.3) == 1.0
+    assert cfg.model.Phi(0.3) == 0.0
+    assert cfg.time.dt == "auto"
+    assert cfg.time.splitting == "lie"
     assert cfg.experiment.epsilon_list == [0.1]
     assert cfg.experiment.snapshot_times == [0.0, 1.0]
     assert cfg.experiment.initial == "bulk_exp"
@@ -157,7 +157,7 @@ def test_build_grids_and_initial_fields():
         cfg.layer_width_for(0.05))
 
     f0 = cfg.initial_field(yg, pg)
-    ref = steady_layer(cfg.V, 0.05, yg, pg)
+    ref = steady_layer(cfg.model.V, 0.05, yg, pg)
     np.testing.assert_allclose(f0.values, ref.values, rtol=1e-14)
 
     s0 = cfg.initial_limit_state(yg, pg)
@@ -179,7 +179,7 @@ def test_load_config(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(FULL_TEXT)
     cfg = load_config(str(p))
-    assert cfg.epsilon == 0.05
+    assert cfg.model.epsilon == 0.05
     with pytest.raises(ConfigurationError):
         load_config(str(tmp_path / "missing.ini"))
 

@@ -700,3 +700,32 @@ def test_phi_substep_identity_returns_copy(Phi, D, dt):
     out = phi_substep(vals, np.full(16, Phi), D, pg.h, dt)
     assert not np.shares_memory(out, vals)
     _assert_same_bits(out, vals)
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("solver", ["full", "limit"])
+def test_split_step_is_first_order_in_time(solver, splitting):
+    # both substeps are first order (backward Euler in y, forward Euler in
+    # angle), so no splitting of them is better: on a smooth case, halving
+    # dt halves the L1 error at T against a run at dt / 64
+    yg = build_y_grid(4.0, 24, 0.4, 8)
+    pg = build_phi_grid(8)
+    T = 0.25
+    params = ModelParams(epsilon=0.05, D=0.2, T=T, V=shifted_sine(1.0, 0.5),
+                         Phi=shear(0.5))
+    s0 = manufactured_state(0.0, 1.0, 0.5, params.D, yg, pg)
+
+    def state_at(n):
+        cfg = FullSolverConfig(dt=T / n, splitting=splitting)
+        if solver == "full":
+            return run_full(s0.bulk, params, cfg, [T])[-1][1].values, 0.0
+        s = run_limit(s0, params, cfg, [T])[-1][1]
+        return s.bulk.values, s.wall
+
+    def l1_error(n):
+        bulk, wall = state_at(n)
+        return (np.sum(np.abs(bulk - ref[0]) * yg.widths[:, None])
+                + np.sum(np.abs(wall - ref[1]))) * pg.h
+
+    ref = state_at(640)
+    assert 1.8 <= l1_error(10) / l1_error(20) <= 2.2

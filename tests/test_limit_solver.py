@@ -13,7 +13,7 @@ from activerods import (BulkWallState, ConfigurationError, FullSolverConfig,
                         eval_on_nodes, manufactured_state, mu0,
                         resolvent_solve, run_limit)
 from activerods.grids import PhiGrid
-from activerods.limit_solver import _resolvent_blocks
+from activerods.limit_solver import _gap_scale, _resolvent_blocks
 
 from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
                       patchy_values, round_off_bound, shear, shifted_sine,
@@ -145,6 +145,31 @@ def test_coercivity_gap_plain():
                          * grid.trapezoid_weights[:, None]) * pg.h)
     gap = coercivity_gap(u, 2.0, params)
     assert gap == pytest.approx(norm2, rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(V=positive_speeds, Phi=angular_drifts, D=st.floats(0.0, 2.0),
+       modes=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+       sigma=st.floats(0.5, 1.5))
+def test_coercivity_gap_is_the_closed_form(V, Phi, D, modes, sigma):
+    # summation by parts: for u of angular degree <= 3, negligible at both
+    # ends in y, the V d_y term sums to zero and the D terms cancel, so the
+    # gap is the sum of (mu0 + Phi' / 2) u^2, up to round-off of the gap's
+    # scale (the worst of 2000 draws was 0.9 eps times it)
+    grid = build_line_grid(8.0, 161)
+    pg = build_phi_grid(16)
+    k = np.arange(1, 4)[:, None]
+    ang = (modes[0] + np.asarray(modes[1:4]) @ np.cos(k * pg.nodes)
+           + np.asarray(modes[4:]) @ np.sin(k * pg.nodes))
+    u = LineField(np.exp(-(grid.nodes / sigma) ** 2)[:, None] * ang[None, :],
+                  grid, pg)
+    params = ModelParams(epsilon=0.05, D=D, V=V, Phi=Phi)
+    lam = mu0(Phi) + 1.0
+    weight = mu0(Phi) + 0.5 * Phi(pg.nodes, 1)
+    closed = float(np.sum(weight * u.values ** 2
+                          * grid.trapezoid_weights[:, None]) * pg.h)
+    assert abs(coercivity_gap(u, lam, params) - closed) <= \
+        8 * np.finfo(float).eps * _gap_scale(u, lam, params)
 
 
 def test_coercivity_shift_too_small():

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from activerods import (ConfigurationError, FitError, SweepRecord, fit_order,
                         full_solver, load_config, parse_config, sweep_epsilon,
                         weak_pairing_sweep)
+from activerods import cli
 from activerods.cli import main
 
 from conftest import CONFIG_KEYS, FUZZ_VALUES, ROOT, run_python, with_key
@@ -663,3 +664,38 @@ def test_cli_writes_the_readme_csvs(command, tmp_path, capsys):
     assert wrote == [f"wrote {os.path.join(out, name)} "
                      f"({len(_lines(os.path.join(out, name))) - 1} rows)"
                      for name in names]
+
+
+@pytest.mark.parametrize("fault", ["directory", "write_csv"])
+@pytest.mark.parametrize("command", ["run-limit", "composite", "decompose"])
+def test_cli_failed_write_leaves_no_csv(command, fault, tmp_path, monkeypatch,
+                                        capsys):
+    # the subcommand's last CSV cannot be written, because a directory
+    # holds its name or because writing it fails: exit 2 with one error
+    # line naming the subcommand and the CSV, no "wrote" line, and neither
+    # the CSVs before it nor any staged file left behind
+    names = README_CSVS[command]
+    path = tmp_path / "small.ini"
+    path.write_text(SMALL_EXAMPLE)
+    out = tmp_path / "out"
+    out.mkdir()
+    if fault == "directory":
+        (out / names[-1]).mkdir()
+    else:
+        write_csv = cli.write_csv
+
+        def no_space(csv_path, header, rows):
+            if names[-1] in os.path.basename(csv_path):
+                with open(csv_path, "w") as fh:
+                    fh.write("partial")
+                raise OSError(28, "No space left on device", csv_path)
+            return write_csv(csv_path, header, rows)
+
+        monkeypatch.setattr(cli, "write_csv", no_space)
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(
+        f"error: {command}: cannot write {names[-1]}: ")
+    assert os.listdir(out) == ([names[-1]] if fault == "directory" else [])
