@@ -19,8 +19,11 @@ annihilates exact cell averages of e^{-V y/eps} on the uniform layer
 block to machine precision. Its tridiagonal matrix changes only with the
 step size, so it is factored once per step size, by cyclic reduction in
 y over all angle columns at once, and every step runs only the
-precomputed eliminations: about nine numpy calls per level of the
-reduction, log2(n_y) levels, and no loop over rows (0.4 ms at
+precomputed eliminations: nine numpy calls per level of the reduction,
+fewer where a multiplier is zero everywhere and its product is left out
+(which changes at most the sign of a zero), log2(n_y) levels, and no
+loop over rows. The work buffer keeps the even rows and the odd rows in
+two halves, so the first level runs on contiguous memory (0.28 ms at
 256 x 128). The matrix is an M-matrix and every multiplier of the solve
 is non-negative, so the step maps non-negative data to exactly
 non-negative data. The phi-substep is explicit conservative upwind plus
@@ -117,15 +120,21 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
     the multipliers that add the odd rows into the even ones, the negated
     off-diagonals and reciprocal pivots of the back-substitution, and the
     views of one work buffer that each of them acts on, so that a solve is
-    about nine numpy calls per level and no loop over rows.
+    at most nine numpy calls per level and no loop over rows.
 
-    The columns lie end to end in the buffer, each padded with identity
-    rows to a power-of-two length, so that the rows of one level are a
-    single strided view across all columns. The system stays block
-    diagonal, so the multipliers that join two columns, or a column and
-    its padding, are zeros, and x + 0 * y is x for finite y: the padding
-    rows stay zero, and each column comes out as if solved alone (up to
-    the sign of a zero).
+    The columns lie end to end, each padded with identity rows to a
+    power-of-two length of at least 2, and the work buffer holds their
+    even rows in one half and their odd rows in the other, so that the
+    first level, which carries half of all the work, runs on two
+    contiguous halves and the rows of every later level are a single
+    strided view of the even half. The system stays block diagonal, so the
+    multipliers that join two columns, or a column and its padding, are
+    zeros, and x + 0 * y is x for finite y: the padding rows stay zero,
+    and each column comes out as if solved alone. A multiplier that is
+    zero everywhere (the sub-diagonal ones of an upper bidiagonal system,
+    and those of the last level that only join columns) has its product
+    left out of the solve, which changes nothing but, at most, the sign
+    of a zero.
 
     For an M-matrix (positive diagonal, non-positive off-diagonals,
     non-negative inverse), which both y-operators are, every reduced
@@ -134,9 +143,8 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
     non-negative solution. Raises NumericalFailureError if a reduced pivot
     is not positive and finite or the elimination overflows."""
     n_y, n_phi = diag.shape
-    size = 1 << (n_y - 1).bit_length()         # rows per padded column
-    buf = np.zeros((n_phi, size))
-    flat = buf.reshape(-1)
+    size = max(2, 1 << (n_y - 1).bit_length())     # rows per padded column
+    buf = np.zeros((2, n_phi, size // 2))           # even rows | odd rows
     d = np.ones((n_phi, size))
     d[:, :n_y] = diag.T
     lo, up = np.zeros_like(d), np.zeros_like(d)
@@ -146,19 +154,20 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
     down, back, pivots = [], [], []
 
     def add_product(ops, m, x, acc):
-        """Append acc += m * x, through a work array, to ops."""
-        tmp = np.empty_like(m)
-        ops += [(np.multiply, m, x, tmp), (np.add, acc, tmp, acc)]
+        """Append acc += m * x, through a work array, to ops, unless m is
+        zero everywhere."""
+        if m.any():
+            tmp = np.empty_like(m)
+            ops += [(np.multiply, m, x, tmp), (np.add, acc, tmp, acc)]
 
     # an overflow, a division by zero or an invalid operation stops the
     # factorization; a NaN or an infinity in the input reaches a reduced
     # pivot, whose reciprocal is then not positive
-    stride = 1
+    even, odd = buf.reshape(2, -1)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise",
                          under="ignore"):
-            while stride < size:
-                even, odd = flat[::2 * stride], flat[stride::2 * stride]
+            while True:
                 d_odd, lo_odd, up_odd = d[1::2], lo[1::2], up[1::2]
                 left = -lo[2::2] / d_odd[:-1]
                 right = -up[::2] / d_odd
@@ -173,10 +182,12 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
                 d = d[::2].copy()
                 d[1:] += left * up_odd[:-1]
                 d += right * lo_odd
+                if d.size == n_phi:
+                    break
                 lo = np.zeros_like(d)
                 lo[1:] = left * lo_odd[:-1]
                 up = right * up_odd
-                stride *= 2
+                even, odd = even[::2], even[1::2]
             pivots.append(1.0 / d)
             failed = not (np.concatenate(pivots) > 0.0).all()
     except FloatingPointError:
@@ -185,18 +196,23 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
         raise NumericalFailureError(
             "tridiagonal y-operator has a pivot that is not positive and "
             "finite")
-    wall = flat[::size]
-    ops = down + [(np.multiply, pivots[-1], wall, wall)] + back
-    real, padding = buf[:, :n_y], buf[:, n_y:]
+    ops = down + [(np.multiply, pivots[-1], even, even)] + back
+    n_even = (n_y + 1) // 2
+    real = buf[0, :, :n_even], buf[1, :, :n_y // 2]
+    padding = buf[0, :, n_even:], buf[1, :, n_y // 2:]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        np.copyto(real, rhs.T)
+        np.copyto(real[0], rhs.T[:, ::2])
+        np.copyto(real[1], rhs.T[:, 1::2])
         # a solve of finite data leaves the padding zero; this keeps a
         # non-finite one from reaching the next
-        padding.fill(0.0)
+        for rows in padding:
+            rows.fill(0.0)
         for op, m, x, out in ops:
             op(m, x, out)
-        return real.copy().T
+        out = np.empty((n_phi, n_y))
+        out[:, ::2], out[:, 1::2] = real
+        return out.T
 
     return solve
 

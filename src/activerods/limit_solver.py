@@ -13,10 +13,13 @@ density w(phi):
 
 Discretely the bulk y-step is implicit upwind-from-above, an upper
 bidiagonal system that goes through the full solver's tridiagonal
-column factorization (cyclic reduction in y, with a zero sub-diagonal)
-once per step size, so that each step runs only the precomputed
-eliminations, whose multipliers are all non-negative: non-negative data
-stay exactly non-negative. The wall source is defined as exactly the
+column factorization (cyclic reduction in y) once per step size, so that
+each step runs only the precomputed eliminations, whose multipliers are
+all non-negative: non-negative data stay exactly non-negative. The zero
+sub-diagonal makes the multipliers that would add a row's lower
+neighbour zero everywhere, and the factorization leaves their products
+out: five numpy calls per level instead of nine (0.17 ms at 256 x 128),
+the same result up to the sign of a zero. The wall source is defined as exactly the
 discrete flux through the wall face, so the combined mass telescopes to
 machine precision. The splitting, the angular substep and the march to
 snapshot times are shared with the full solver.

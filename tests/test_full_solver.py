@@ -319,6 +319,93 @@ def test_cyclic_reduction_at_every_size():
                     lower[:, col], diag[:, col], upper[:, col])(rhs[:, col]))
 
 
+def _strided_cyclic_reduction(lower, diag, upper):
+    """The cyclic reduction as it was before the work buffer was split into
+    even and odd rows: the columns end to end in one flat buffer, each
+    level a stride-2^k view of it, and every product applied, zero
+    multipliers included. Returns solve(rhs)."""
+    n_y, n_phi = diag.shape
+    size = 1 << (n_y - 1).bit_length()
+    buf = np.zeros((n_phi, size))
+    flat = buf.reshape(-1)
+    d = np.ones((n_phi, size))
+    d[:, :n_y] = diag.T
+    lo, up = np.zeros_like(d), np.zeros_like(d)
+    lo[:, 1:n_y] = lower[1:].T
+    up[:, :n_y - 1] = upper[:-1].T
+    d, lo, up = d.reshape(-1), lo.reshape(-1), up.reshape(-1)
+    down, back = [], []
+    stride = 1
+    while stride < size:
+        even, odd = flat[::2 * stride], flat[stride::2 * stride]
+        d_odd, lo_odd, up_odd = d[1::2], lo[1::2], up[1::2]
+        left = -lo[2::2] / d_odd[:-1]
+        right = -up[::2] / d_odd
+        down += [(left, odd[:-1], even[1:]), (right, odd, even)]
+        back = [(-lo_odd, even, odd), (-up_odd[:-1], even[1:], odd[:-1]),
+                (1.0 / d_odd, odd, None)] + back
+        d = d[::2].copy()
+        d[1:] += left * up_odd[:-1]
+        d += right * lo_odd
+        lo = np.zeros_like(d)
+        lo[1:] = left * lo_odd[:-1]
+        up = right * up_odd
+        stride *= 2
+    wall = flat[::size]
+    ops = down + [(1.0 / d, wall, None)] + back
+
+    def solve(rhs):
+        buf[:] = 0.0
+        buf[:, :n_y] = rhs.T
+        for m, x, acc in ops:
+            if acc is None:
+                x *= m
+            else:
+                acc += m * x
+        return buf[:, :n_y].copy().T
+
+    return solve
+
+
+def test_cyclic_reduction_matches_strided_reference_bit_for_bit():
+    # the even | odd halves and the dropped zero products change nothing
+    # for data without a -0.0, the fitted systems' nor the upwind ones'
+    rng = np.random.default_rng(20240818)
+    for n_y in range(1, 71):
+        for n_phi in range(1, 6):
+            r = rng.uniform(1e-3, 5.0, size=(n_y, n_phi))
+            systems = [_random_fitted_system(rng, n_y, n_phi)[:3],
+                       (np.zeros_like(r), 1.0 + r, -r)]
+            rhs = patchy_values(n_y * 10 + n_phi, (n_y, n_phi))
+            for system in systems:
+                out = _factor_columns(*system)(rhs)
+                _assert_same_bits(out, _strided_cyclic_reduction(*system)(rhs))
+                assert out.T.flags.c_contiguous
+
+
+def test_non_finite_solve_does_not_reach_the_next(small_grids):
+    # a NaN and an inf spread through zero multipliers into the padding
+    # rows; the next solve with the same factorization must not see them
+    yg, pg = small_grids
+    V_nodes = eval_on_nodes(shifted_sine(1.0, 0.5), pg)
+    a, b = _fitted_flux_coeffs(V_nodes, 0.05, yg)
+    bad = patchy_values(5, (yg.n_y, pg.n_phi))
+    bad[3, 2], bad[-1, 5] = np.nan, np.inf
+    vals = patchy_values(6, (yg.n_y, pg.n_phi))
+    wall = patchy_values(7, pg.n_phi)
+    with np.errstate(invalid="ignore"):
+        solve = _implicit_y_step(a, b, yg.widths, 0.01)
+        solve(bad)
+        _assert_same_bits(solve(vals),
+                          _implicit_y_step(a, b, yg.widths, 0.01)(vals))
+        step = _upwind_y_step(V_nodes, yg.widths, 0.01)
+        step((bad, wall))
+        for x, y in zip(step((vals, wall)),
+                        _upwind_y_step(V_nodes, yg.widths, 0.01)((vals,
+                                                                  wall))):
+            _assert_same_bits(x, y)
+
+
 @settings(max_examples=200, deadline=None)
 @given(graded_y_grids(), st.integers(4, 16), positive_speeds,
        st.floats(1e-3, 0.5), st.floats(1e-4, 2.0), st.integers(-300, 300),
