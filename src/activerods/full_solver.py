@@ -196,6 +196,7 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
         raise NumericalFailureError(
             "tridiagonal y-operator has a pivot that is not positive and "
             "finite")
+    # the last level's even rows are the wall rows, one per column
     ops = down + [(np.multiply, pivots[-1], even, even)] + back
     n_even = (n_y + 1) // 2
     real = buf[0, :, :n_even], buf[1, :, :n_y // 2]
