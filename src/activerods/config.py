@@ -180,11 +180,12 @@ _KEYS = {
 }
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, source: str = "<string>") -> RunConfig:
+    """Parse config text; source names it in configparser's errors."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        cp.read_string(text)
+        cp.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse error: {exc}")
 
@@ -233,4 +234,4 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}")
-    return parse_config(text)
+    return parse_config(text, path)

@@ -23,9 +23,9 @@ precomputed eliminations: nine numpy calls per level of the reduction,
 fewer where a multiplier is zero everywhere and its product is left out
 (which changes at most the sign of a zero), log2(n_y) levels, and no
 loop over rows. The work buffer keeps the even rows and the odd rows in
-two halves, so the first level runs on contiguous memory (0.28 ms at
-256 x 128). The matrix is an M-matrix and every multiplier of the solve
-is non-negative, so the step maps non-negative data to exactly
+two halves, so the first level, half of all the work, runs on
+contiguous memory. The matrix is an M-matrix and every multiplier of the
+solve is non-negative, so the step maps non-negative data to exactly
 non-negative data. The phi-substep is explicit conservative upwind plus
 centered diffusion, sub-cycled under a CFL bound. Its set-up (the
 sub-cycle count and the two face weights of the flux with the step

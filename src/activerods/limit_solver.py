@@ -18,16 +18,19 @@ each step runs only the precomputed eliminations, whose multipliers are
 all non-negative: non-negative data stay exactly non-negative. The zero
 sub-diagonal makes the multipliers that would add a row's lower
 neighbour zero everywhere, and the factorization leaves their products
-out: five numpy calls per level instead of nine (0.17 ms at 256 x 128),
-the same result up to the sign of a zero. The wall source is defined as exactly the
-discrete flux through the wall face, so the combined mass telescopes to
-machine precision. The splitting, the angular substep and the march to
+out: five numpy calls per level instead of nine, the same result up to
+the sign of a zero. The wall source is defined as exactly the discrete
+flux through the wall face, so the combined mass telescopes to machine
+precision. The splitting, the angular substep and the march to
 snapshot times are shared with the full solver.
 
 The operator spot checks (coercivity gap, regularized resolvent bound)
 live on a separate uniform whole-line y grid, because the underlying
 inequalities are posed with unbounded y of both signs. The resolvent
-system is solved by block elimination over the y rows, 3.9 MiB at 481 x 32.
+system is solved by block elimination over the y rows. The probe
+batteries coercivity_check and resolvent_check, and their bounds GAP_TOL
+and SPREAD_MAX, live here too: acceptance criteria 11 and 12 and the
+check-coercivity and check-resolvent subcommands run them.
 """
 
 from __future__ import annotations
@@ -40,8 +43,8 @@ import numpy as np
 from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
 from .full_solver import FullSolverConfig, _factor_columns, _march
-from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes,
-                    phi_derivative)
+from .grids import (PhaseField, PhiGrid, YGrid, build_phi_grid,
+                    eval_on_nodes, phi_derivative)
 
 
 @dataclass
@@ -127,6 +130,11 @@ def manufactured_state(t: float, a0: float, a1: float, D: float,
 
 # ---------------------------------------------------------------------------
 # whole-line operator checks
+
+# Bounds of the two probe batteries below.
+GAP_TOL = -1e-8       # worst coercivity gap must be >= GAP_TOL
+_GAP_ROUNDOFF = 16    # the gap's round-off floor, in eps times its scale
+SPREAD_MAX = 2.0      # resolvent ratio spread max/min must be < SPREAD_MAX
 
 
 @dataclass(frozen=True)
@@ -277,7 +285,7 @@ def resolvent_solve(p: ResolventProblem, params: ModelParams) -> ResolventSoluti
     f_1, solve S_i [W_i | y_i] = [U | g_i] by one LAPACK gesv per row
     (pivoting within the block), S_{i+1} = B - L W_i, g_{i+1} = f_{i+1}
     - L y_i; then u_i = y_i - W_i u_{i+1}. Keeps one n_phi x (n_phi + 1)
-    block per row, 3.9 MiB at 481 x 32."""
+    block per row."""
     _checked_mu0(p.lam, params)
     grid, phi_grid, f = p.rhs.line_grid, p.rhs.phi_grid, p.rhs.values
     L, B, U = _resolvent_blocks(p, params)
@@ -305,3 +313,76 @@ def resolvent_solve(p: ResolventProblem, params: ModelParams) -> ResolventSoluti
                         np.gradient(u_vals, grid.h, axis=0),
                         phi_derivative(u_vals, 2)))
     return ResolventSolution(u=u, ratio=float(num / f2))
+
+
+def coercivity_check(params: ModelParams):
+    """Gap of the accretivity inequality at the shift lam = mu0(Phi) + 1
+    for random band-limited fields u = exp(-(y/sigma)^2) * (trig
+    polynomial of degree <= 6). Returns the (n_y, n_phi, lam, gap) rows,
+    whether the worst gap meets worst >= GAP_TOL, and a one-line detail
+    naming the worst gap and the bound. A non-finite gap, or a worst gap
+    below GAP_TOL by no more than its round-off floor, says nothing about
+    coercivity: NumericalFailureError."""
+    lam = mu0(params.Phi) + 1.0
+    rng = np.random.default_rng(1234)
+    samples = []
+    worst, worst_u = math.inf, None
+    # overflow shows as one NumericalFailureError, not numpy warnings
+    with np.errstate(all="ignore"):
+        for n_y, n_phi in ((301, 32), (601, 48)):
+            grid = build_line_grid(8.0, n_y)
+            phi_grid = build_phi_grid(n_phi)
+            for _ in range(10):
+                sigma = rng.uniform(0.8, 2.0)
+                prof = np.exp(-(grid.nodes / sigma) ** 2)
+                ang = np.full(phi_grid.n_phi, rng.normal())
+                for k in range(1, 7):
+                    ang = ang + rng.normal() * np.cos(k * phi_grid.nodes) \
+                              + rng.normal() * np.sin(k * phi_grid.nodes)
+                u = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
+                gap = coercivity_gap(u, lam, params)
+                samples.append((n_y, n_phi, lam, gap))
+                if gap < worst:
+                    worst, worst_u = gap, u
+        if not all(math.isfinite(s[-1]) for s in samples):
+            raise NumericalFailureError(
+                "coercivity gaps are non-finite; the coefficients may be "
+                "too large for double precision")
+        if worst < GAP_TOL:
+            floor = _GAP_ROUNDOFF * np.finfo(float).eps \
+                * _gap_scale(worst_u, lam, params)
+            if worst >= GAP_TOL - floor:
+                raise NumericalFailureError(
+                    f"min coercivity gap {worst:.3e} is within its "
+                    f"round-off floor {floor:.3e} of the tolerance; the "
+                    "coefficients may be too large for double precision")
+    return samples, worst >= GAP_TOL, (
+        f"min gap {worst:.3e} over {len(samples)} fields (tol {GAP_TOL:g})")
+
+
+def resolvent_check(params: ModelParams):
+    """Stability ratio of the resolvent solve at lam = mu0(Phi) + 1 for a
+    fixed smooth right-hand side, one per regularization strength.
+    Returns the (eps_reg, ratio) pairs, the spread max/min of the ratios,
+    and whether it meets spread < SPREAD_MAX. A zero or non-finite ratio
+    has no spread: NumericalFailureError."""
+    lam = mu0(params.Phi) + 1.0
+    grid = build_line_grid(12.0, 481)
+    phi_grid = build_phi_grid(32)
+    prof = np.exp(-grid.nodes ** 2)
+    ang = 1.0 + np.cos(phi_grid.nodes) + 0.5 * np.sin(2 * phi_grid.nodes)
+    rhs = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
+    pairs = []
+    # overflow shows as one NumericalFailureError, not numpy warnings
+    with np.errstate(all="ignore"):
+        for eps_reg in (1e-1, 1e-2, 1e-3):
+            sol = resolvent_solve(ResolventProblem(eps_reg=eps_reg, lam=lam,
+                                                   rhs=rhs), params)
+            pairs.append((eps_reg, sol.ratio))
+    ratios = [r for _, r in pairs]
+    if not all(0.0 < r < math.inf for r in ratios):
+        raise NumericalFailureError(
+            f"resolvent ratios {ratios} are zero or non-finite; the "
+            "coefficients may be too large for double precision")
+    spread = max(ratios) / min(ratios)
+    return pairs, spread, spread < SPREAD_MAX

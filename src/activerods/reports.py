@@ -47,16 +47,19 @@ def write_csv(path: str, header, rows) -> str:
     return path
 
 
+def cell_rows(y_grid, phi_grid, *values) -> list:
+    """(y, phi, v[i, j] for each v) rows of fields on the cells of
+    y_grid x phi_grid, y-major: the row layout of every grid CSV."""
+    return [(y, phi, *cell) for y, row in zip(y_grid.centers, zip(*values))
+            for phi, cell in zip(phi_grid.nodes, zip(*row))]
+
+
 def field_rows(t: float, field) -> list:
     """Flatten a phase-space field into (t, y, phi, value) rows."""
-    rows = []
-    yc = field.y_grid.centers
-    ph = field.phi_grid.nodes
-    for i in range(field.y_grid.n_y):
-        for j in range(field.phi_grid.n_phi):
-            rows.append((t, yc[i], ph[j], field.values[i, j]))
-    return rows
+    return [(t, *row)
+            for row in cell_rows(field.y_grid, field.phi_grid, field.values)]
 
 
 def profile_rows(t: float, phi_nodes, values) -> list:
-    return [(t, phi_nodes[j], values[j]) for j in range(len(phi_nodes))]
+    """(t, phi, value) rows of an angular profile."""
+    return [(t, phi, v) for phi, v in zip(phi_nodes, values)]

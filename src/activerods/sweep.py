@@ -12,7 +12,7 @@ the smooth data for the layer corrector and the residual report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -25,10 +25,6 @@ from .full_solver import run_full
 from .grids import (build_phi_grid, build_y_grid, eval_on_nodes, norms,
                     PhaseField)
 from .limit_solver import run_limit
-
-SWEEP_COLUMNS = ("epsilon", "t_final", "l1_error", "l1_error_refined",
-                 "l1_R", "l1_r", "mass_full", "mass_limit_combined",
-                 "order_vs_prev")
 
 
 @dataclass
@@ -44,7 +40,11 @@ class SweepRecord:
     order_vs_prev: float
 
     def row(self):
-        return tuple(getattr(self, c) for c in SWEEP_COLUMNS)
+        return astuple(self)
+
+
+# the sweep CSV's header, one column per field
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass

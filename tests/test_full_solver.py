@@ -9,9 +9,9 @@ from scipy.linalg import solve_banded
 from activerods import (AssumptionViolationError, BulkWallState,
                         ConfigurationError, FullSolverConfig, ModelParams,
                         NumericalFailureError, PhaseField, build_phi_grid,
-                        build_y_grid, eval_on_nodes, full_solver,
-                        manufactured_state, norms, phi_substep, run_full,
-                        run_limit, steady_layer)
+                        build_y_grid, bulk_exp_field, eval_on_nodes,
+                        full_solver, manufactured_state, norms, phi_substep,
+                        run_full, run_limit, steady_layer)
 from activerods.full_solver import (_angular_setup, _factor_columns,
                                     _fitted_flux_coeffs, _implicit_y_step,
                                     resolve_dt)
@@ -168,13 +168,13 @@ def test_speed_sign_assumption_enforced(small_grids):
 @pytest.mark.parametrize("solver", ["full", "limit"])
 def test_speed_sign_checked_before_snapshot_times(small_grids, solver):
     # a speed with minimum <= 0 (exit 3) is reported before snapshot
-    # times beyond T (exit 2)
+    # times beyond T or no snapshot time at all (exit 2)
     yg, pg = small_grids
     f = PhaseField(np.ones((yg.n_y, pg.n_phi)), yg, pg)
 
-    def run(V):
+    def run(V, times=(0.0, 1.0)):
         params = ModelParams(epsilon=0.05, D=0.0, T=0.5, V=V, Phi=const(0.0))
-        cfg, times = FullSolverConfig(dt=0.01), [0.0, 1.0]
+        cfg = FullSolverConfig(dt=0.01)
         if solver == "full":
             return run_full(f, params, cfg, times)
         return run_limit(BulkWallState(f, np.zeros(pg.n_phi)), params, cfg,
@@ -182,8 +182,21 @@ def test_speed_sign_checked_before_snapshot_times(small_grids, solver):
 
     with pytest.raises(AssumptionViolationError):
         run(wall_drive(0.5, 1.0))
+    with pytest.raises(AssumptionViolationError):
+        run(wall_drive(0.5, 1.0), ())
     with pytest.raises(ConfigurationError, match="snapshot times"):
         run(const(1.0))
+    with pytest.raises(ConfigurationError,
+                       match="need at least one snapshot time"):
+        run(const(1.0), ())
+
+
+def test_negative_mass_is_a_numerical_failure(small_grids, unit_params):
+    yg, pg = small_grids
+    f0 = PhaseField(-bulk_exp_field(yg, pg).values, yg, pg)
+    with pytest.raises(NumericalFailureError,
+                       match="total mass went negative"):
+        _one_step(f0, unit_params, 0.01)
 
 
 def test_strang_step_conserves(small_grids):

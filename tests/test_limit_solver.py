@@ -212,6 +212,36 @@ def test_resolvent_basic():
         resolvent_solve(ResolventProblem(0.5, 1e-2, rhs), params)
 
 
+@pytest.mark.parametrize("eps_reg", [1e-1, 1e-2])
+def test_resolvent_manufactured_second_order(eps_reg):
+    # u* = e^{-y^2} (1 + cos phi + sin(2 phi) / 2) with f = (B_eps + lam) u*
+    # in closed form, at criterion 12's coefficients: halving both steps
+    # quarters the max-norm error of the second-order scheme. A block
+    # that is off by a few per cent stalls the ratio near 1 (with D = 0
+    # the coarse grid is still pre-asymptotic, ratio 2.7).
+    params = ModelParams(epsilon=0.05, D=0.5, T=1.0, V=shifted_sine(1.0, 0.5),
+                         Phi=shear(1.0))
+    lam = mu0(params.Phi) + 1.0
+
+    def max_error(n_y, n_phi):
+        grid, pg = build_line_grid(12.0, n_y), build_phi_grid(n_phi)
+        y, phi = grid.nodes[:, None], pg.nodes[None, :]
+        V, Phi, dPhi = (eval_on_nodes(c, pg, k)[None, :] for c, k in
+                        ((params.V, 0), (params.Phi, 0), (params.Phi, 1)))
+        g = np.exp(-y ** 2)
+        A = 1.0 + np.cos(phi) + 0.5 * np.sin(2.0 * phi)
+        dA = -np.sin(phi) + np.cos(2.0 * phi)
+        d2A = -np.cos(phi) - 2.0 * np.sin(2.0 * phi)
+        u = g * A
+        f = (lam * u - 2.0 * y * V * u - eps_reg * (4.0 * y ** 2 - 2.0) * u
+             + g * (dPhi * A + Phi * dA) - params.D * g * d2A)
+        sol = resolvent_solve(ResolventProblem(lam, eps_reg,
+                                               LineField(f, grid, pg)), params)
+        return float(np.max(np.abs(sol.u.values - u)))
+
+    assert 3.5 <= max_error(241, 16) / max_error(481, 32) <= 4.5
+
+
 def test_line_grid_validation():
     with pytest.raises(ConfigurationError):
         build_line_grid(0.0, 100)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from activerods import (ConfigurationError, FitError, SweepRecord, fit_order,
                         full_solver, load_config, parse_config, sweep_epsilon,
                         weak_pairing_sweep)
-from activerods import cli
+from activerods import acceptance, cli
 from activerods.cli import main
 
 from conftest import CONFIG_KEYS, FUZZ_VALUES, ROOT, run_python, with_key
@@ -361,6 +361,22 @@ def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("duplicate", ["key", "section"])
+def test_cli_config_parse_error_names_the_file(duplicate, tmp_path, capsys):
+    text = (CLI_TEXT.replace("[model]\n", "[model]\nepsilon = 0.1\n")
+            if duplicate == "key" else CLI_TEXT + "\n[model]\nD = 0.1\n")
+    path = tmp_path / "duplicate.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run-full", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: config parse error: ")
+    assert str(path) in err
+    assert not out.exists()
+
+
 def test_cli_config_with_byte_order_mark(tmp_path, capsys):
     # as some Windows editors save UTF-8
     plain = os.path.join(ROOT, "configs", "example.cfg")
@@ -373,6 +389,30 @@ def test_cli_config_with_byte_order_mark(tmp_path, capsys):
     name = "full_snapshots.csv"
     assert pathlib.Path(tmp_path, "bom", name).read_bytes() == \
         pathlib.Path(tmp_path, "plain", name).read_bytes()
+
+
+def test_cli_check_all_prints_one_line_per_criterion(monkeypatch, capsys):
+    def raises():
+        raise ConfigurationError("no such grid")
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", (
+        ("passes", lambda: (True, "within bound")),
+        ("fails", lambda: (False, "out of bound")),
+        ("raises", raises)))
+    assert main(["check-all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS 01 passes: within bound",
+        "FAIL 02 fails: out of bound",
+        "FAIL 03 raises: raised ConfigurationError: no such grid",
+        "1/3 criteria passed"]
+    for cid in (0, 4):
+        with pytest.raises(ValueError, match=f"no criterion {cid}"):
+            acceptance.run_criterion(cid)
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", acceptance._CRITERIA[:1])
+    assert main(["check-all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS 01 passes: within bound", "1/1 criteria passed"]
 
 
 def test_package_imports_without_scipy():
