@@ -27,15 +27,14 @@ from .limit_solver import BulkWallState
 class InnerExpansion:
     """Corrector data assembled from a bulk-wall state.
 
-    u0_source is the first bulk cell value (the exact discrete source
-    the limit stepper feeds the wall). The A-profiles eliminate
-    d_t(w_hat) through the wall equation with u0_source, while
-    compat_residual compares c1 against -V times the second-order
-    extrapolated wall trace u0_hat, so it measures the consistency of
-    the limiting solve instead of being zero by construction.
+    The A-profiles eliminate d_t(w_hat) through the wall equation with
+    the state's first bulk cell value (the exact discrete source the
+    limit stepper feeds the wall), while compat_residual compares c1
+    against -V times the second-order extrapolated wall trace u0_hat, so
+    it measures the consistency of the limiting solve instead of being
+    zero by construction.
     """
 
-    u0_source: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
@@ -46,7 +45,6 @@ class InnerExpansion:
 class ResidualReport:
     l1_R: float
     l1_r: float
-    epsilon: float
 
 
 def _wall_rate(w, u0, Vv, Phiv, D: float):
@@ -106,14 +104,12 @@ def p0_coeffs(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray,
 def build_inner(state: BulkWallState, params: ModelParams) -> InnerExpansion:
     """Assemble the corrector data from a limiting solve."""
     phi_grid = state.bulk.phi_grid
-    u0_source = state.bulk.values[0, :].copy()
-    A1, A2, A3 = a_coeffs(state.wall, u0_source, params.V, params.Phi,
-                          params.D, phi_grid)
+    A1, A2, A3 = a_coeffs(state.wall, state.bulk.values[0], params.V,
+                          params.Phi, params.D, phi_grid)
     c1, c2, c3, compat = p0_coeffs(A1, A2, A3,
                                    eval_on_nodes(params.V, phi_grid),
                                    trace_wall(state.bulk))
-    return InnerExpansion(u0_source=u0_source, c1=c1, c2=c2, c3=c3,
-                          compat_residual=compat)
+    return InnerExpansion(c1=c1, c2=c2, c3=c3, compat_residual=compat)
 
 
 def composite_simple(state: BulkWallState, eps: float,
@@ -125,11 +121,11 @@ def composite_simple(state: BulkWallState, eps: float,
     return PhaseField(layer.values + state.bulk.values, y_grid, phi_grid)
 
 
-def composite_refined(state: BulkWallState, inner: InnerExpansion, eps: float,
+def composite_refined(base: PhaseField, inner: InnerExpansion, eps: float,
                       V: AngularCoefficient) -> PhaseField:
-    """Refined composite: the leading composite plus the cubic corrector
-    layer m3(y/eps) e^{-V y/eps}, cell-averaged in closed form."""
-    base = composite_simple(state, eps, V)
+    """Refined composite: the leading composite base, as composite_simple
+    returns it, plus the cubic corrector layer m3(y/eps) e^{-V y/eps},
+    cell-averaged in closed form on base's grids."""
     V_nodes = eval_on_nodes(V, base.phi_grid)
     coeffs = np.stack([np.zeros_like(inner.c1), inner.c1, inner.c2, inner.c3])
     corr = poly_exp_cell_averages(coeffs, V_nodes, eps, base.y_grid)
@@ -182,7 +178,7 @@ def residual_report(state: BulkWallState, inner: InnerExpansion,
     dt_rho = (Vv[None, :] * dy_rho
               - phi_derivative(Phiv[None, :] * rho, 1)
               + D * phi_derivative(rho, 2))
-    dt_w = _wall_rate(state.wall, inner.u0_source, Vv, Phiv, D)
+    dt_w = _wall_rate(state.wall, rho[0], Vv, Phiv, D)
     dt_A = a_coeffs(dt_w, dt_rho[0, :], params.V, params.Phi, D, phi_grid)
     dt_cs = p0_coeffs(*dt_A, Vv, np.zeros_like(Vv))[:3]
 
@@ -203,4 +199,4 @@ def residual_report(state: BulkWallState, inner: InnerExpansion,
 
     r = -eps * (rho[1, :] - rho[0, :]) / (centers[1] - centers[0])
     l1_r = float(np.sum(np.abs(r)) * phi_grid.h)
-    return ResidualReport(l1_R=l1_R, l1_r=l1_r, epsilon=eps)
+    return ResidualReport(l1_R=l1_R, l1_r=l1_r)

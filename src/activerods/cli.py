@@ -41,8 +41,7 @@ from .errors import (ActiveRodsError, ConfigurationError, FitError,
                      NumericalFailureError)
 from .full_solver import run_full
 from .grids import norms
-from .limit_solver import (SPREAD_MAX, coercivity_check, resolvent_check,
-                           run_limit)
+from .limit_solver import coercivity_check, resolvent_check, run_limit
 from .particles import histogram, run_particles, sample_initial
 from .reports import cell_rows, field_rows, profile_rows, write_csv
 from .sweep import SWEEP_COLUMNS, fit_order, sweep_epsilon
@@ -128,14 +127,14 @@ def _cmd_composite(cfg, write) -> int:
         s_T = run_limit(s0, cfg.model, cfg.time, [cfg.model.T])[-1][1]
         inner = build_inner(s_T, cfg.model)
         f_bar = composite_simple(s_T, cfg.model.epsilon, cfg.model.V)
-        f_hat = composite_refined(s_T, inner, cfg.model.epsilon, cfg.model.V)
+        f_hat = composite_refined(f_bar, inner, cfg.model.epsilon, cfg.model.V)
         resid = residual_report(s_T, inner, cfg.model)
     _require_finite("composite", f_bar.values, f_hat.values, resid.l1_R,
                     resid.l1_r)
     write(("composite.csv", ("y", "phi", "f_bar", "f_hat"),
            cell_rows(y_grid, phi_grid, f_bar.values, f_hat.values)),
           ("residual.csv", ("epsilon", "l1_R", "l1_r"),
-           [(resid.epsilon, resid.l1_R, resid.l1_r)]))
+           [(cfg.model.epsilon, resid.l1_R, resid.l1_r)]))
     return 0
 
 
@@ -196,19 +195,11 @@ def _cmd_particles(cfg, write) -> int:
     return 0
 
 
-def _cmd_check_coercivity(cfg, write) -> int:
-    samples, ok, detail = coercivity_check(cfg.model)
-    write(("coercivity.csv", ("sample", "n_y", "n_phi", "lambda", "gap"),
-           [(k, *s) for k, s in enumerate(samples)]))
-    print(f"{'PASS' if ok else 'FAIL'} coercivity: {detail}")
-    return 0 if ok else 1
-
-
-def _cmd_check_resolvent(cfg, write) -> int:
-    pairs, spread, ok = resolvent_check(cfg.model)
-    write(("resolvent.csv", ("eps_reg", "ratio"), pairs))
-    print(f"{'PASS' if ok else 'FAIL'} resolvent: ratio spread {spread:.3f} "
-          f"across eps_reg ladder (need < {SPREAD_MAX:g})")
+def _cmd_check(cfg, write, label, check, header) -> int:
+    """One operator probe: rows to <label>.csv, verdict to stdout."""
+    rows, ok, detail = check(cfg.model)
+    write((f"{label}.csv", header, rows))
+    print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
     return 0 if ok else 1
 
 
@@ -231,8 +222,13 @@ _CONFIG_COMMANDS = {
     "sweep": (_cmd_sweep, "epsilon ladder with composite errors"),
     "decompose": (_cmd_decompose, "wall-mode decomposition along a D=0 run"),
     "particles": (_cmd_particles, "stochastic ensemble histogram"),
-    "check-coercivity": (_cmd_check_coercivity, "accretivity gap battery"),
-    "check-resolvent": (_cmd_check_resolvent, "resolvent stability ratios"),
+    "check-coercivity": (lambda cfg, write: _cmd_check(
+        cfg, write, "coercivity", coercivity_check,
+        ("sample", "n_y", "n_phi", "lambda", "gap")),
+        "accretivity gap battery"),
+    "check-resolvent": (lambda cfg, write: _cmd_check(
+        cfg, write, "resolvent", resolvent_check, ("eps_reg", "ratio")),
+        "resolvent stability ratios"),
 }
 
 

@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import AssumptionViolationError, ConfigurationError
 
-_FAMILIES = ("constant", "shifted_sine", "paper_shear", "wall_drive")
-
-_REQUIRED_PARAMS = {
+# Each family's parameter names.
+_FAMILIES = {
     "constant": ("value",),
     "shifted_sine": ("g0", "a"),
     "paper_shear": ("gamma",),
@@ -59,14 +58,14 @@ class AngularCoefficient:
         if self.family not in _FAMILIES:
             raise ConfigurationError(
                 f"unknown coefficient family {self.family!r}; "
-                f"expected one of {_FAMILIES}"
+                f"expected one of {tuple(_FAMILIES)}"
             )
-        missing = [k for k in _REQUIRED_PARAMS[self.family] if k not in self.params]
+        missing = [k for k in _FAMILIES[self.family] if k not in self.params]
         if missing:
             raise ConfigurationError(
                 f"family {self.family!r} missing parameters {missing}"
             )
-        extra = [k for k in self.params if k not in _REQUIRED_PARAMS[self.family]]
+        extra = [k for k in self.params if k not in _FAMILIES[self.family]]
         if extra:
             raise ConfigurationError(
                 f"family {self.family!r} got unknown parameters {extra}"

@@ -181,13 +181,21 @@ _KEYS = {
 
 
 def parse_config(text: str, source: str = "<string>") -> RunConfig:
-    """Parse config text; source names it in configparser's errors."""
+    """Parse config text; source names it in the one-line parse errors."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
         cp.read_string(text, source)
     except configparser.Error as exc:
-        raise ConfigurationError(f"config parse error: {exc}")
+        if isinstance(exc, configparser.MissingSectionHeaderError):
+            lineno, what = exc.lineno, "is not under a [section] header"
+        elif isinstance(exc, configparser.ParsingError):
+            lineno, what = exc.errors[0][0], "is not a key = value line"
+        else:   # duplicates: configparser names file and line on one line
+            raise ConfigurationError(f"config parse error: {exc}") from None
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigurationError(f"config parse error: {source}, line "
+                                 f"{lineno}: {line!r} {what}") from None
 
     found = {section: {} for section in _KEYS}
     params = {"V": {}, "Phi": {}}

@@ -318,11 +318,11 @@ def resolvent_solve(p: ResolventProblem, params: ModelParams) -> ResolventSoluti
 def coercivity_check(params: ModelParams):
     """Gap of the accretivity inequality at the shift lam = mu0(Phi) + 1
     for random band-limited fields u = exp(-(y/sigma)^2) * (trig
-    polynomial of degree <= 6). Returns the (n_y, n_phi, lam, gap) rows,
-    whether the worst gap meets worst >= GAP_TOL, and a one-line detail
-    naming the worst gap and the bound. A non-finite gap, or a worst gap
-    below GAP_TOL by no more than its round-off floor, says nothing about
-    coercivity: NumericalFailureError."""
+    polynomial of degree <= 6). Returns the (sample, n_y, n_phi, lam, gap)
+    rows, whether the worst gap meets worst >= GAP_TOL, and a one-line
+    detail naming the worst gap and the bound. A non-finite gap, or a
+    worst gap below GAP_TOL by no more than its round-off floor, says
+    nothing about coercivity: NumericalFailureError."""
     lam = mu0(params.Phi) + 1.0
     rng = np.random.default_rng(1234)
     samples = []
@@ -341,7 +341,7 @@ def coercivity_check(params: ModelParams):
                               + rng.normal() * np.sin(k * phi_grid.nodes)
                 u = LineField(prof[:, None] * ang[None, :], grid, phi_grid)
                 gap = coercivity_gap(u, lam, params)
-                samples.append((n_y, n_phi, lam, gap))
+                samples.append((len(samples), n_y, n_phi, lam, gap))
                 if gap < worst:
                     worst, worst_u = gap, u
         if not all(math.isfinite(s[-1]) for s in samples):
@@ -363,9 +363,10 @@ def coercivity_check(params: ModelParams):
 def resolvent_check(params: ModelParams):
     """Stability ratio of the resolvent solve at lam = mu0(Phi) + 1 for a
     fixed smooth right-hand side, one per regularization strength.
-    Returns the (eps_reg, ratio) pairs, the spread max/min of the ratios,
-    and whether it meets spread < SPREAD_MAX. A zero or non-finite ratio
-    has no spread: NumericalFailureError."""
+    Returns the (eps_reg, ratio) rows, whether their spread max/min meets
+    spread < SPREAD_MAX, and a one-line detail naming the ratios, the
+    spread and the bound. A zero or non-finite ratio has no spread:
+    NumericalFailureError."""
     lam = mu0(params.Phi) + 1.0
     grid = build_line_grid(12.0, 481)
     phi_grid = build_phi_grid(32)
@@ -385,4 +386,6 @@ def resolvent_check(params: ModelParams):
             f"resolvent ratios {ratios} are zero or non-finite; the "
             "coefficients may be too large for double precision")
     spread = max(ratios) / min(ratios)
-    return pairs, spread, spread < SPREAD_MAX
+    ratio_txt = ",".join(f"{r:.3f}" for r in ratios)
+    return pairs, spread < SPREAD_MAX, (
+        f"ratios [{ratio_txt}], spread {spread:.3f} (need < {SPREAD_MAX:g})")

@@ -102,7 +102,7 @@ def sweep_epsilon(cfg: RunConfig) -> list:
         f_T, s_T, params = _paired_solve(cfg, eps)
         y_grid, phi_grid = f_T.y_grid, f_T.phi_grid
         f_bar = composite_simple(s_T, eps, cfg.model.V)
-        f_hat = composite_refined(s_T, inner_ref, eps, cfg.model.V)
+        f_hat = composite_refined(f_bar, inner_ref, eps, cfg.model.V)
 
         diff_bar = PhaseField(f_T.values - f_bar.values, y_grid, phi_grid)
         diff_hat = PhaseField(f_T.values - f_hat.values, y_grid, phi_grid)

@@ -29,6 +29,8 @@ def test_constant_orders():
     assert eval_coeff(c, 1.2, 0) == 3.5
     assert eval_coeff(c, 1.2, 1) == 0.0
     assert eval_coeff(c, 1.2, 2) == 0.0
+    with pytest.raises(ConfigurationError, match="order must be 0, 1 or 2"):
+        eval_coeff(c, 0.3, 3)
 
 
 def test_wall_drive_value():

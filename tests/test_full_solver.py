@@ -4,14 +4,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
 
 from activerods import (AssumptionViolationError, BulkWallState,
                         ConfigurationError, FullSolverConfig, ModelParams,
                         NumericalFailureError, PhaseField, build_phi_grid,
                         build_y_grid, bulk_exp_field, eval_on_nodes,
                         full_solver, manufactured_state, norms, phi_substep,
-                        run_full, run_limit, steady_layer)
+                        run_full, run_limit, steady_layer, sup_abs)
 from activerods.full_solver import (_angular_setup, _factor_columns,
                                     _fitted_flux_coeffs, _implicit_y_step,
                                     resolve_dt)
@@ -496,6 +495,7 @@ def test_factor_rejects_bad_systems_quietly(case):
 def _solve_banded_reference(lower, diag, upper, rhs):
     """One unfactored LAPACK gtsv solve (scipy solve_banded) over the
     phi-major angle columns with zero coupling between them."""
+    solve_banded = pytest.importorskip("scipy.linalg").solve_banded
     n_y, n_phi = rhs.shape
     ab = np.zeros((3, n_phi, n_y))
     ab[0, :, 1:] = upper[:-1].T
@@ -642,6 +642,25 @@ def _assert_same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     assert x.shape == y.shape
     np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_resolve_dt_auto_is_the_angular_cfl_step(small_grids):
+    yg, pg = small_grids
+    params = ModelParams(epsilon=0.05, D=0.2, T=0.5, V=shifted_sine(1.0, 0.5),
+                         Phi=shear(0.5))
+    auto = FullSolverConfig()
+    dt = resolve_dt(params, pg, auto)
+    assert dt == FullSolverConfig.safety / (
+        sup_abs(params.Phi, 0) / pg.h + 2.0 * params.D / pg.h ** 2)
+    still = ModelParams(epsilon=0.05, D=0.0, T=0.5, V=const(1.0),
+                        Phi=const(0.0))
+    assert resolve_dt(still, pg, auto) == 0.05
+    f0 = bulk_exp_field(yg, pg)
+    for (t_auto, f_auto), (t_dt, f_dt) in zip(
+            run_full(f0, params, auto, [0.2, 0.5]),
+            run_full(f0, params, FullSolverConfig(dt=dt), [0.2, 0.5])):
+        assert t_auto == t_dt
+        _assert_same_bits(f_auto.values, f_dt.values)
 
 
 @pytest.mark.parametrize("Phi", [shear(0.5), wall_drive(0.3, 1.0)],

@@ -41,6 +41,9 @@ def test_grid_rejections():
     # stretched region smaller than the uniform continuation
     with pytest.raises(GridError):
         build_y_grid(1.0, 128, 0.9, 16)
+    # far region too long for two cells even at the largest ratio
+    with pytest.raises(GridError, match="cannot reach y_max even at ratio 4"):
+        build_y_grid(1e6, 12, 0.1, 10)
 
 
 def test_phi_grid():

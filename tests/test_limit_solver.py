@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from activerods import (BulkWallState, ConfigurationError, FullSolverConfig,
@@ -255,6 +253,7 @@ def test_line_grid_validation():
 
 def _loop_assembled_resolvent(p, params):
     """Row-loop COO assembly of the resolvent system, as (matrix, rhs)."""
+    sp = pytest.importorskip("scipy.sparse")
     n_y, n_p = p.rhs.line_grid.n_y, p.rhs.phi_grid.n_phi
     hy, hp = p.rhs.line_grid.h, p.rhs.phi_grid.h
     V_nodes = eval_on_nodes(params.V, p.rhs.phi_grid)
@@ -309,6 +308,7 @@ def _check_against_superlu(p, params):
     """The block solve against SuperLU on the loop-assembled matrix: the
     same answer to 1e-11 of max|u|, and a residual within 10x SuperLU's
     (+1e-15)."""
+    spla = pytest.importorskip("scipy.sparse.linalg")
     A, rhs_vec = _loop_assembled_resolvent(p, params)
     u_ref = spla.spsolve(A, rhs_vec)
     u = resolvent_solve(p, params).u.values.ravel()

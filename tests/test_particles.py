@@ -202,6 +202,9 @@ def test_tv_distance_cases():
     doubled = PhaseField(2.0 * a, yg, pg)
     with pytest.raises(NumericalFailureError):
         tv_distance(fa, doubled)
+    finer = PhaseField(np.zeros((48, 16)), yg, build_phi_grid(16))
+    with pytest.raises(ConfigurationError, match="shapes differ"):
+        tv_distance(finer, fa)
 
 
 def test_reflection_keeps_domain():

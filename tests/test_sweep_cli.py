@@ -361,11 +361,16 @@ def test_cli_config_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("duplicate", ["key", "section"])
-def test_cli_config_parse_error_names_the_file(duplicate, tmp_path, capsys):
-    text = (CLI_TEXT.replace("[model]\n", "[model]\nepsilon = 0.1\n")
-            if duplicate == "key" else CLI_TEXT + "\n[model]\nD = 0.1\n")
-    path = tmp_path / "duplicate.ini"
+@pytest.mark.parametrize("text, lineno", [
+    (CLI_TEXT.replace("[model]\n", "[model]\nepsilon = 0.1\n"), 4),
+    (CLI_TEXT + "\n[model]\nD = 0.1\n", CLI_TEXT.count("\n") + 2),
+    ("epsilon = 0.1\n" + CLI_TEXT.lstrip(), 1),
+    ("[model\n" + CLI_TEXT.split("[model]\n", 1)[1], 1),
+    (CLI_TEXT.replace("D = 0.0\n", "D = 0.0\nfoo\n"), 5),
+], ids=["key", "section", "key-before-header", "malformed-header",
+        "key-without-value"])
+def test_cli_config_parse_error_names_the_file(text, lineno, tmp_path, capsys):
+    path = tmp_path / "broken.ini"
     path.write_text(text)
     out = tmp_path / "out"
     assert main(["run-full", "--config", str(path), "--out", str(out)]) == 2
@@ -374,7 +379,33 @@ def test_cli_config_parse_error_names_the_file(duplicate, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: config parse error: ")
     assert str(path) in err
+    assert re.search(rf"line +{lineno}\b", err)
     assert not out.exists()
+
+
+def _probe_config(tmp_path):
+    """A config whose [model] is the model of criteria 11 and 12."""
+    p = acceptance._PROBE_PARAMS
+    lines = ["[model]", f"epsilon = {p.epsilon!r}", f"D = {p.D!r}",
+             f"T = {p.T!r}"]
+    for name, coeff in (("V", p.V), ("Phi", p.Phi)):
+        lines.append(f"{name}.family = {coeff.family}")
+        lines += [f"{name}.params.{k} = {v!r}" for k, v in coeff.params.items()]
+    path = tmp_path / "probe.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_config(str(path)).model == p
+    return str(path)
+
+
+@pytest.mark.parametrize("command, label, cid", [
+    ("check-coercivity", "coercivity", 11),
+    ("check-resolvent", "resolvent", 12)])
+def test_cli_probe_prints_its_criterion_detail(command, label, cid, tmp_path,
+                                               capsys):
+    assert main([command, "--config", _probe_config(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict == f"PASS {label}: " + acceptance.run_criterion(cid).detail
 
 
 def test_cli_config_with_byte_order_mark(tmp_path, capsys):
