@@ -87,16 +87,19 @@ def _fitted_flux_coeffs(V_nodes: np.ndarray, eps: float, y_grid: YGrid):
 
     Returns (a, b), each shaped (n_y + 1, n_phi), with
     G_face_i = a_i * f_{i-1} - b_i * f_i for interior faces and
-    a = b = 0 on the wall and top faces (no-flux).
+    a = b = 0 on the wall and top faces (no-flux). At eps = 0 the Peclet
+    number is infinite and the flux is upwind from above, a = 0 and
+    b = V exactly: the limiting system's bulk flux once its caller opens
+    the wall face (b_0 = V).
     """
     n_y = y_grid.n_y
     V = np.asarray(V_nodes, dtype=float)[None, :]
     a = np.zeros((n_y + 1, V.shape[1]))
     b = np.zeros_like(a)
     d = np.diff(y_grid.centers)[:, None]            # distances, faces 1..n-1
-    # a Peclet number beyond float range is the upwind limit rho = inf:
-    # then a = 0 and b = V below, so the overflow is no error
-    with np.errstate(over="ignore"):
+    # a Peclet number beyond float range, or eps = 0, is the upwind limit
+    # rho = inf: then a = 0 and b = V below, so it is no error
+    with np.errstate(over="ignore", divide="ignore"):
         rho = V * d / eps
     den = -np.expm1(-rho)                           # 1 - e^{-rho}, stable
     a[1:n_y, :] = V * np.exp(-rho) / den
@@ -137,9 +140,9 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
     of a zero.
 
     For an M-matrix (positive diagonal, non-positive off-diagonals,
-    non-negative inverse), which both y-operators are, every reduced
-    system is one too, so every multiplier is non-negative and a solve
-    only multiplies and adds: a non-negative rhs gives an exactly
+    non-negative inverse), which the y-operator is at every eps, every
+    reduced system is one too, so every multiplier is non-negative and a
+    solve only multiplies and adds: a non-negative rhs gives an exactly
     non-negative solution. Raises NumericalFailureError if a reduced pivot
     is not positive and finite or the elimination overflows."""
     n_y, n_phi = diag.shape
@@ -222,11 +225,22 @@ def _implicit_y_step(a: np.ndarray, b: np.ndarray, widths: np.ndarray,
                      dt: float):
     """Backward-Euler step of d_t f + (G_{i+1} - G_i)/w_i = 0 with the
     linear flux G_i = a_i f_{i-1} - b_i f_i, factored once for the step
-    size dt by _factor_columns: returns the step f -> f_new. Exactly
-    conservative by telescoping."""
+    size dt by _factor_columns: returns the step (f, *walls) ->
+    (f_new, *walls_new).
+
+    Each wall density gains exactly what left through the wall face,
+    dt b_0 f_0_new, so the mass of f plus a wall telescopes; with the wall
+    face closed (b_0 = 0) f alone is exactly conservative."""
     r = dt / widths[:, None]
-    return _factor_columns(-r * a[:-1, :], 1.0 + r * (a[1:, :] + b[:-1, :]),
-                           -r * b[1:, :])
+    solve = _factor_columns(-r * a[:-1, :], 1.0 + r * (a[1:, :] + b[:-1, :]),
+                            -r * b[1:, :])
+    gain = dt * b[0]
+
+    def step(state):
+        f = solve(state[0])
+        return (f, *(wall + gain * f[0] for wall in state[1:]))
+
+    return step
 
 
 def _step_count(span: float, step: float, what: str, remedy: str) -> int:
@@ -320,30 +334,38 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
     return out.transpose(*range(1, out.ndim), 0)
 
 
-def _check_health(values: np.ndarray, y_grid: YGrid, phi_grid: PhiGrid):
-    mass = float(np.sum(values * y_grid.widths[:, None]) * phi_grid.h)
-    if not np.isfinite(mass):
+def _check_health(state: tuple, y_grid: YGrid, phi_grid: PhiGrid):
+    """Refuse a state with a non-finite value, or whose total mass (the
+    cells weighted by their widths, plus any wall density) is negative
+    beyond round-off."""
+    if not all(np.isfinite(v).all() for v in state):
         raise NumericalFailureError("solver produced non-finite values")
-    scale = float(np.sum(np.abs(values) * y_grid.widths[:, None]) * phi_grid.h)
+    f, *walls = state
+    w = y_grid.widths[:, None]
+    mass = float(np.sum(f * w) + sum(np.sum(v) for v in walls)) * phi_grid.h
+    scale = float(np.sum(np.abs(f) * w)
+                  + sum(np.sum(np.abs(v)) for v in walls)) * phi_grid.h
     if mass < -1e-9 * max(scale, 1e-300):
         raise NumericalFailureError(f"total mass went negative: {mass}")
 
 
-def _march(y_step, state: tuple, params: ModelParams, phi_grid: PhiGrid,
-           cfg: FullSolverConfig, snapshot_times, check) -> list:
+def _march(state: tuple, a: np.ndarray, b: np.ndarray, params: ModelParams,
+           y_grid: YGrid, phi_grid: PhiGrid, cfg: FullSolverConfig,
+           snapshot_times) -> list:
     """Advance state from t = 0 by split steps of the resolved dt,
     landing exactly on every requested time.
 
     The state is a tuple of angle-last arrays: (f,) for the kinetic
-    model, (bulk, wall) for the limiting system. y_step(dt) factors the
-    y-operator for the step size dt once and returns the substep that
-    advances the whole tuple at once; each array then takes its own
-    angular substep, after the y-substep (Lie) or in two halves around it
-    (Strang).
+    model, (bulk, wall) for the limiting system. The y-substep is
+    _implicit_y_step of the flux (a, b), factored once for each step size,
+    which advances the whole tuple at once: the wall gains what leaves
+    through the wall face, and the kinetic model's is closed. Each array
+    then takes its own angular substep, after the y-substep (Lie) or in
+    two halves around it (Strang).
 
     Each segment between snapshots takes ceil(span / dt) equal steps,
     factored once per segment because segments can differ in dt, and ends
-    with check(state). Returns a list of (t, state copy) pairs, one per
+    with _check_health. Returns a list of (t, state copy) pairs, one per
     requested time (t = 0 gives a copy of the input). A segment that would
     need more than _MAX_STEPS steps is refused before any step is taken."""
     Phi_face = params.Phi(phi_grid.faces)
@@ -375,13 +397,13 @@ def _march(y_step, state: tuple, params: ModelParams, phi_grid: PhiGrid,
     for t_next, span, n in plan:
         if n:
             dt = span / n
-            y = y_step(dt)
+            y = _implicit_y_step(a, b, y_grid.widths, dt)
             for _ in range(n):
                 if cfg.splitting == "lie":
                     state = phi_step(y(state), dt)
                 else:
                     state = phi_step(y(phi_step(state, 0.5 * dt)), 0.5 * dt)
-            check(state)
+            _check_health(state, y_grid, phi_grid)
         out.append((t_next, tuple(v.copy() for v in state)))
     return out
 
@@ -397,14 +419,8 @@ def run_full(f0: PhaseField, params: ModelParams, cfg: FullSolverConfig,
     validate_assumptions(params.V)
     a, b = _fitted_flux_coeffs(eval_on_nodes(params.V, phi_grid),
                                params.epsilon, y_grid)
-
-    def y_step(dt):
-        solve = _implicit_y_step(a, b, y_grid.widths, dt)
-        return lambda state: (solve(state[0]),)
-
-    snaps = _march(y_step, (f0.values,), params, phi_grid, cfg,
-                   snapshot_times,
-                   lambda state: _check_health(state[0], y_grid, phi_grid))
+    snaps = _march((f0.values,), a, b, params, y_grid, phi_grid, cfg,
+                   snapshot_times)
     return [(t, PhaseField(f, y_grid, phi_grid)) for t, (f,) in snaps]
 
 

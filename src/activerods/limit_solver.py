@@ -11,18 +11,13 @@ density w(phi):
 
     d_t w + d_phi(Phi w - D d_phi w) = V rho|_{y=0}.
 
-Discretely the bulk y-step is implicit upwind-from-above, an upper
-bidiagonal system that goes through the full solver's tridiagonal
-column factorization (cyclic reduction in y) once per step size, so that
-each step runs only the precomputed eliminations, whose multipliers are
-all non-negative: non-negative data stay exactly non-negative. The zero
-sub-diagonal makes the multipliers that would add a row's lower
-neighbour zero everywhere, and the factorization leaves their products
-out: five numpy calls per level instead of nine, the same result up to
-the sign of a zero. The wall source is defined as exactly the discrete
-flux through the wall face, so the combined mass telescopes to machine
-precision. The splitting, the angular substep and the march to
-snapshot times are shared with the full solver.
+Discretely the bulk y-step is the kinetic model's implicit fitted-flux
+step at eps = 0, where the flux is upwind from above (an upper
+bidiagonal M-matrix, so non-negative data stay exactly non-negative),
+with the wall face open: the wall gains exactly the discrete flux
+through it, so the combined mass telescopes to machine precision. The
+splitting, the angular substep, the march to snapshot times and the
+health check are shared with the full solver.
 
 The operator spot checks (coercivity gap, regularized resolvent bound)
 live on a separate uniform whole-line y grid, because the underlying
@@ -42,7 +37,7 @@ import numpy as np
 
 from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
-from .full_solver import FullSolverConfig, _factor_columns, _march
+from .full_solver import FullSolverConfig, _fitted_flux_coeffs, _march
 from .grids import (PhaseField, PhiGrid, YGrid, build_phi_grid,
                     eval_on_nodes, phi_derivative)
 
@@ -69,34 +64,6 @@ class BulkWallState:
         return bulk_mass + float(np.sum(self.wall) * h)
 
 
-def _upwind_y_step(V_nodes: np.ndarray, widths: np.ndarray, dt: float):
-    """Implicit upwind-from-above sweep plus exact wall source, factored
-    once for the step size dt: returns the step (bulk, wall) -> (bulk,
-    wall).
-
-    Row i of the backward-Euler system reads
-    f_i (1 + r_i) - r_i f_{i+1} = f_i_old, r_i = dt V / w_i, with
-    f_n = 0 (zero inflow at the top): an upper bidiagonal system, factored
-    by _factor_columns with a zero sub-diagonal. The wall then gains
-    exactly dt * V * f_0_new, the discrete outgoing flux.
-    """
-    r = dt * V_nodes[None, :] / widths[:, None]
-    solve = _factor_columns(np.zeros_like(r), 1.0 + r, -r)
-    source = dt * V_nodes
-
-    def step(state):
-        bulk, wall = state
-        out = solve(bulk)
-        return out, wall + source * out[0]
-
-    return step
-
-
-def _check_finite(state):
-    if not all(np.isfinite(v).all() for v in state):
-        raise NumericalFailureError("limit solver produced non-finite values")
-
-
 def run_limit(s0: BulkWallState, params: ModelParams, cfg: FullSolverConfig,
               snapshot_times) -> list:
     """Integrate the limiting system, landing exactly on the requested
@@ -104,9 +71,10 @@ def run_limit(s0: BulkWallState, params: ModelParams, cfg: FullSolverConfig,
     y_grid, phi_grid = s0.bulk.y_grid, s0.bulk.phi_grid
     validate_assumptions(params.V)
     V_nodes = eval_on_nodes(params.V, phi_grid)
-    snaps = _march(lambda dt: _upwind_y_step(V_nodes, y_grid.widths, dt),
-                   (s0.bulk.values, s0.wall), params, phi_grid, cfg,
-                   snapshot_times, _check_finite)
+    a, b = _fitted_flux_coeffs(V_nodes, 0.0, y_grid)
+    b[0] = V_nodes                              # the open wall face
+    snaps = _march((s0.bulk.values, s0.wall), a, b, params, y_grid, phi_grid,
+                   cfg, snapshot_times)
     return [(t, BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall))
             for t, (bulk, wall) in snaps]
 

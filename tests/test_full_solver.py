@@ -14,7 +14,6 @@ from activerods import (AssumptionViolationError, BulkWallState,
 from activerods.full_solver import (_angular_setup, _factor_columns,
                                     _fitted_flux_coeffs, _implicit_y_step,
                                     resolve_dt)
-from activerods.limit_solver import _upwind_y_step
 
 from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
                       patchy_values, round_off_bound, shear, shifted_sine,
@@ -190,12 +189,19 @@ def test_speed_sign_checked_before_snapshot_times(small_grids, solver):
         run(const(1.0), ())
 
 
-def test_negative_mass_is_a_numerical_failure(small_grids, unit_params):
+@pytest.mark.parametrize("solver", ["full", "limit"])
+def test_negative_mass_is_a_numerical_failure(small_grids, unit_params,
+                                              solver):
     yg, pg = small_grids
     f0 = PhaseField(-bulk_exp_field(yg, pg).values, yg, pg)
+    cfg = FullSolverConfig(dt=0.01)
     with pytest.raises(NumericalFailureError,
                        match="total mass went negative"):
-        _one_step(f0, unit_params, 0.01)
+        if solver == "full":
+            run_full(f0, unit_params, cfg, [0.01])
+        else:
+            run_limit(BulkWallState(f0, np.zeros(pg.n_phi)), unit_params,
+                      cfg, [0.01])
 
 
 def test_strang_step_conserves(small_grids):
@@ -223,6 +229,14 @@ def test_step_preserves_mass_and_positivity(yg, n_phi, V, Phi, D, eps, dt,
     assert norms(out)["mass"] == pytest.approx(norms(f)["mass"],
                                                rel=max(rel, 1e-12))
     assert np.min(out.values) >= -1e-12
+
+
+def _open_wall_coeffs(V_nodes, yg):
+    """run_limit's flux: the fitted flux at eps = 0 with the wall face
+    open."""
+    a, b = _fitted_flux_coeffs(V_nodes, 0.0, yg)
+    b[0] = V_nodes
+    return a, b
 
 
 def _fitted_diagonals(a, b, widths, dt):
@@ -276,26 +290,67 @@ def test_y_steps_match_row_loop_references(yg, n_phi, V, eps, dt, seed):
     w = yg.widths[:, None]
     mass = np.sum(vals * w)
 
-    # cyclic reduction orders the arithmetic differently from both
-    # row-loop Thomas and LAPACK's pivoted gtsv: all agree to round-off
+    # cyclic reduction orders the arithmetic differently from row-loop
+    # Thomas: both agree to round-off
     a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
     tol = round_off_bound(1.0 + dt / w * (a[1:] + b[:-1]))
-    out = _implicit_y_step(a, b, yg.widths, dt)(vals)
-    for ref in (_thomas_reference(vals, a, b, yg.widths, dt),
-                _solve_banded_reference(*_fitted_diagonals(a, b, yg.widths,
-                                                           dt), vals)):
-        assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
+    out, = _implicit_y_step(a, b, yg.widths, dt)((vals,))
+    ref = _thomas_reference(vals, a, b, yg.widths, dt)
+    assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
     assert abs(np.sum(out * w) - mass) <= tol * mass
 
-    # the zero sub-diagonal makes it the top-down back-substitution, up to
-    # round-off; the wall gains exactly the discrete outgoing flux
-    tol = round_off_bound(1.0 + dt * V_nodes / w)
-    bulk, wall_new = _upwind_y_step(V_nodes, yg.widths, dt)((vals, wall))
+    # at eps = 0 with the wall face open it is the top-down
+    # back-substitution, up to round-off; the wall gains exactly the
+    # discrete outgoing flux
+    a, b = _open_wall_coeffs(V_nodes, yg)
+    tol = round_off_bound(1.0 + dt / w * V_nodes)
+    bulk, wall_new = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
     ref_bulk, _ = _upwind_reference(vals, wall, V_nodes, yg.widths, dt)
     assert np.sum(np.abs(bulk - ref_bulk) * w) <= tol * np.sum(ref_bulk * w)
     np.testing.assert_array_equal(wall_new, wall + dt * V_nodes * bulk[0])
     total = mass + np.sum(wall)
     assert abs(np.sum(bulk * w) + np.sum(wall_new) - total) <= tol * total
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_y_grids(), st.integers(4, 16), positive_speeds,
+       st.floats(0.005, 0.5), st.floats(1e-4, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_y_steps_match_lapack_reference(yg, n_phi, V, eps, dt, seed):
+    # LAPACK's pivoted gtsv orders the arithmetic differently again, for
+    # the kinetic operator and for the limit's, with the wall face open
+    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    vals = patchy_values(seed, (yg.n_y, n_phi))
+    w = yg.widths[:, None]
+    for a, b in (_fitted_flux_coeffs(V_nodes, eps, yg),
+                 _open_wall_coeffs(V_nodes, yg)):
+        out, = _implicit_y_step(a, b, yg.widths, dt)((vals,))
+        ref = _solve_banded_reference(
+            *_fitted_diagonals(a, b, yg.widths, dt), vals)
+        tol = round_off_bound(1.0 + dt / w * (a[1:] + b[:-1]))
+        assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_y_grids(), st.integers(4, 16), positive_speeds,
+       st.floats(1e-4, 2.0), st.integers(0, 2 ** 32 - 1))
+def test_open_wall_face_moves_only_the_wall_cell(yg, n_phi, V, dt, seed):
+    # the system is upper bidiagonal and no multiplier carries row 0
+    # upward, so opening the wall face leaves rows 1..n-1 bit for bit;
+    # what the wall gains, cell 0 of the closed step keeps
+    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    vals = patchy_values(seed, (yg.n_y, n_phi))
+    wall = patchy_values(seed + 1, n_phi)
+    w = yg.widths[:, None]
+    a, b = _open_wall_coeffs(V_nodes, yg)
+    bulk, wall_new = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
+    a, b = _fitted_flux_coeffs(V_nodes, 0.0, yg)
+    closed, wall_same = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
+    _assert_same_bits(bulk[1:], closed[1:])
+    _assert_same_bits(wall_same, wall)
+    kept = closed[0] * yg.widths[0]
+    moved = bulk[0] * yg.widths[0] + dt * V_nodes * bulk[0]
+    tol = round_off_bound(1.0 + dt / w * V_nodes)
+    assert np.all(np.abs(kept - moved) <= tol * kept)
 
 
 def _random_fitted_system(rng, n_y, n_phi):
@@ -400,22 +455,18 @@ def test_non_finite_solve_does_not_reach_the_next(small_grids):
     # rows; the next solve with the same factorization must not see them
     yg, pg = small_grids
     V_nodes = eval_on_nodes(shifted_sine(1.0, 0.5), pg)
-    a, b = _fitted_flux_coeffs(V_nodes, 0.05, yg)
     bad = patchy_values(5, (yg.n_y, pg.n_phi))
     bad[3, 2], bad[-1, 5] = np.nan, np.inf
     vals = patchy_values(6, (yg.n_y, pg.n_phi))
     wall = patchy_values(7, pg.n_phi)
     with np.errstate(invalid="ignore"):
-        solve = _implicit_y_step(a, b, yg.widths, 0.01)
-        solve(bad)
-        _assert_same_bits(solve(vals),
-                          _implicit_y_step(a, b, yg.widths, 0.01)(vals))
-        step = _upwind_y_step(V_nodes, yg.widths, 0.01)
-        step((bad, wall))
-        for x, y in zip(step((vals, wall)),
-                        _upwind_y_step(V_nodes, yg.widths, 0.01)((vals,
-                                                                  wall))):
-            _assert_same_bits(x, y)
+        for a, b in (_fitted_flux_coeffs(V_nodes, 0.05, yg),
+                     _open_wall_coeffs(V_nodes, yg)):
+            step = _implicit_y_step(a, b, yg.widths, 0.01)
+            step((bad, wall))
+            for x, y in zip(step((vals, wall)), _implicit_y_step(
+                    a, b, yg.widths, 0.01)((vals, wall))):
+                _assert_same_bits(x, y)
 
 
 @settings(max_examples=200, deadline=None)
@@ -430,23 +481,27 @@ def test_y_steps_keep_nonnegative_data_nonnegative(yg, n_phi, V, eps, dt,
     vals = patchy_values(seed, (yg.n_y, n_phi)) * 10.0 ** exponent
     wall = patchy_values(seed + 1, n_phi)
     a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
-    assert np.min(_implicit_y_step(a, b, yg.widths, dt)(vals)) >= 0.0
-    bulk, wall_new = _upwind_y_step(V_nodes, yg.widths, dt)((vals, wall))
+    assert np.min(_implicit_y_step(a, b, yg.widths, dt)((vals,))[0]) >= 0.0
+    a, b = _open_wall_coeffs(V_nodes, yg)
+    bulk, wall_new = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
     assert np.min(bulk) >= 0.0
     assert np.min(wall_new) >= 0.0
 
 
 def test_y_step_at_peclet_overflow_is_upwind(small_grids):
     # V d / eps overflows: rho = inf, so a = 0 and the fitted flux is
-    # upwind from above, with a no-flux wall
+    # upwind from above, with a no-flux wall; eps = 0 gives the same
+    # coefficients exactly
     yg, pg = small_grids
     V_nodes = eval_on_nodes(shifted_sine(1e308, 0.5), pg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, b = _fitted_flux_coeffs(V_nodes, 0.05, yg)
         assert not a.any()
+        for got in zip((a, b), _fitted_flux_coeffs(V_nodes, 0.0, yg)):
+            _assert_same_bits(*got)
         vals = patchy_values(3, (yg.n_y, pg.n_phi))
-        out = _implicit_y_step(a, b, yg.widths, 0.005)(vals)
+        out, = _implicit_y_step(a, b, yg.widths, 0.005)((vals,))
     ref = _thomas_reference(vals, a, b, yg.widths, 0.005)
     w = yg.widths[:, None]
     tol = round_off_bound(1.0 + 0.005 / w * (a[1:] + b[:-1]))
@@ -593,20 +648,13 @@ def _phi_flux_reference(values, Phi_face, D, h, dt, safety=0.9):
 
 
 def _fitted_y_reference(a, b, widths):
+    """The y-substep of the flux (a, b): each wall gains dt b_0 f_0_new."""
     def y_step(state, dt):
         r = dt / widths[:, None]
-        return (_solve_columns_reference(
+        f = _solve_columns_reference(
             -r * a[:-1, :], 1.0 + r * (a[1:, :] + b[:-1, :]), -r * b[1:, :],
-            state[0]),)
-    return y_step
-
-
-def _upwind_y_reference(V_nodes, widths):
-    def y_step(state, dt):
-        bulk, wall = state
-        r = dt * V_nodes[None, :] / widths[:, None]
-        out = _solve_columns_reference(np.zeros_like(r), 1.0 + r, -r, bulk)
-        return out, wall + dt * V_nodes * out[0]
+            state[0])
+        return (f, *(wall + dt * b[0] * f[0] for wall in state[1:]))
     return y_step
 
 
@@ -689,7 +737,8 @@ def test_solvers_match_unfactored_reference(splitting, D, Phi):
         _assert_same_bits(f.values, f_ref)
 
     s0 = manufactured_state(0.0, 1.0, 0.5, D, yg, pg)
-    ref = _march_reference(_upwind_y_reference(V_nodes, yg.widths),
+    ref = _march_reference(_fitted_y_reference(*_open_wall_coeffs(V_nodes, yg),
+                                               yg.widths),
                            (s0.bulk.values, s0.wall), params, pg, cfg, times)
     snaps = run_limit(s0, params, cfg, times)
     for (_, s), (bulk, wall) in zip(snaps, ref):

@@ -23,7 +23,7 @@ def _uniform_grids(n_y=128, n_phi=16, y_max=8.0):
 
 
 def _one_step(s, params, dt, splitting="lie"):
-    """One split step of exactly dt, with run_limit's finite check; needs
+    """One split step of exactly dt, with run_limit's health check; needs
     params.T >= dt."""
     cfg = FullSolverConfig(dt=dt, splitting=splitting)
     (_, out), = run_limit(s, params, cfg, [dt])
