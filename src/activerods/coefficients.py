@@ -121,29 +121,33 @@ def eval_coeff(coeff: AngularCoefficient, phi, order: int = 0):
     return out
 
 
-def _values(coeff: AngularCoefficient, sin_phi, out: np.ndarray) -> np.ndarray:
-    """Order-0 values of coeff from a precomputed sin(phi), written into
-    out and returned.
+def _values(coeff: AngularCoefficient, sin_phi, out: np.ndarray,
+            scale: float = 1.0) -> np.ndarray:
+    """scale times the order-0 values of coeff from a precomputed
+    sin(phi), written into out and returned.
 
     Every family is a polynomial of degree <= 2 in sin(phi), so callers
     that need several coefficients at the same angles share one sine.
-    The in-place ufuncs keep each formula's rounding, e.g. shifted_sine
-    is g0 + a * (1 + sin(phi)) to the last bit.
+    scale multiplies the family's parameters, not the values, so it
+    costs no pass of its own; scale = 1 changes no bit. The in-place
+    ufuncs keep each formula's rounding, e.g. shifted_sine is
+    g0 s + (a s) * (1 + sin(phi)) to the last bit, with p s the scaled
+    parameter p.
     """
-    p = coeff.params
+    p = {k: float(v) * scale for k, v in coeff.params.items()}
     fam = coeff.family
     if fam == "constant":
-        out[...] = float(p["value"])
+        out[...] = p["value"]
     elif fam == "shifted_sine":
         np.add(sin_phi, 1.0, out=out)
-        out *= float(p["a"])
-        out += float(p["g0"])
+        out *= p["a"]
+        out += p["g0"]
     elif fam == "paper_shear":
         np.square(sin_phi, out=out)
-        out *= -float(p["gamma"])
+        out *= -p["gamma"]
     else:  # wall_drive
-        np.multiply(sin_phi, float(p["v_prop"]), out=out)
-        np.subtract(float(p["g"]), out, out=out)
+        np.multiply(sin_phi, p["v_prop"], out=out)
+        np.subtract(p["g"], out, out=out)
     return out
 
 

@@ -3,11 +3,29 @@
     dy = -V(phi) dt + sqrt(2 eps) dW_y      (reflected at y = 0)
     dphi = Phi(phi) dt + sqrt(2 D) dW_phi   (wrapped mod 2 pi)
 
-Randomness is counter-based: every particle owns a substream keyed by
-seed XOR (k * S) for one fixed odd 64-bit S, and every (step, channel)
-pair maps to one 64-bit hash output, so ensembles are bitwise
-reproducible no matter how steps are scheduled or partitioned across
-workers. No generator state is carried between calls.
+Randomness is counter-based: every draw is one splitmix64 hash of a
+(key, counter) input, so ensembles are bitwise reproducible no matter
+how steps are scheduled or partitioned across workers. No generator
+state is carried between calls. For one fixed odd 64-bit S and the
+golden-ratio constant G (all sums mod 2^64):
+
+- sample_initial (counter slot 0) keys particle k by seed XOR (k S) and
+  hashes key + c G with c = 3 for its y draw and c = 4 for its angle.
+- Step s of a march (slot s = e.step + 1) takes one hash per particle,
+  h = mix64(K + k S + s G) with K = mix64(seed). A chunk of particles
+  lo.. adds the one constant K + lo S + s G to _STRIDES, a read-only
+  table of j S made at import. The high 40 bits of h give the
+  Box-Muller radius uniform u = (h >> 24 + 1/2) 2^-40, the low 24 bits
+  the angle t = 2 pi (h mod 2^24) 2^-24.
+
+So the radius is at most sqrt(-2 ln(2^-41)) = sqrt(82 ln 2) = 7.54,
+which caps |z_y| and |z_phi| at 7.54 standard deviations (a normal
+exceeds that with probability 5e-14 per draw); the angle has the
+resolution its float32 cos and sin can use. The radius is taken as
+sqrt(2 ln 2) times sqrt(40 - log2(h >> 24 + 1/2)), with sqrt(2 ln 2)
+folded into the noise amplitudes sqrt(2 eps dt) and sqrt(2 D dt), and
+dt into the coefficients' parameters, so neither costs a pass; eps = 0
+or D = 0 makes that amplitude 0, with no division by it.
 
 em_step, sample_initial and histogram work through the ensemble in
 cache-sized chunks and, when there is more than one chunk, run them on
@@ -19,10 +37,13 @@ only its own position, angle and counter-keyed draws, and the chunk
 kernels apply the same elementwise operations in the same order as a
 whole-array pass; histogram adds up integer counts per chunk. So the
 result is bitwise the same for every chunk size, thread count and
-completion order.
+completion order. Two passes a chunk may skip change no bit: the
+reduction of the old angles mod 2 pi when they all lie in (0, 2 pi)
+already (np.mod is the identity there), and the reflection at y_max
+when no particle is above it.
 
 The step takes its three trig passes in float32: cos and sin of the
-Box-Muller angle 2 pi u, and sin(phi) for V and Phi (of phi reduced mod
+Box-Muller angle t, and sin(phi) for V and Phi (of phi reduced mod
 2 pi in float64 first, so that every finite angle has a float32 cast).
 numpy vectorises float32 sin and cos, and calls scalar libm for
 float64, which made these passes most of the step. Their results are
@@ -40,12 +61,18 @@ ensemble is never touched and no step allocates its output. _step_chunk
 reads each particle's old position and angle before it writes the new
 ones, and nothing else reads them, so a step in place gives the same
 bits as a step into fresh arrays.
+
+histogram bins with no search: an axis's faces are looked up in a
+uniform bucket table, and one exact compare with the same faces
+settles the cell (see _Cuts), so its counts are those of a binary
+search over the faces, bit for bit.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -59,13 +86,26 @@ from .grids import PhaseField, PhiGrid, YGrid, norms
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _STRIDE = 0xBF58476D1CE4E5B9   # odd, so substream keys stay distinct
-_CHANNELS = 4
-# Particles per em_step chunk: its six 8-byte scratch rows take 1.5 MiB,
-# so they stay in a 2 MiB L2 while the input and output rows stream
-# through once. Smaller chunks lose more to per-call and lock overhead
-# than they gain (2^12 and 2^14 were slower on a 2-CPU Xeon at 1e6
-# particles; 2^16 splits 2e5 particles unevenly across two threads).
+_RADIUS_BITS = 40              # high bits of a step's hash; the rest, 24,
+_ANGLE_BITS = 24               # give the Box-Muller angle
+# sqrt(-2 ln u) = sqrt(2 ln 2) sqrt(-log2 u): the factor rides on the
+# noise amplitudes
+_SQRT_2LN2 = math.sqrt(2.0 * math.log(2.0))
+# Particles per em_step chunk: its five 8-byte scratch rows and the hash
+# table of j * _STRIDE take 1.5 MiB, so they stay in a 2 MiB L2 while
+# the input and output rows stream through once. Smaller chunks lose
+# more to per-call and lock overhead than they gain (2^12 and 2^14 were
+# slower on a 2-CPU Xeon at 1e6 particles; 2^16 splits 2e5 particles
+# unevenly across two threads).
 _CHUNK = 1 << 15
+# Buckets of a histogram axis at most: each bucket holds one face, and
+# a particle needs one compare, when no two faces are closer than
+# top / _MAX_BUCKETS (2e-3 at y_max = 8).
+_MAX_BUCKETS = 1 << 12
+# j * _STRIDE mod 2^64 for j < _CHUNK, the particle part of a step's hash
+# input; a chunk may not be longer
+_STRIDES = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(_STRIDE)
+_STRIDES.flags.writeable = False
 
 
 @dataclass
@@ -103,12 +143,11 @@ def _keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return keys
 
 
-def _uniform(keys: np.ndarray, slot: int, channel: int, out: np.ndarray,
+def _uniform(keys: np.ndarray, counter: int, out: np.ndarray,
              bits: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """One independent uniform (0,1) draw per key for the given (step
-    slot, channel) counter, written into float64 out; bits and tmp are
-    uint64 scratch of the keys' shape."""
-    counter = slot * _CHANNELS + channel + 1
+    """One independent uniform (0,1) draw per key for the given counter,
+    written into float64 out; bits and tmp are uint64 scratch of the
+    keys' shape."""
     np.add(keys, np.uint64((_GOLDEN * counter) % (1 << 64)), out=bits)
     _mix64(bits, tmp)
     np.right_shift(bits, np.uint64(11), out=tmp)
@@ -121,7 +160,8 @@ def _uniform(keys: np.ndarray, slot: int, channel: int, out: np.ndarray,
 def sample_initial(n: int, seed: int, y_max: float) -> ParticleEnsemble:
     """Draw the standard initial law: y from the unit-rate exponential
     truncated to [0, y_max] (inverse CDF), phi uniform on [0, 2 pi).
-    Uses counter slot 0; dynamics steps start at slot 1."""
+    Uses counter slot 0; dynamics steps start at slot 1 (see the module
+    docstring)."""
     y, phi = np.empty(n), np.empty(n)
     _run_chunks(n, functools.partial(
         _initial_chunk, seed, 1.0 - np.exp(-y_max), y, phi))
@@ -134,8 +174,8 @@ def _initial_chunk(seed: int, mass: float, y: np.ndarray, phi: np.ndarray,
     phi = 2 pi u_phi, the draws written straight into y[sl], phi[sl]."""
     keys = _keys(seed, sl.start, sl.stop)
     bits, tmp = np.empty_like(keys), np.empty_like(keys)
-    u_y = _uniform(keys, 0, 2, y[sl], bits, tmp)
-    u_phi = _uniform(keys, 0, 3, phi[sl], bits, tmp)
+    u_y = _uniform(keys, 3, y[sl], bits, tmp)
+    u_phi = _uniform(keys, 4, phi[sl], bits, tmp)
     u_y *= -mass                    # (-u_y) * mass: negation is exact
     np.log1p(u_y, out=u_y)
     np.negative(u_y, out=u_y)
@@ -163,10 +203,13 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
     elif out.n != e.n:
         raise ConfigurationError(
             f"out holds {out.n} particles, the ensemble {e.n}")
+    seed_key = _mix64(np.array([e.seed % (1 << 64)], dtype=np.uint64),
+                      np.empty(1, dtype=np.uint64))[0]
     _run_chunks(e.n, functools.partial(
         _step_chunk, e, out.y, out.phi, params, dt,
-        np.sqrt(2.0 * params.epsilon * dt), np.sqrt(2.0 * params.D * dt),
-        y_max))
+        math.sqrt(2.0 * params.epsilon * dt) * _SQRT_2LN2,
+        math.sqrt(2.0 * params.D * dt) * _SQRT_2LN2, y_max,
+        int(seed_key) + (e.step + 1) * _GOLDEN))
     out.seed, out.step = e.seed, e.step + 1
     return out
 
@@ -205,64 +248,80 @@ def _cpu_count() -> int:
 
 
 def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
-                params: ModelParams, dt: float, sigma_y: float,
-                sigma_phi: float, y_max: float | None, sl: slice):
+                params: ModelParams, dt: float, c_y: float, c_phi: float,
+                y_max: float | None, step_key: int, sl: slice):
     """em_step on particles sl of e, written into y[sl] and phi[sl].
 
-    Five chunk-sized float64 scratch rows are reused across the stages,
+    step_key is mix64(seed) + slot * _GOLDEN, and c_y, c_phi are the noise
+    amplitudes sqrt(2 eps dt) and sqrt(2 D dt) times sqrt(2 ln 2). Five
+    chunk-sized float64 scratch rows are reused across the stages,
     viewed as uint64 for the hashing, as float32 for the trig and as
     bool for the wrap masks. The per-element operations and their order
     are those of the one-shot formula
-        y   = |y - V dt + sigma_y z_y|        (reflected at y_max)
-        phi = (phi + Phi dt + sigma_phi z_phi) mod 2 pi
-    with (z_y, z_phi) = r (cos t, sin t) the Box-Muller pair of the
-    step's two draws, cos t and sin t taken in float32 of t = 2 pi u2,
-    and V, Phi evaluated in float64 from the float32 sine of phi mod 2 pi.
+        r   = sqrt(40 - log2(h >> 24 + 1/2)),  t = 2 pi (h mod 2^24) 2^-24
+        y   = |(y - V dt) + (c_y r) cos t|        (reflected at y_max)
+        phi = ((phi + Phi dt) + (c_phi r) sin t) mod 2 pi
+    with h the particle's hash (module docstring), cos t and sin t taken
+    in float32, and V dt, Phi dt evaluated in float64, dt folded into
+    the parameters, from the float32 sine of phi mod 2 pi.
     """
     # y1 and phi1 may be y0 and phi0 (em_step's out=e). That is safe
     # because the only reads of y0 are at or before the first write of y1
     # (np.subtract(y0, V, out=y1), elementwise), and likewise for phi0
-    # (_mod_2pi into r, then np.add(phi0, Phi, out=phi1)): keep that order.
+    # (the fast-path check and the sine, then np.add(phi0, Phi,
+    # out=phi1)): keep that order.
     y0, phi0, y1, phi1 = e.y[sl], e.phi[sl], y[sl], phi[sl]
     n = len(y0)
     work = np.empty((5, n))
-    z_y, z_phi, r, a, b = work
-    keys = _keys(e.seed, sl.start, sl.stop)
+    r, z, sin_phi, a, b = work
     bits, tmp = a.view(np.uint64), b.view(np.uint64)
-    slot = e.step + 1
-    _uniform(keys, slot, 0, r, bits, tmp)
-    _uniform(keys, slot, 1, z_phi, bits, tmp)
-    np.log(r, out=r)
-    r *= -2.0
+    offset = (step_key + sl.start * _STRIDE) % (1 << 64)
+    np.add(_STRIDES[:n], np.uint64(offset), out=bits)
+    _mix64(bits, tmp)
+    np.right_shift(bits, np.uint64(_ANGLE_BITS), out=tmp)
+    # below 2^40, so the int64 view converts exactly, and faster
+    np.add(tmp.view(np.int64), 0.5, out=r)
+    np.log2(r, out=r)
+    np.subtract(float(_RADIUS_BITS), r, out=r)
     np.sqrt(r, out=r)
-    cos_t, sin_t = a.view(np.float32)[:n], b.view(np.float32)[:n]
-    np.multiply(z_phi, 2.0 * np.pi, out=sin_t, casting="same_kind")
-    np.cos(sin_t, out=cos_t)
-    np.sin(sin_t, out=sin_t)
-    np.copyto(z_y, cos_t)
-    z_y *= r
-    np.copyto(z_phi, sin_t)
-    z_phi *= r
-    # reduced first, so that every finite angle has a float32 cast
-    sin_phi = _mod_2pi(phi0, r, b.view(np.bool_))
+    np.bitwise_and(bits, np.uint64((1 << _ANGLE_BITS) - 1), out=tmp)
+    t = z.view(np.float32)[:n]
+    np.multiply(tmp.view(np.int64), 2.0 * np.pi * 2.0 ** -_ANGLE_BITS,
+                out=t, casting="same_kind")
+    cos_t, sin_t = b.view(np.float32)[:n], b.view(np.float32)[n:]
+    np.cos(t, out=cos_t)
+    np.sin(t, out=sin_t)
     sin_32 = a.view(np.float32)[:n]
-    np.copyto(sin_32, sin_phi, casting="same_kind")
+    if _inside_circle(phi0):
+        np.copyto(sin_32, phi0, casting="same_kind")
+    else:
+        # reduced first, so that every finite angle has a float32 cast
+        np.copyto(sin_32, _mod_2pi(phi0, sin_phi, z.view(np.bool_)),
+                  casting="same_kind")
     np.sin(sin_32, out=sin_32)
     np.copyto(sin_phi, sin_32)
-    V = _values(params.V, sin_phi, a)
-    V *= dt
+    V = _values(params.V, sin_phi, a, dt)
     np.subtract(y0, V, out=y1)
-    z_y *= sigma_y
-    y1 += z_y
+    np.multiply(r, c_y, out=z)
+    z *= cos_t
+    y1 += z
     np.abs(y1, out=y1)
-    if y_max is not None:
+    # skipped only when no particle is above y_max; a NaN maximum, which
+    # may hide one, takes the masked pass
+    if y_max is not None and not y1.max() <= y_max:
         np.subtract(2.0 * y_max, y1, out=y1, where=y1 > y_max)
-    Phi = _values(params.Phi, sin_phi, a)
-    Phi *= dt
+    Phi = _values(params.Phi, sin_phi, a, dt)
     np.add(phi0, Phi, out=phi1)
-    z_phi *= sigma_phi
-    phi1 += z_phi
-    _mod_2pi(phi1, phi1, b.view(np.bool_))
+    np.multiply(r, c_phi, out=z)
+    z *= sin_t
+    phi1 += z
+    _mod_2pi(phi1, phi1, a.view(np.bool_))
+
+
+def _inside_circle(x: np.ndarray) -> bool:
+    """Whether every x lies in (0, 2 pi), where np.mod(x, 2 pi) is x;
+    False when any x is NaN, since NaN fails both compares."""
+    return bool(0.0 < x.min()) and bool(x.max() < 2.0 * np.pi)
 
 
 def _mod_2pi(x: np.ndarray, out: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -312,10 +371,10 @@ def histogram(e: ParticleEnsemble, y_grid: YGrid,
     also holds its right edge (y = y_max, or a shifted angle that
     rounds up to 2 pi); particles above y_max are dropped."""
     h = phi_grid.h
-    edges_phi = np.linspace(0.0, 2.0 * np.pi, phi_grid.n_phi + 1)
     n_y, n_phi = y_grid.n_y, phi_grid.n_phi
     parts = _run_chunks(e.n, functools.partial(
-        _count_chunk, e, y_grid.faces, edges_phi, 0.5 * h))
+        _count_chunk, e, _Cuts.of(y_grid.faces),
+        _Cuts.of(np.linspace(0.0, 2.0 * np.pi, n_phi + 1)), 0.5 * h))
     counts = sum(parts, np.zeros(n_y * n_phi, dtype=np.int64)).reshape(
         n_y, n_phi)
     total = int(counts.sum())
@@ -326,28 +385,90 @@ def histogram(e: ParticleEnsemble, y_grid: YGrid,
     return PhaseField(density, y_grid, phi_grid)
 
 
-def _count_chunk(e: ParticleEnsemble, y_faces: np.ndarray,
-                 edges_phi: np.ndarray, half_h: float,
-                 sl: slice) -> np.ndarray:
-    """Flat cell counts of particles sl; the chunks' counts sum to the
-    histogram's counts in any order."""
-    n_y, n_phi = len(y_faces) - 1, len(edges_phi) - 1
-    iy = _cell_index(e.y[sl], y_faces)
-    shifted = e.phi[sl] + half_h
-    ip = _cell_index(_mod_2pi(shifted, shifted,
-                              np.empty(2 * len(shifted), dtype=np.bool_)),
-                     edges_phi)
-    inside = (iy >= 0) & (iy < n_y) & (ip >= 0) & (ip < n_phi)
-    return np.bincount(iy[inside] * n_phi + ip[inside],
-                       minlength=n_y * n_phi)
+def _count_chunk(e: ParticleEnsemble, y_cuts: _Cuts, phi_cuts: _Cuts,
+                 half_h: float, sl: slice) -> np.ndarray:
+    """Flat cell counts of particles sl, y by the faces of y_cuts and
+    (phi + half_h) mod 2 pi by those of phi_cuts; the chunks' counts sum
+    to the histogram's counts in any order."""
+    n = sl.stop - sl.start
+    work = np.empty((3, n))
+    shifted = np.add(e.phi[sl], half_h, out=work[0])
+    _mod_2pi(shifted, shifted, work[1].view(np.bool_))
+    # each axis' count of faces <= x: 0 below the grid, the cell index
+    # plus 1 inside it, the number of faces above it or for NaN
+    width = len(phi_cuts.faces) + 1
+    flat = y_cuts.count(e.y[sl], work[1], work[2])
+    flat *= width
+    flat += phi_cuts.count(shifted, work[1], work[2])
+    counts = np.bincount(flat, minlength=(len(y_cuts.faces) + 1) * width)
+    return counts.reshape(-1, width)[1:-1, 1:-1].ravel()
 
 
-def _cell_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Index of the cell [edges[i], edges[i+1]) holding each x, the last
-    cell closed on the right; -1 or len(edges) - 1 when x is outside."""
-    idx = np.searchsorted(edges, x, side="right") - 1
-    idx[x == edges[-1]] -= 1
-    return idx
+@dataclass(frozen=True)
+class _Cuts:
+    """Counts, for each x, how many of an axis's faces lie at or below
+    it, with the top face counted only for x above it (so the last cell
+    holds its right edge): the cell index plus 1 inside the faces, 0
+    below them, and len(faces) above them or for NaN.
+
+    With the top face nudged up to top, x falls in bucket
+    b(x) = int(fmax(fmin(x, top), 0) * scale); fmin comes first, so that
+    NaN takes the top bucket. b is monotone in x, so a face in a lower
+    bucket than x's is below x, one in a higher bucket above it,
+    whatever the rounding. Only the faces in x's own bucket need a
+    compare:
+        count(x) = below[b] - sum_k (at[k, b] > x)
+    where below[b] counts the faces in buckets up to b and row k of at
+    holds each bucket's k-th face, or -inf. Buckets are refined until
+    each holds one face, up to _MAX_BUCKETS; NaN fails every compare,
+    so it counts every face."""
+    faces: np.ndarray
+    top: float
+    scale: float
+    below: np.ndarray
+    at: np.ndarray
+
+    @classmethod
+    def of(cls, faces: np.ndarray) -> "_Cuts":
+        """The tables for increasing faces (the top one nudged up)."""
+        faces = np.array(faces, dtype=float)
+        faces[-1] = np.nextafter(faces[-1], np.inf)
+        top = float(faces[-1])
+        n_buckets = 2 * len(faces)
+        while True:
+            scale = n_buckets / top
+            b = _Cuts._bucket(faces, top, scale, np.empty(len(faces)))
+            depth = int(np.bincount(b).max())
+            if depth == 1 or n_buckets >= _MAX_BUCKETS:
+                break
+            n_buckets *= 2
+        size = int(b[-1]) + 1
+        below = np.cumsum(np.bincount(b, minlength=size))
+        at = np.full((depth, size), -np.inf)
+        rank = np.arange(len(b)) - np.searchsorted(b, b)
+        at[rank, b] = faces
+        return cls(faces, top, scale, below, at)
+
+    @staticmethod
+    def _bucket(x: np.ndarray, top: float, scale: float,
+                t: np.ndarray) -> np.ndarray:
+        np.fmin(x, top, out=t)
+        np.fmax(t, 0.0, out=t)
+        t *= scale
+        return t.astype(np.intp)
+
+    def count(self, x: np.ndarray, t: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+        """count(x) as intp; t and scratch are float64 rows of x's
+        length."""
+        b = self._bucket(x, self.top, self.scale, t)
+        count = np.take(self.below, b, mode="clip")
+        above = scratch.view(np.bool_)[:len(x)]
+        for row in self.at:
+            np.take(row, b, out=t, mode="clip")
+            np.greater(t, x, out=above)
+            count -= above
+        return count
 
 
 def tv_distance(h_field: PhaseField, f_field: PhaseField) -> float:

@@ -112,12 +112,13 @@ def graded_y_grids(draw):
                         layer_cells)
 
 
-def coeff_value_reference(coeff, phi, sin=np.sin):
+def coeff_value_reference(coeff, phi, sin=np.sin, scale=1.0):
     """Order-0 family formulas as written out per family, each with its
     own sin(phi): the reference the shared-sine evaluation must match
-    bitwise. sin is the sine the evaluation uses."""
+    bitwise. sin is the sine the evaluation uses; scale multiplies each
+    parameter first, as the particle step folds dt into them."""
     phi = np.asarray(phi, dtype=float)
-    p = {k: float(v) for k, v in coeff.params.items()}
+    p = {k: float(v) * scale for k, v in coeff.params.items()}
     if coeff.family == "constant":
         return np.full_like(phi, p["value"])
     if coeff.family == "shifted_sine":

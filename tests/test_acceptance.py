@@ -77,3 +77,21 @@ def test_raising_criterion_keeps_its_name(monkeypatch):
     assert res.name == "scale-parameter-arithmetic"
     assert not res.passed
     assert res.detail == "raised ConfigurationError: no physical scales"
+
+
+def test_energy_bound_fails_when_energy_grows(monkeypatch):
+    # criterion 9's fail branch: every energy after the first reported
+    # 1000 times too large breaks the Gronwall bound
+    real, calls = acceptance.energy_step, []
+
+    def growing(dec, V):
+        E, diss = real(dec, V)
+        calls.append(E)
+        return E * (1.0 if len(calls) == 1 else 1e3), diss
+
+    monkeypatch.setattr(acceptance, "energy_step", growing)
+    res = acceptance.run_criterion(9)
+    assert len(calls) > 2
+    assert not res.passed
+    assert res.detail.endswith("(need <= 1)")
+    assert float(res.detail.split(" = ")[1].split()[0]) > 1.0

@@ -8,7 +8,7 @@ from activerods import (AngularCoefficient, AssumptionViolationError,
                         ConfigurationError, ModelParams,
                         epsilon_from_physical, mu0, sup_abs,
                         validate_assumptions)
-from activerods.coefficients import _bounds, eval_coeff
+from activerods.coefficients import _bounds, _values, eval_coeff
 
 from conftest import (angular_drifts, coeff_value_reference, const,
                       positive_speeds, shear, shifted_sine, wall_drive)
@@ -215,3 +215,7 @@ def test_order0_matches_family_formulas(idx):
     np.testing.assert_array_equal(eval_coeff(c, phi),
                                   coeff_value_reference(c, phi))
     assert eval_coeff(c, 0.7) == float(coeff_value_reference(c, 0.7))
+    # the particle step's dt folded into the parameters
+    np.testing.assert_array_equal(
+        _values(c, np.sin(phi), np.empty_like(phi), 1e-3),
+        coeff_value_reference(c, phi, scale=1e-3))

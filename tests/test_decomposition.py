@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from activerods import (ConfigurationError, Decomposition, FullSolverConfig,
-                        ModelParams, PhaseField, build_phi_grid, build_y_grid,
+                        ModelParams, NumericalFailureError, PhaseField,
+                        build_phi_grid, build_y_grid, decomposition,
                         decompose, default_tests, energy_step, eval_on_nodes,
                         exp_cell_averages, exp_cell_integrals, norms,
                         run_full, steady_layer, weak_pairings)
@@ -45,6 +46,18 @@ def test_decompose_zero_field():
     assert np.all(dec.u.values == 0.0)
     with pytest.raises(ConfigurationError):
         decompose(PhaseField(np.zeros((48, 8)), yg, pg), const(1.0), 0.0)
+
+
+def test_decompose_refuses_lost_orthogonality(monkeypatch):
+    # the guard compares the round-off defect of <u, layer> with 1e-8
+    # ||f||: a field reported to have no mass leaves the defect above it
+    yg = build_y_grid(4.0, 48, 0.4, 16)
+    pg = build_phi_grid(8)
+    f = PhaseField(np.random.default_rng(3).random((48, 8)), yg, pg)
+    decompose(f, shifted_sine(1.0, 0.5), 0.1)
+    monkeypatch.setattr(decomposition, "norms", lambda field: {"l1": 0.0})
+    with pytest.raises(NumericalFailureError, match="lost orthogonality"):
+        decompose(f, shifted_sine(1.0, 0.5), 0.1)
 
 
 def test_energy_of_pure_amplitude():

@@ -24,7 +24,9 @@ from conftest import (coeff_value_reference, const, run_python, shear,
 # The one-shot em_step and the histogram2d histogram that the chunked step
 # and the bincount histogram replaced, kept as the references they must
 # match bitwise. em_step takes its trig in float32; the float64 formula it
-# replaced stays as the statistical comparator (em_step_float64).
+# replaced stays as the statistical comparator (em_step_float64), and the
+# earlier two-hash step as the comparator of the draw's law
+# (em_step_two_hash).
 
 def _mix64_reference(x):
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -32,13 +34,35 @@ def _mix64_reference(x):
     return x ^ (x >> np.uint64(31))
 
 
-def _uniforms_reference(seed, stride, n, slot, channel):
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _xor_key_uniforms(seed, n, counter):
+    # one 53-bit uniform per particle, keyed by seed XOR (k * stride): the
+    # stream of sample_initial (counters 3 and 4) and of the two-hash step
     keys = np.uint64(seed % (1 << 64)) ^ (
-        np.arange(n, dtype=np.uint64) * np.uint64(stride % (1 << 64)))
-    counter = slot * 4 + channel + 1
-    offset = np.uint64((0x9E3779B97F4A7C15 * counter) % (1 << 64))
+        np.arange(n, dtype=np.uint64) * np.uint64(particles._STRIDE))
+    offset = np.uint64((_GOLDEN * counter) % (1 << 64))
     bits = _mix64_reference(keys + offset)
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+def _uniforms_reference(seed, n, slot):
+    # the step's radius and angle uniforms at a counter slot, both from
+    # one hash of mix64(seed) + k * stride + slot * golden per particle
+    seed_key = _mix64_reference(np.array([seed % (1 << 64)], dtype=np.uint64))
+    bits = _mix64_reference(
+        seed_key + np.arange(n, dtype=np.uint64) * np.uint64(particles._STRIDE)
+        + np.uint64((slot * _GOLDEN) % (1 << 64)))
+    u_r = ((bits >> np.uint64(24)).astype(np.float64) + 0.5) * 2.0 ** -40
+    u_t = (bits & np.uint64((1 << 24) - 1)).astype(np.float64) * 2.0 ** -24
+    return u_r, u_t
+
+
+# sqrt(-2 ln u) = sqrt(2 ln 2) sqrt(-log2 u); the radius uniform u is at
+# least 2^-41, so |z| is at most sqrt(82 ln 2)
+_SQRT_2LN2 = math.sqrt(2.0 * math.log(2.0))
+_Z_CAP = math.sqrt(82.0 * math.log(2.0))
 
 
 def _sin32(phi):
@@ -47,30 +71,48 @@ def _sin32(phi):
         np.float64)
 
 
-def em_step_reference(e, params, dt, y_max=None, float32_trig=True):
-    drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
-    assert dt * drift <= 0.1 * (1.0 + 1e-12)
-    slot = e.step + 1
-    u1 = _uniforms_reference(e.seed, particles._STRIDE, e.n, slot, 0)
-    u2 = _uniforms_reference(e.seed, particles._STRIDE, e.n, slot, 1)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    sin = np.sin
-    if float32_trig:
-        theta, sin = theta.astype(np.float32), _sin32
-    z_y, z_p = r * np.cos(theta), r * np.sin(theta)
-    V = coeff_value_reference(params.V, e.phi, sin)
-    Phi = coeff_value_reference(params.Phi, e.phi, sin)
-    y = e.y - V * dt + np.sqrt(2.0 * params.epsilon * dt) * z_y
-    phi = e.phi + Phi * dt + np.sqrt(2.0 * params.D * dt) * z_p
-    y = np.abs(y)
+def _finish_step(e, params, dt, y_max, z_y, z_p, sin):
+    # the drift and the noise (already scaled) applied, reflected and
+    # wrapped, with dt folded into the coefficients' parameters
+    V = coeff_value_reference(params.V, e.phi, sin, scale=dt)
+    Phi = coeff_value_reference(params.Phi, e.phi, sin, scale=dt)
+    y = np.abs((e.y - V) + z_y)
     if y_max is not None:
         over = y > y_max
         if np.any(over):
             y[over] = 2.0 * y_max - y[over]
-    phi = np.mod(phi, 2.0 * np.pi)
+    phi = np.mod((e.phi + Phi) + z_p, 2.0 * np.pi)
     return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
                             step=e.step + 1)
+
+
+def em_step_reference(e, params, dt, y_max=None, float32_trig=True):
+    drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
+    assert dt * drift <= 0.1 * (1.0 + 1e-12)
+    u_r, u_t = _uniforms_reference(e.seed, e.n, e.step + 1)
+    # sqrt(-log2 u_r), from log2 of the 40-bit numerator 2^40 u_r (exact)
+    r = np.sqrt(40.0 - np.log2(u_r * 2.0 ** 40))
+    theta = 2.0 * np.pi * u_t
+    sin = np.sin
+    if float32_trig:
+        theta, sin = theta.astype(np.float32), _sin32
+    c_y = math.sqrt(2.0 * params.epsilon * dt) * _SQRT_2LN2
+    c_p = math.sqrt(2.0 * params.D * dt) * _SQRT_2LN2
+    return _finish_step(e, params, dt, y_max, (r * c_y) * np.cos(theta),
+                        (r * c_p) * np.sin(theta), sin)
+
+
+def em_step_two_hash(e, params, dt, y_max=None):
+    # the step before one hash served both uniforms: two 53-bit uniforms
+    # per particle and step, counters 4 slot + 1 and 4 slot + 2
+    slot = e.step + 1
+    u1 = _xor_key_uniforms(e.seed, e.n, 4 * slot + 1)
+    u2 = _xor_key_uniforms(e.seed, e.n, 4 * slot + 2)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi * u2).astype(np.float32)
+    z_y = np.sqrt(2.0 * params.epsilon * dt) * (r * np.cos(theta))
+    z_p = np.sqrt(2.0 * params.D * dt) * (r * np.sin(theta))
+    return _finish_step(e, params, dt, y_max, z_y, z_p, _sin32)
 
 
 def em_step_float64(e, params, dt, y_max=None):
@@ -267,8 +309,8 @@ def test_sample_initial_matches_reference_draws():
     # one inline chunk, and several chunks with a ragged tail on the pool
     for n in (1001, int(3.4 * particles._CHUNK)):
         e = sample_initial(n, 9, 8.0)
-        u_y = _uniforms_reference(9, particles._STRIDE, n, 0, 2)
-        u_p = _uniforms_reference(9, particles._STRIDE, n, 0, 3)
+        u_y = _xor_key_uniforms(9, n, 3)
+        u_p = _xor_key_uniforms(9, n, 4)
         np.testing.assert_array_equal(
             e.y, -np.log1p(-u_y * (1.0 - np.exp(-8.0))))
         np.testing.assert_array_equal(e.phi, 2.0 * np.pi * u_p)
@@ -536,6 +578,78 @@ def test_histogram_matches_histogram2d():
     assert histogram(edge, yg, pg).values[-1, -1] > 0.0
 
 
+def _count_chunk_reference(e, y_faces, edges_phi, half_h):
+    # the binary-search binning that the bucket tables replaced
+    def cell_index(x, edges):
+        idx = np.searchsorted(edges, x, side="right") - 1
+        idx[x == edges[-1]] -= 1
+        return idx
+
+    n_y, n_phi = len(y_faces) - 1, len(edges_phi) - 1
+    iy = cell_index(e.y, y_faces)
+    ip = cell_index(np.mod(e.phi + half_h, 2.0 * np.pi), edges_phi)
+    inside = (iy >= 0) & (iy < n_y) & (ip >= 0) & (ip < n_phi)
+    return np.bincount(iy[inside] * n_phi + ip[inside],
+                       minlength=n_y * n_phi)
+
+
+def _around(x, ulps=2):
+    # x and its neighbours up to ulps floating-point steps away
+    out = [np.asarray(x, dtype=float)]
+    for direction in (np.inf, -np.inf):
+        step = out[0]
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate([np.ravel(v) for v in out])
+
+
+_BIN_GRIDS = {
+    "criterion 13": (build_y_grid(8.0, 64, 0.4, 32).faces, 32),
+    "example config": (build_y_grid(4.0, 48, 0.4, 16).faces, 16),
+    "two cells": (np.array([0.0, 0.3, 1.0]), 2),
+    # faces 3e-5 apart: several share a bucket, so a lookup compares more
+    "crowded layer": (build_y_grid(8.0, 64, 1e-3, 32).faces, 4),
+}
+
+
+@pytest.mark.parametrize("grid", _BIN_GRIDS)
+def test_count_chunk_matches_binary_search(grid):
+    y_faces, n_phi = _BIN_GRIDS[grid]
+    edges_phi = np.linspace(0.0, 2.0 * np.pi, n_phi + 1)
+    h = 2.0 * np.pi / n_phi
+    y_max, two_pi = y_faces[-1], 2.0 * np.pi
+    odd = [np.nan, np.inf, -np.inf, 1e308, -1e308, -5e-324, -0.0]
+    # every face and its neighbours (0 and y_max among them), values out
+    # of range, NaN and infinities
+    ys = np.concatenate([_around(y_faces), [-1.0, y_max + 1.0], odd])
+    # angles whose shifted value phi + h/2 lands on or next to every bin
+    # edge, 2 pi - h/2 among them, or wraps, or is not finite
+    phis = np.concatenate([_around(edges_phi - 0.5 * h), _around(-0.5 * h),
+                           _around(two_pi), [7.0, 20.0, 1e300], odd])
+    rng = np.random.default_rng(len(y_faces))
+    n_random = 20_000
+    y = np.concatenate([ys, rng.choice(ys, len(phis)), np.repeat(ys, 3),
+                        rng.uniform(-0.5, y_max + 0.5, n_random)])
+    phi = np.concatenate([rng.choice(phis, len(ys)), phis,
+                          np.tile(phis[:3], len(ys)),
+                          rng.uniform(-7.0, 13.0, n_random)])
+    e = ParticleEnsemble(y=y, phi=phi, n=len(y), seed=1)
+    cuts = particles._Cuts.of(y_faces), particles._Cuts.of(edges_phi)
+    if grid == "crowded layer":
+        assert cuts[0].at.shape[0] > 1
+    with np.errstate(invalid="ignore"):
+        expect = _count_chunk_reference(e, y_faces, edges_phi, 0.5 * h)
+        np.testing.assert_array_equal(
+            particles._count_chunk(e, *cuts, 0.5 * h, slice(0, e.n)), expect)
+        # a chunk of the ensemble counts its own particles only
+        part = ParticleEnsemble(y=y[100:-50], phi=phi[100:-50], n=e.n - 150,
+                                seed=1)
+        np.testing.assert_array_equal(
+            particles._count_chunk(e, *cuts, 0.5 * h, slice(100, e.n - 50)),
+            _count_chunk_reference(part, y_faces, edges_phi, 0.5 * h))
+
+
 def test_step_finite_and_silent_on_huge_angles():
     # finite angles far beyond float32's range (about 3.4e38) are reduced
     # mod 2 pi before the float32 sine, so no cast overflows to inf
@@ -566,7 +680,8 @@ def _step_noise(step, n, seed):
 def test_float32_trig_noise_moments_match_float64():
     # first four moments, and the cross moment, of the float32-trig and
     # the float64 Box-Muller pairs from the same draws agree with each
-    # other and with the standard normal within 5 standard errors
+    # other and with the standard normal within 5 standard errors; the
+    # 40-bit radius uniform caps |z| at sqrt(82 ln 2)
     n = 1_000_000
     new = _step_noise(em_step, n, 31)
     old = _step_noise(em_step_float64, n, 31)
@@ -577,8 +692,83 @@ def test_float32_trig_noise_moments_match_float64():
             se = np.std(z_new ** k) / math.sqrt(n)
             assert abs(mean - np.mean(z_old ** k)) <= 5.0 * se
             assert abs(mean - gauss[k - 1]) <= 5.0 * se
+        # read back from y and phi, so a few ulps of 10 over 0.1
+        assert np.max(np.abs(z_new)) <= _Z_CAP + 1e-12
     cross = new[0] * new[1]
     assert abs(np.mean(cross)) <= 5.0 * np.std(cross) / math.sqrt(n)
+
+
+def test_one_hash_draw_has_the_two_hash_law():
+    # criterion 13's model and ensemble: one step of em_step and of the
+    # two-hash comparator give increments of y and phi whose means and
+    # variances agree within 5 standard errors
+    params = ModelParams(epsilon=0.05, D=0.2, T=0.5,
+                         V=shifted_sine(1.0, 0.5), Phi=shear(0.5))
+    n = 1_000_000
+    e = sample_initial(n, 20240817, 8.0)
+    moments = []
+    for step in (em_step, em_step_two_hash):
+        out = step(e, params, 1e-3, y_max=8.0)
+        d_phi = np.mod(out.phi - e.phi + np.pi, 2.0 * np.pi) - np.pi
+        for d in (out.y - e.y, d_phi):
+            sq = (d - np.mean(d)) ** 2
+            moments.append((np.mean(d), np.var(d), np.std(sq) / math.sqrt(n)))
+    for (m1, v1, se1), (m2, v2, se2) in zip(moments[:2], moments[2:]):
+        assert abs(m1 - m2) <= 5.0 * math.sqrt((v1 + v2) / n)
+        assert abs(v1 - v2) <= 5.0 * math.hypot(se1, se2)
+
+
+def test_zero_noise_steps_silently():
+    # eps = 0 and D = 0 make the noise amplitudes 0, with no division by
+    # them: no warning, no floating-point error, and the drift alone
+    params = ModelParams(epsilon=0.0, D=0.0, T=1.0, V=shifted_sine(1.0, 0.5),
+                         Phi=shear(0.5), allow_zero_epsilon=True)
+    e = sample_initial(int(2.5 * particles._CHUNK), 23, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = em_step(e, params, 0.01, y_max=3.0)
+    _assert_same_ensemble(out, em_step_reference(e, params, 0.01, y_max=3.0))
+    V = coeff_value_reference(params.V, e.phi, _sin32, scale=0.01)
+    np.testing.assert_array_equal(out.y, np.abs(e.y - V))
+
+
+def test_angle_fast_path_matches_masked_path(monkeypatch):
+    # chunks whose old angles all lie in (0, 2 pi) skip their reduction
+    # mod 2 pi; a chunk holding a NaN angle, or an angle of 0, takes it.
+    # Forcing the reduction everywhere changes no bit.
+    n = int(3.4 * particles._CHUNK)
+    e = sample_initial(n, 21, 3.0)
+    e.phi[5] = np.nan
+    e.phi[particles._CHUNK + 7] = 0.0
+    inside, fast = particles._inside_circle, []
+
+    def recorded(x):
+        fast.append(inside(x))
+        return fast[-1]
+
+    monkeypatch.setattr(particles, "_inside_circle", recorded)
+    got = em_step(e, _MARCH_PARAMS, 0.01, y_max=3.0)
+    assert sorted(fast) == [False, False, True, True]
+    monkeypatch.setattr(particles, "_inside_circle", lambda x: False)
+    _assert_same_ensemble(got, em_step(e, _MARCH_PARAMS, 0.01, y_max=3.0))
+    assert np.isnan(got.phi[5]) and np.isnan(got.y[5])
+
+
+def test_reflection_skip_matches_masked_path():
+    # the tail chunk has no particle past y_max and skips the reflection;
+    # the first chunk's maximum is NaN, and its particles past y_max must
+    # still reflect
+    n = int(2.5 * particles._CHUNK)
+    e = sample_initial(n, 22, 2.0)
+    e.y[3] = np.nan
+    e.y[10:30] = 1.999
+    e.y[2 * particles._CHUNK:] = np.minimum(e.y[2 * particles._CHUNK:], 1.0)
+    free = em_step(e, _MARCH_PARAMS, 0.01)
+    assert np.any(free.y[:particles._CHUNK] > 2.0)
+    assert not np.any(free.y[2 * particles._CHUNK:] > 2.0)
+    _assert_same_ensemble(em_step(e, _MARCH_PARAMS, 0.01, y_max=2.0),
+                          em_step_reference(e, _MARCH_PARAMS, 0.01, y_max=2.0))
 
 
 def test_float32_trig_histogram_at_noise_floor():
