@@ -181,6 +181,10 @@ def _cmd_decompose(cfg, write) -> int:
 
 
 def _cmd_particles(cfg, write) -> int:
+    if cfg.experiment.initial != "bulk_exp":
+        raise ConfigurationError(
+            f"particles starts from the bulk-exponential law; it cannot run "
+            f"[experiment] initial = {cfg.experiment.initial}")
     validate_assumptions(cfg.model.V)
     y_grid, phi_grid = cfg.build_grids()
     seed = cfg.experiment.seeds[0]

@@ -200,9 +200,9 @@ def mu0(Phi: AngularCoefficient) -> float:
 class ModelParams:
     """Physical and numerical model parameters.
 
-    epsilon is the translational/rotational diffusion ratio driving the
-    wall layer width; epsilon = 0 is allowed only for limiting-system
-    runs. D is the angular diffusion coefficient, T the final time; the
+    epsilon >= 0 is the translational/rotational diffusion ratio driving
+    the wall layer width, 0 being the bulk-wall limit's value. D >= 0 is
+    the angular diffusion coefficient, T >= 0 the final time; the
     defaults are a config's: D = 0, T = 1, V = 1 and Phi = 0.
     """
 
@@ -211,16 +211,10 @@ class ModelParams:
     T: float = 1.0
     V: AngularCoefficient = AngularCoefficient("constant", {"value": 1.0})
     Phi: AngularCoefficient = AngularCoefficient("constant", {"value": 0.0})
-    allow_zero_epsilon: bool = False
 
     def __post_init__(self):
-        if not (0 < self.epsilon < np.inf
-                or self.epsilon == 0 and self.allow_zero_epsilon):
-            raise ConfigurationError(
-                f"epsilon must be finite and > 0 for the full problem, "
-                f"got {self.epsilon}")
-        for name, value in (("D", self.D), ("T", self.T)):
-            if not 0 <= value < np.inf:
+        for name in ("epsilon", "D", "T"):
+            if not 0 <= (value := getattr(self, name)) < np.inf:
                 raise ConfigurationError(
                     f"{name} must be finite and >= 0, got {value}")
 

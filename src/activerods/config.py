@@ -13,13 +13,13 @@ epsilon is required; an absent key keeps its dataclass default.
 
 Unknown sections or keys and non-finite numbers are rejected, naming
 the [section] key. The table adds only the rules no constructor owns:
-epsilon_list entries > 0, at least one seed, integer seeds,
-n_particles > 0, particle_dt > 0 and initial bulk_exp | steady_layer.
-ModelParams (epsilon > 0; D, T >= 0), FullSolverConfig (dt > 0,
-splitting lie | strang) and AngularCoefficient (the families) check the
-rest while the config loads. The environment variable
-ACTIVERODS_OUT_DIR overrides [output] directory; a CLI --out flag
-overrides both.
+epsilon > 0 (ModelParams also takes the limit's 0), epsilon_list
+entries > 0, at least one seed, integer seeds, n_particles > 0,
+particle_dt > 0 and initial bulk_exp | steady_layer. ModelParams (D,
+T >= 0), FullSolverConfig (dt > 0, splitting lie | strang) and
+AngularCoefficient (the families) check the rest while the config
+loads. The environment variable ACTIVERODS_OUT_DIR overrides [output]
+directory; a CLI --out flag overrides both.
 """
 
 from __future__ import annotations
@@ -73,16 +73,12 @@ class RunConfig:
 
     # -- derived builders ---------------------------------------------------
 
-    def layer_width_for(self, epsilon: float) -> float:
-        if self.grid.layer_width == "auto":
-            return min(8.0 * epsilon, 0.25 * self.grid.y_max)
-        return float(self.grid.layer_width)
-
     def build_grids(self):
         g = self.grid
-        y_grid = build_y_grid(g.y_max, g.n_y,
-                              self.layer_width_for(self.model.epsilon),
-                              g.layer_cells)
+        width = g.layer_width
+        if width == "auto":
+            width = min(8.0 * self.model.epsilon, 0.25 * g.y_max)
+        y_grid = build_y_grid(g.y_max, g.n_y, float(width), g.layer_cells)
         return y_grid, build_phi_grid(g.n_phi)
 
     def initial_field(self, y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
@@ -161,7 +157,8 @@ def _rule(parse, holds, need: str):
 # A key fills the field of its name in its section's dataclass;
 # [output] directory fills RunConfig.out_dir.
 _KEYS = {
-    "model": {"epsilon": _number, "D": _number, "T": _number,
+    "model": {"epsilon": _rule(_number, lambda eps: eps > 0, "> 0"),
+              "D": _number, "T": _number,
               "V.family": _choice, "Phi.family": _choice},
     "grid": {"n_phi": _integer, "n_y": _integer, "y_max": _number,
              "layer_width": _auto_or_number, "layer_cells": _integer},

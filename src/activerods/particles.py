@@ -55,12 +55,10 @@ elementwise: numpy's float32 sin and cos give each element the same
 bits whatever the slice length or offset it sits at, so chunking and
 threads still change no bit.
 
-run_particles advances one private copy of the ensemble in place: every
-step overwrites the copy's arrays (em_step's out=), so the caller's
-ensemble is never touched and no step allocates its output. _step_chunk
-reads each particle's old position and angle before it writes the new
-ones, and nothing else reads them, so a step in place gives the same
-bits as a step into fresh arrays.
+em_step advances its ensemble in place: it overwrites the ensemble's
+arrays, so no step allocates its output. run_particles steps one private
+copy, so the caller's ensemble is never touched. y_max = inf, the
+default of both, is no top wall.
 
 histogram bins with no search: an axis's faces are looked up in a
 uniform bucket table, and one exact compare with the same faces
@@ -112,15 +110,19 @@ _STRIDES.flags.writeable = False
 class ParticleEnsemble:
     y: np.ndarray
     phi: np.ndarray
-    n: int
     seed: int
     step: int = 0
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
         self.phi = np.asarray(self.phi, dtype=float)
-        if self.y.shape != (self.n,) or self.phi.shape != (self.n,):
-            raise ConfigurationError("particle arrays must have shape (n,)")
+        if self.y.ndim != 1 or self.phi.shape != self.y.shape:
+            raise ConfigurationError(
+                "particle arrays y and phi must be 1-D and of one length")
+
+    @property
+    def n(self) -> int:
+        return len(self.y)
 
 
 def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -165,7 +167,7 @@ def sample_initial(n: int, seed: int, y_max: float) -> ParticleEnsemble:
     y, phi = np.empty(n), np.empty(n)
     _run_chunks(n, functools.partial(
         _initial_chunk, seed, 1.0 - np.exp(-y_max), y, phi))
-    return ParticleEnsemble(y=y, phi=phi, n=n, seed=seed, step=0)
+    return ParticleEnsemble(y=y, phi=phi, seed=seed)
 
 
 def _initial_chunk(seed: int, mass: float, y: np.ndarray, phi: np.ndarray,
@@ -183,35 +185,28 @@ def _initial_chunk(seed: int, mass: float, y: np.ndarray, phi: np.ndarray,
 
 
 def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
-            y_max: float | None = None, *,
-            out: ParticleEnsemble | None = None) -> ParticleEnsemble:
-    """One Euler-Maruyama step; reflects at the wall (and at y_max when
-    given, matching the zero-flux top face of the grid solvers).
+            y_max: float = math.inf) -> ParticleEnsemble:
+    """One Euler-Maruyama step of e, in place; returns e. A step that
+    raises part-way may leave e's arrays partly stepped.
 
-    With out, the step is written into out's arrays (out may be e
-    itself) and out, relabelled as e's next step, is returned; else
-    into a new ensemble. dt must be finite, >= 0 and at most the weak-order
-    bound 0.1 / max(sup|V|, sup|Phi|), which V = Phi = 0 lifts."""
+    Reflects at the wall and at y_max (the zero-flux top face of the
+    grid solvers; inf, the default, is no top wall). dt must be finite,
+    >= 0 and at most the weak-order bound 0.1 / max(sup|V|, sup|Phi|),
+    which V = Phi = 0 lifts."""
     drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
     bound = 0.1 / drift if drift > 0.0 else np.inf
     if not 0.0 <= dt < np.inf or dt > bound * (1.0 + 1e-12):
         raise ConfigurationError(f"particle step dt = {dt} must be finite and "
                                  f"within the weak-order bound [0, {bound:.3g}]")
-    if out is None:
-        out = ParticleEnsemble(y=np.empty(e.n), phi=np.empty(e.n), n=e.n,
-                               seed=e.seed)
-    elif out.n != e.n:
-        raise ConfigurationError(
-            f"out holds {out.n} particles, the ensemble {e.n}")
     seed_key = _mix64(np.array([e.seed % (1 << 64)], dtype=np.uint64),
                       np.empty(1, dtype=np.uint64))[0]
     _run_chunks(e.n, functools.partial(
-        _step_chunk, e, out.y, out.phi, params, dt,
+        _step_chunk, e, params, dt,
         math.sqrt(2.0 * params.epsilon * dt) * _SQRT_2LN2,
         math.sqrt(2.0 * params.D * dt) * _SQRT_2LN2, y_max,
         int(seed_key) + (e.step + 1) * _GOLDEN))
-    out.seed, out.step = e.seed, e.step + 1
-    return out
+    e.step += 1
+    return e
 
 
 def _run_chunks(n: int, kernel) -> list:
@@ -247,10 +242,10 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
-                params: ModelParams, dt: float, c_y: float, c_phi: float,
-                y_max: float | None, step_key: int, sl: slice):
-    """em_step on particles sl of e, written into y[sl] and phi[sl].
+def _step_chunk(e: ParticleEnsemble, params: ModelParams, dt: float,
+                c_y: float, c_phi: float, y_max: float, step_key: int,
+                sl: slice):
+    """em_step on particles sl of e, in place in e.y[sl] and e.phi[sl].
 
     step_key is mix64(seed) + slot * _GOLDEN, and c_y, c_phi are the noise
     amplitudes sqrt(2 eps dt) and sqrt(2 D dt) times sqrt(2 ln 2). Five
@@ -265,13 +260,12 @@ def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
     in float32, and V dt, Phi dt evaluated in float64, dt folded into
     the parameters, from the float32 sine of phi mod 2 pi.
     """
-    # y1 and phi1 may be y0 and phi0 (em_step's out=e). That is safe
-    # because the only reads of y0 are at or before the first write of y1
-    # (np.subtract(y0, V, out=y1), elementwise), and likewise for phi0
-    # (the fast-path check and the sine, then np.add(phi0, Phi,
-    # out=phi1)): keep that order.
-    y0, phi0, y1, phi1 = e.y[sl], e.phi[sl], y[sl], phi[sl]
-    n = len(y0)
+    # In place, which is safe because the only reads of the old y are at
+    # or before its first write (np.subtract(y, V, out=y), elementwise),
+    # and likewise for phi (the fast-path check and the sine, then
+    # np.add(phi, Phi, out=phi)): keep that order.
+    y, phi = e.y[sl], e.phi[sl]
+    n = len(y)
     work = np.empty((5, n))
     r, z, sin_phi, a, b = work
     bits, tmp = a.view(np.uint64), b.view(np.uint64)
@@ -292,30 +286,30 @@ def _step_chunk(e: ParticleEnsemble, y: np.ndarray, phi: np.ndarray,
     np.cos(t, out=cos_t)
     np.sin(t, out=sin_t)
     sin_32 = a.view(np.float32)[:n]
-    if _inside_circle(phi0):
-        np.copyto(sin_32, phi0, casting="same_kind")
+    if _inside_circle(phi):
+        np.copyto(sin_32, phi, casting="same_kind")
     else:
         # reduced first, so that every finite angle has a float32 cast
-        np.copyto(sin_32, _mod_2pi(phi0, sin_phi, z.view(np.bool_)),
+        np.copyto(sin_32, _mod_2pi(phi, sin_phi, z.view(np.bool_)),
                   casting="same_kind")
     np.sin(sin_32, out=sin_32)
     np.copyto(sin_phi, sin_32)
     V = _values(params.V, sin_phi, a, dt)
-    np.subtract(y0, V, out=y1)
+    np.subtract(y, V, out=y)
     np.multiply(r, c_y, out=z)
     z *= cos_t
-    y1 += z
-    np.abs(y1, out=y1)
+    y += z
+    np.abs(y, out=y)
     # skipped only when no particle is above y_max; a NaN maximum, which
     # may hide one, takes the masked pass
-    if y_max is not None and not y1.max() <= y_max:
-        np.subtract(2.0 * y_max, y1, out=y1, where=y1 > y_max)
+    if not y.max() <= y_max:
+        np.subtract(2.0 * y_max, y, out=y, where=y > y_max)
     Phi = _values(params.Phi, sin_phi, a, dt)
-    np.add(phi0, Phi, out=phi1)
+    np.add(phi, Phi, out=phi)
     np.multiply(r, c_phi, out=z)
     z *= sin_t
-    phi1 += z
-    _mod_2pi(phi1, phi1, a.view(np.bool_))
+    phi += z
+    _mod_2pi(phi, phi, a.view(np.bool_))
 
 
 def _inside_circle(x: np.ndarray) -> bool:
@@ -343,10 +337,11 @@ def _mod_2pi(x: np.ndarray, out: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 def run_particles(e: ParticleEnsemble, params: ModelParams, dt: float,
-                  t_final: float, y_max: float | None = None) -> ParticleEnsemble:
-    """March to a finite t_final >= 0 in equal steps of at most dt.
+                  t_final: float, y_max: float = math.inf) -> ParticleEnsemble:
+    """March to a finite t_final >= 0 in equal steps of at most dt,
+    reflecting at y_max as em_step does (inf: no top wall).
 
-    The march runs in place on a copy of e, which is left unchanged.
+    em_step advances one copy of e in place, so e is left unchanged.
     More than full_solver._MAX_STEPS steps raise ConfigurationError."""
     if not 0.0 <= t_final < np.inf:
         raise ConfigurationError(
@@ -358,7 +353,7 @@ def run_particles(e: ParticleEnsemble, params: ModelParams, dt: float,
     # em_step through the module, once per step, so that wrappers of the
     # module attribute see every step
     for _ in range(n_steps):
-        em_step(e, params, t_final / n_steps, y_max=y_max, out=e)
+        em_step(e, params, t_final / n_steps, y_max)
     return e
 
 

@@ -1,9 +1,11 @@
-"""The pair runner's summary, on the stored BENCH_pr22.json, and its
-standard-library-only imports."""
+"""The pair runner's summary, on the stored BENCH_pr22.json and on every
+committed BENCH file, and its standard-library-only imports."""
 
 import ast
+import glob
 import importlib.util
 import json
+import math
 import os
 import sys
 
@@ -49,6 +51,27 @@ def test_summary_reproduces_bench_pr22_medians():
                                                      "change": 0}
     text = _tool().format_summary(summary)
     assert "particle-oracle   wall_s" in text and "8/10" in text
+
+
+@pytest.mark.parametrize("name", sorted(
+    os.path.basename(path)
+    for path in glob.glob(os.path.join(ROOT, "BENCH_*.json"))))
+def test_every_committed_bench_file_summarizes(name):
+    # each workload: a finite wall_s median per side over all its stored
+    # pairs, and the failed operations per side. Kills a summary that
+    # counts 10 pairs whatever the file holds (BENCH_aa.json has 5).
+    with open(os.path.join(ROOT, name), encoding="utf-8") as fh:
+        stored = json.load(fh)
+    summary = _tool().summarize(stored)
+    assert list(summary) == list(stored["workloads"])
+    for workload, rec in summary.items():
+        wall = rec["medians"]["wall_s"]
+        assert math.isfinite(wall["parent_median"])
+        assert math.isfinite(wall["change_median"])
+        assert wall["pairs"] == len(stored["workloads"][workload]["pairs"])
+        assert all(isinstance(rec["failed_total"][side], int)
+                   for side in ("parent", "change"))
+    assert _tool().format_summary(summary)
 
 
 def test_tool_imports_only_the_standard_library():

@@ -158,24 +158,17 @@ def test_epsilon_from_physical():
 
 
 def test_model_params_validation():
+    # epsilon, D and T each take any finite value >= 0, 0 included (the
+    # limit's epsilon)
     V, Phi = const(1.0), const(0.0)
-    with pytest.raises(ConfigurationError):
-        ModelParams(epsilon=0.0, D=0.0, T=1.0, V=V, Phi=Phi)
-    with pytest.raises(ConfigurationError):
-        ModelParams(epsilon=0.1, D=-0.1, T=1.0, V=V, Phi=Phi)
-    with pytest.raises(ConfigurationError):
-        ModelParams(epsilon=0.1, D=0.0, T=-1.0, V=V, Phi=Phi)
-    p = ModelParams(epsilon=0.0, D=0.0, T=1.0, V=V, Phi=Phi,
-                    allow_zero_epsilon=True)
-    assert p.epsilon == 0.0
+    p = ModelParams(epsilon=0.0, D=0.0, T=0.0, V=V, Phi=Phi)
+    assert (p.epsilon, p.D, p.T) == (0.0, 0.0, 0.0)
     # NaN passes every `<` comparison, so each non-finite value is a case
     for name in ("epsilon", "D", "T"):
-        for bad in (math.nan, math.inf):
+        for bad in (-0.1, -5e-324, math.nan, math.inf, -math.inf):
             kw = {"epsilon": 0.1, "D": 0.0, "T": 1.0, name: bad}
-            for allow_zero in (False, True):
-                with pytest.raises(ConfigurationError, match=name):
-                    ModelParams(V=V, Phi=Phi, allow_zero_epsilon=allow_zero,
-                                **kw)
+            with pytest.raises(ConfigurationError, match=name):
+                ModelParams(V=V, Phi=Phi, **kw)
 
 
 _FAMILIES = [const(1.3), shifted_sine(1.0, 0.5), shear(0.7),

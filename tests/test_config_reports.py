@@ -139,22 +139,26 @@ def test_parse_fuzz_returns_or_raises_configuration_error(where, value):
             pass
 
 
+def _layer_width(text):
+    # the end of the uniform layer block of the config's y grid
+    cfg = parse_config(text)
+    return cfg.build_grids()[0].faces[cfg.grid.layer_cells]
+
+
 def test_layer_width_auto():
-    cfg = parse_config("[model]\nepsilon = 0.02\n")
-    assert cfg.layer_width_for(0.02) == pytest.approx(0.16)
+    assert _layer_width("[model]\nepsilon = 0.02\n") == pytest.approx(0.16)
     # capped at a quarter of the domain height
-    assert cfg.layer_width_for(1.5) == pytest.approx(2.0)
-    cfg2 = parse_config("[model]\nepsilon = 0.02\n[grid]\nlayer_width = 0.5\n")
-    assert cfg2.layer_width_for(0.02) == 0.5
+    assert _layer_width("[model]\nepsilon = 1.5\n") == pytest.approx(2.0)
+    assert _layer_width("[model]\nepsilon = 0.02\n"
+                        "[grid]\nlayer_width = 0.5\n") == 0.5
 
 
 def test_build_grids_and_initial_fields():
     cfg = parse_config(FULL_TEXT)
     yg, pg = cfg.build_grids()
     assert yg.n_y == 64 and pg.n_phi == 32
-    # the uniform layer block ends at the auto layer width
-    assert yg.faces[cfg.grid.layer_cells] == pytest.approx(
-        cfg.layer_width_for(0.05))
+    # the uniform layer block ends at the auto layer width, 8 epsilon
+    assert yg.faces[cfg.grid.layer_cells] == pytest.approx(0.4)
 
     f0 = cfg.initial_field(yg, pg)
     ref = steady_layer(cfg.model.V, 0.05, yg, pg)

@@ -353,6 +353,24 @@ def test_open_wall_face_moves_only_the_wall_cell(yg, n_phi, V, dt, seed):
     assert np.all(np.abs(kept - moved) <= tol * kept)
 
 
+def test_run_full_at_zero_epsilon_is_the_closed_wall_limit():
+    # at epsilon = 0 the kinetic march steps the upwind flux with the wall
+    # face closed: with no angular operator, rows 1.. are the limit's bit
+    # for bit, and cell 0 keeps what the limit's wall gains. Kills
+    # ModelParams refusing epsilon = 0 again.
+    yg, pg = build_y_grid(4.0, 48, 0.4, 16), build_phi_grid(8)
+    params = ModelParams(epsilon=0.0, D=0.0, T=0.5, V=shifted_sine(1.0, 0.5),
+                         Phi=const(0.0))
+    cfg = FullSolverConfig(dt=0.01)
+    bulk = PhaseField(patchy_values(3, (48, 8)), yg, pg)
+    (_, f), = run_full(bulk, params, cfg, [0.5])
+    (_, s), = run_limit(BulkWallState(bulk, np.zeros(8)), params, cfg, [0.5])
+    _assert_same_bits(f.values[1:], s.bulk.values[1:])
+    w0 = yg.widths[0]
+    np.testing.assert_allclose(f.values[0] * w0, s.bulk.values[0] * w0
+                               + s.wall, rtol=1e-12)
+
+
 def _random_fitted_system(rng, n_y, n_phi):
     """Random fitted-flux diagonals (face rates a, b >= 0, zero on the
     wall and top faces) and cell widths, and the round-off allowance of

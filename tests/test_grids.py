@@ -9,6 +9,7 @@ from activerods import (ConfigurationError, GridError, PhaseField,
                         exp_cell_averages, exp_cell_integrals, norms,
                         overlap_average_y, phi_derivative,
                         poly_exp_cell_averages, trace_wall)
+from activerods.grids import YGrid
 
 
 def test_graded_grid_example():
@@ -82,6 +83,15 @@ def test_trace_wall_linear_exact():
     vals = 2.0 + 3.0 * yg.centers[:, None] * np.ones((1, 4))
     np.testing.assert_allclose(trace_wall(PhaseField(vals, yg, pg)), 2.0,
                                rtol=1e-12)
+
+
+def test_trace_wall_needs_two_cells():
+    # one cell cannot fix a line: a GridError, where without the guard
+    # the second center's lookup raises IndexError
+    yg = YGrid(faces=np.array([0.0, 1.0]), centers=np.array([0.5]),
+               widths=np.array([1.0]))
+    with pytest.raises(GridError, match="two cells"):
+        trace_wall(PhaseField(np.ones((1, 4)), yg, build_phi_grid(4)))
 
 
 def test_exp_cell_integrals_frozen():

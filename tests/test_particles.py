@@ -5,6 +5,7 @@ import textwrap
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,16 +78,13 @@ def _finish_step(e, params, dt, y_max, z_y, z_p, sin):
     V = coeff_value_reference(params.V, e.phi, sin, scale=dt)
     Phi = coeff_value_reference(params.Phi, e.phi, sin, scale=dt)
     y = np.abs((e.y - V) + z_y)
-    if y_max is not None:
-        over = y > y_max
-        if np.any(over):
-            y[over] = 2.0 * y_max - y[over]
+    over = y > y_max
+    y[over] = 2.0 * y_max - y[over]
     phi = np.mod((e.phi + Phi) + z_p, 2.0 * np.pi)
-    return ParticleEnsemble(y=y, phi=phi, n=e.n, seed=e.seed,
-                            step=e.step + 1)
+    return ParticleEnsemble(y=y, phi=phi, seed=e.seed, step=e.step + 1)
 
 
-def em_step_reference(e, params, dt, y_max=None, float32_trig=True):
+def em_step_reference(e, params, dt, y_max=math.inf, float32_trig=True):
     drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
     assert dt * drift <= 0.1 * (1.0 + 1e-12)
     u_r, u_t = _uniforms_reference(e.seed, e.n, e.step + 1)
@@ -102,7 +100,7 @@ def em_step_reference(e, params, dt, y_max=None, float32_trig=True):
                         (r * c_p) * np.sin(theta), sin)
 
 
-def em_step_two_hash(e, params, dt, y_max=None):
+def em_step_two_hash(e, params, dt, y_max=math.inf):
     # the step before one hash served both uniforms: two 53-bit uniforms
     # per particle and step, counters 4 slot + 1 and 4 slot + 2
     slot = e.step + 1
@@ -115,7 +113,7 @@ def em_step_two_hash(e, params, dt, y_max=None):
     return _finish_step(e, params, dt, y_max, z_y, z_p, _sin32)
 
 
-def em_step_float64(e, params, dt, y_max=None):
+def em_step_float64(e, params, dt, y_max=math.inf):
     return em_step_reference(e, params, dt, y_max, float32_trig=False)
 
 
@@ -138,8 +136,16 @@ def _assert_same_ensemble(a, b):
 
 
 def _drift_params(T=2.0):
-    return ModelParams(epsilon=0.0, D=0.0, T=T, V=const(1.0), Phi=const(1.0),
-                       allow_zero_epsilon=True)
+    return ModelParams(epsilon=0.0, D=0.0, T=T, V=const(1.0), Phi=const(1.0))
+
+
+def _copy(e):
+    return replace(e, y=e.y.copy(), phi=e.phi.copy())
+
+
+def _stepped(e, params, dt, y_max=math.inf):
+    # em_step of a copy of e, which em_step would otherwise overwrite
+    return em_step(_copy(e), params, dt, y_max)
 
 
 def test_bitwise_determinism():
@@ -167,8 +173,7 @@ def test_split_run_matches_single_run():
 
 def test_noiseless_drift_exact():
     n = 16
-    e = ParticleEnsemble(y=np.full(n, 1.0), phi=np.linspace(0, 6, n), n=n,
-                         seed=5)
+    e = ParticleEnsemble(y=np.full(n, 1.0), phi=np.linspace(0, 6, n), seed=5)
     params = _drift_params()
     out = run_particles(e, params, 0.01, 0.4)
     np.testing.assert_allclose(out.y, 0.6, atol=1e-10)
@@ -180,7 +185,7 @@ def test_noiseless_drift_exact():
 def test_noiseless_drift_sticks_at_wall():
     # wall folding pins a noiseless inward drifter within one step of 0
     n = 8
-    e = ParticleEnsemble(y=np.full(n, 1.0), phi=np.zeros(n), n=n, seed=5)
+    e = ParticleEnsemble(y=np.full(n, 1.0), phi=np.zeros(n), seed=5)
     out = run_particles(e, _drift_params(), 0.01, 1.3)
     assert np.all(out.y >= 0.0)
     assert np.all(out.y <= 0.01 + 1e-12)
@@ -190,10 +195,10 @@ def test_mean_decrement_matches_mean_speed():
     n = 100_000
     dt = 0.01
     params = ModelParams(epsilon=0.0, D=0.0, T=1.0, V=shifted_sine(1.0, 0.5),
-                         Phi=const(0.0), allow_zero_epsilon=True)
+                         Phi=const(0.0))
     e0 = sample_initial(n, 77, 8.0)
-    e0 = ParticleEnsemble(y=np.full(n, 4.0), phi=e0.phi, n=n, seed=77)
-    e1 = em_step(e0, params, dt)
+    e0 = ParticleEnsemble(y=np.full(n, 4.0), phi=e0.phi, seed=77)
+    e1 = _stepped(e0, params, dt)
     drop = float(np.mean(e0.y - e1.y))
     # E[V] = 1.5 under the uniform angle law; 3 sigma monte carlo band
     sigma = 0.5 / math.sqrt(2.0) * dt / math.sqrt(n)
@@ -204,7 +209,7 @@ def test_histogram_mass_and_single_cell():
     yg = build_y_grid(4.0, 48, 0.4, 16)
     pg = build_phi_grid(16)
     n = 500
-    e = ParticleEnsemble(y=np.full(n, 0.11), phi=np.zeros(n), n=n, seed=1)
+    e = ParticleEnsemble(y=np.full(n, 0.11), phi=np.zeros(n), seed=1)
     h = histogram(e, yg, pg)
     assert norms(h)["mass"] == pytest.approx(1.0, rel=1e-12)
     dens = np.zeros((48, 16))
@@ -224,7 +229,7 @@ def test_histogram_flat_angle_marginal():
 def test_histogram_needs_particles_inside():
     yg = build_y_grid(4.0, 48, 0.4, 16)
     pg = build_phi_grid(8)
-    e = ParticleEnsemble(y=np.full(10, 10.0), phi=np.zeros(10), n=10, seed=1)
+    e = ParticleEnsemble(y=np.full(10, 10.0), phi=np.zeros(10), seed=1)
     with pytest.raises(NumericalFailureError):
         histogram(e, yg, pg)
 
@@ -278,7 +283,7 @@ def test_em_step_without_drift_is_pure_diffusion():
     params = ModelParams(epsilon=0.05, D=0.2, T=1.0, V=const(0.0),
                          Phi=const(0.0))
     e = sample_initial(1000, 4, 3.0)
-    out = em_step(e, params, 0.5)
+    out = _stepped(e, params, 0.5)
     assert np.all(np.isfinite(out.y)) and np.all(np.isfinite(out.phi))
     _assert_same_ensemble(out, em_step_reference(e, params, 0.5))
 
@@ -301,8 +306,15 @@ def test_run_particles_at_time_zero_returns_unchanged_copy():
 
 
 def test_ensemble_shape_check():
-    with pytest.raises(ConfigurationError):
-        ParticleEnsemble(y=np.zeros(5), phi=np.zeros(4), n=5, seed=1)
+    # 1-D arrays of one length, whose length is the read-only n
+    for y, phi in [(np.zeros(5), np.zeros(4)), (np.zeros((2, 3)),) * 2,
+                   (np.float64(1.0),) * 2]:
+        with pytest.raises(ConfigurationError):
+            ParticleEnsemble(y=y, phi=phi, seed=1)
+    e = ParticleEnsemble(y=[0.5, 1.0, 2.0], phi=np.zeros(3), seed=1)
+    assert e.n == 3
+    with pytest.raises(AttributeError):
+        e.n = 4
 
 
 def test_sample_initial_matches_reference_draws():
@@ -330,20 +342,19 @@ _FAMILY_PAIRS = [(const(1.3), shifted_sine(0.2, -0.4)),
 def test_chunked_step_matches_whole_array_reference(chunks, pair, eps, D,
                                                     y_max):
     # n below one chunk (one inline chunk) and n over several chunks with
-    # a ragged tail (thread pool); D = 0 still draws, and adds, z_phi
+    # a ragged tail (thread pool); D = 0 still draws, and adds, z_phi.
+    # y_max None takes em_step's default, inf: no top wall
     n = int(chunks * particles._CHUNK)
+    top = {} if y_max is None else {"y_max": y_max}
     V, Phi = _FAMILY_PAIRS[pair]
-    params = ModelParams(epsilon=eps, D=D, T=1.0, V=V, Phi=Phi,
-                         allow_zero_epsilon=True)
+    params = ModelParams(epsilon=eps, D=D, T=1.0, V=V, Phi=Phi)
     dt = 0.01
     e0 = sample_initial(n, 100 + pair, 3.0)
-    ref = e0
-    for _ in range(3):
-        ref = em_step_reference(ref, params, dt, y_max=y_max)
-    _assert_same_ensemble(em_step(e0, params, dt, y_max=y_max),
-                          em_step_reference(e0, params, dt, y_max=y_max))
-    _assert_same_ensemble(run_particles(e0, params, dt, 3 * dt,
-                                        y_max=y_max), ref)
+    ref_1 = ref = em_step_reference(e0, params, dt, **top)
+    for _ in range(2):
+        ref = em_step_reference(ref, params, dt, **top)
+    _assert_same_ensemble(_stepped(e0, params, dt, **top), ref_1)
+    _assert_same_ensemble(run_particles(e0, params, dt, 3 * dt, **top), ref)
 
 
 def test_step_independent_of_chunk_size_and_thread_count(monkeypatch):
@@ -360,7 +371,8 @@ def test_step_independent_of_chunk_size_and_thread_count(monkeypatch):
         for chunk, cpus in [(997, 8), (4096, 1), (20_011, 3)]:
             monkeypatch.setattr(particles, "_CHUNK", chunk)
             monkeypatch.setattr(particles, "_cpu_count", lambda: cpus)
-            _assert_same_ensemble(em_step(e0, params, 0.01, y_max=8.0), ref)
+            _assert_same_ensemble(_stepped(e0, params, 0.01, y_max=8.0),
+                                  ref)
     finally:
         sys.setswitchinterval(interval)
 
@@ -371,12 +383,11 @@ def test_step_wraps_angles_like_np_mod():
     two_pi = 2.0 * np.pi
     phi = np.array([-0.0, 0.0, 5e-324, -5e-324, two_pi,
                     np.nextafter(two_pi, 0.0), -7.0, 7.0, 20.0, -20.0])
-    e = ParticleEnsemble(y=np.linspace(0.0, 1.0, len(phi)), phi=phi,
-                         n=len(phi), seed=3)
+    e = ParticleEnsemble(y=np.linspace(0.0, 1.0, len(phi)), phi=phi, seed=3)
     for Phi in (shear(0.5), const(0.0), const(-1e-3)):
         params = ModelParams(epsilon=0.05, D=0.0, T=1.0, V=const(1.0),
                              Phi=Phi)
-        _assert_same_ensemble(em_step(e, params, 0.01),
+        _assert_same_ensemble(_stepped(e, params, 0.01),
                               em_step_reference(e, params, 0.01))
 
 
@@ -387,16 +398,11 @@ def test_step_keeps_caller_error_state(chunks):
     n = int(chunks * particles._CHUNK)
     phi = np.zeros(n)
     phi[-1] = np.inf
-    e = ParticleEnsemble(y=np.ones(n), phi=phi, n=n, seed=1)
+    e = ParticleEnsemble(y=np.ones(n), phi=phi, seed=1)
     params = ModelParams(epsilon=0.05, D=0.2, T=1.0,
                          V=shifted_sine(1.0, 0.5), Phi=const(1.0))
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
         em_step(e, params, 0.01)
-
-
-def _copy(e):
-    return ParticleEnsemble(y=e.y.copy(), phi=e.phi.copy(), n=e.n,
-                            seed=e.seed, step=e.step)
 
 
 _MARCH_PARAMS = ModelParams(epsilon=0.05, D=0.2, T=1.0,
@@ -406,33 +412,24 @@ _MARCH_PARAMS = ModelParams(epsilon=0.05, D=0.2, T=1.0,
 @pytest.mark.parametrize("chunks", [0.3, 2.5])
 @pytest.mark.parametrize("y_max", [None, 2.0])
 def test_em_step_in_place_matches_fresh_arrays(chunks, y_max):
+    # em_step overwrites e's own arrays and returns e, labelled as its
+    # next step, with the bits of the whole-array reference, which writes
+    # fresh arrays; y_max None takes the default, no top wall
+    top = {} if y_max is None else {"y_max": y_max}
     e = sample_initial(int(chunks * particles._CHUNK), 11, 3.0)
     e.step = 4
-    fresh = em_step(e, _MARCH_PARAMS, 0.01, y_max=y_max)
-    inplace = _copy(e)
-    y, phi = inplace.y, inplace.phi
-    out = em_step(inplace, _MARCH_PARAMS, 0.01, y_max=y_max, out=inplace)
-    assert out is inplace and out.y is y and out.phi is phi
+    fresh = em_step_reference(e, _MARCH_PARAMS, 0.01, **top)
+    y, phi = e.y, e.phi
+    out = em_step(e, _MARCH_PARAMS, 0.01, **top)
+    assert out is e and out.y is y and out.phi is phi
     _assert_same_ensemble(out, fresh)
-    # out with other labels takes e's seed and next step
-    other = ParticleEnsemble(y=np.zeros(e.n), phi=np.zeros(e.n), n=e.n,
-                             seed=99, step=0)
-    _assert_same_ensemble(em_step(e, _MARCH_PARAMS, 0.01, y_max=y_max,
-                                  out=other), fresh)
-
-
-def test_em_step_out_size_mismatch_raises():
-    e = sample_initial(100, 3, 8.0)
-    out = ParticleEnsemble(y=np.zeros(99), phi=np.zeros(99), n=99, seed=3)
-    with pytest.raises(ConfigurationError):
-        em_step(e, _MARCH_PARAMS, 0.01, out=out)
 
 
 def test_run_particles_matches_em_step_chain_and_keeps_input():
     e0 = sample_initial(int(2.5 * particles._CHUNK), 12, 3.0)
     e0.step = 2
     before = _copy(e0)
-    chain = e0
+    chain = _copy(e0)
     for _ in range(5):
         chain = em_step(chain, _MARCH_PARAMS, 0.01, y_max=3.0)
     out = run_particles(e0, _MARCH_PARAMS, 0.01, 0.05, y_max=3.0)
@@ -545,8 +542,7 @@ def test_histogram_wraps_edge_angles_like_np_mod():
                     np.nextafter(two_pi - 0.5 * h, 0.0),
                     np.nextafter(two_pi - 0.5 * h, 7.0), two_pi, 7.0, 20.0,
                     1e300, -5e-324, np.nan])
-    e = ParticleEnsemble(y=np.linspace(0.05, 3.9, len(phi)), phi=phi,
-                         n=len(phi), seed=1)
+    e = ParticleEnsemble(y=np.linspace(0.05, 3.9, len(phi)), phi=phi, seed=1)
     np.testing.assert_array_equal(histogram(e, yg, pg).values,
                                   histogram_reference(e, yg, pg).values)
 
@@ -557,7 +553,7 @@ def test_histogram_matches_histogram2d():
     rng = np.random.default_rng(7)
     n = 50_000
     random = ParticleEnsemble(y=rng.uniform(-0.5, 4.5, n),
-                              phi=rng.uniform(-7.0, 13.0, n), n=n, seed=1)
+                              phi=rng.uniform(-7.0, 13.0, n), seed=1)
     # edges: y on every face (0 and y_max included) and beyond y_max;
     # shifted angles on every bin edge, and one just below 0 that np.mod
     # rounds up to exactly 2 pi
@@ -570,7 +566,7 @@ def test_histogram_matches_histogram2d():
     phi = np.concatenate([np.zeros(len(yg.faces) + 3),
                           edges_phi - 0.5 * h, [wrap],
                           [wrap, wrap]])
-    edge = ParticleEnsemble(y=y, phi=phi, n=len(y), seed=1)
+    edge = ParticleEnsemble(y=y, phi=phi, seed=1)
     for e in (random, edge):
         np.testing.assert_array_equal(histogram(e, yg, pg).values,
                                       histogram_reference(e, yg, pg).values)
@@ -634,7 +630,7 @@ def test_count_chunk_matches_binary_search(grid):
     phi = np.concatenate([rng.choice(phis, len(ys)), phis,
                           np.tile(phis[:3], len(ys)),
                           rng.uniform(-7.0, 13.0, n_random)])
-    e = ParticleEnsemble(y=y, phi=phi, n=len(y), seed=1)
+    e = ParticleEnsemble(y=y, phi=phi, seed=1)
     cuts = particles._Cuts.of(y_faces), particles._Cuts.of(edges_phi)
     if grid == "crowded layer":
         assert cuts[0].at.shape[0] > 1
@@ -643,7 +639,7 @@ def test_count_chunk_matches_binary_search(grid):
         np.testing.assert_array_equal(
             particles._count_chunk(e, *cuts, 0.5 * h, slice(0, e.n)), expect)
         # a chunk of the ensemble counts its own particles only
-        part = ParticleEnsemble(y=y[100:-50], phi=phi[100:-50], n=e.n - 150,
+        part = ParticleEnsemble(y=y[100:-50], phi=phi[100:-50],
                                 seed=1)
         np.testing.assert_array_equal(
             particles._count_chunk(e, *cuts, 0.5 * h, slice(100, e.n - 50)),
@@ -655,12 +651,12 @@ def test_step_finite_and_silent_on_huge_angles():
     # mod 2 pi before the float32 sine, so no cast overflows to inf
     phi = np.array([1e300, -1e300, 3.5e38, -3.5e38, np.finfo(float).max,
                     -np.finfo(float).max, 1e10, 7.0])
-    e = ParticleEnsemble(y=np.ones(len(phi)), phi=phi, n=len(phi), seed=4)
+    e = ParticleEnsemble(y=np.ones(len(phi)), phi=phi, seed=4)
     params = ModelParams(epsilon=0.05, D=0.2, T=1.0,
                          V=shifted_sine(1.0, 0.5), Phi=shear(0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = em_step(e, params, 0.01)
+        out = _stepped(e, params, 0.01)
         ref = em_step_reference(e, params, 0.01)
     assert np.all(np.isfinite(out.y)) and np.all(np.isfinite(out.phi))
     _assert_same_ensemble(out, ref)
@@ -671,7 +667,7 @@ def _step_noise(step, n, seed):
     # reflect nor wrap: y = 10 - dt + 0.1 z_y, phi = pi + dt + 0.1 z_phi
     params = ModelParams(epsilon=0.5, D=0.5, T=1.0, V=const(1.0),
                          Phi=const(1.0))
-    e = ParticleEnsemble(y=np.full(n, 10.0), phi=np.full(n, np.pi), n=n,
+    e = ParticleEnsemble(y=np.full(n, 10.0), phi=np.full(n, np.pi),
                          seed=seed)
     out = step(e, params, 0.01)
     return (out.y - (10.0 - 0.01)) / 0.1, (out.phi - (np.pi + 0.01)) / 0.1
@@ -707,7 +703,7 @@ def test_one_hash_draw_has_the_two_hash_law():
     n = 1_000_000
     e = sample_initial(n, 20240817, 8.0)
     moments = []
-    for step in (em_step, em_step_two_hash):
+    for step in (_stepped, em_step_two_hash):
         out = step(e, params, 1e-3, y_max=8.0)
         d_phi = np.mod(out.phi - e.phi + np.pi, 2.0 * np.pi) - np.pi
         for d in (out.y - e.y, d_phi):
@@ -722,12 +718,12 @@ def test_zero_noise_steps_silently():
     # eps = 0 and D = 0 make the noise amplitudes 0, with no division by
     # them: no warning, no floating-point error, and the drift alone
     params = ModelParams(epsilon=0.0, D=0.0, T=1.0, V=shifted_sine(1.0, 0.5),
-                         Phi=shear(0.5), allow_zero_epsilon=True)
+                         Phi=shear(0.5))
     e = sample_initial(int(2.5 * particles._CHUNK), 23, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            out = em_step(e, params, 0.01, y_max=3.0)
+            out = _stepped(e, params, 0.01, y_max=3.0)
     _assert_same_ensemble(out, em_step_reference(e, params, 0.01, y_max=3.0))
     V = coeff_value_reference(params.V, e.phi, _sin32, scale=0.01)
     np.testing.assert_array_equal(out.y, np.abs(e.y - V))
@@ -748,10 +744,10 @@ def test_angle_fast_path_matches_masked_path(monkeypatch):
         return fast[-1]
 
     monkeypatch.setattr(particles, "_inside_circle", recorded)
-    got = em_step(e, _MARCH_PARAMS, 0.01, y_max=3.0)
+    got = _stepped(e, _MARCH_PARAMS, 0.01, y_max=3.0)
     assert sorted(fast) == [False, False, True, True]
     monkeypatch.setattr(particles, "_inside_circle", lambda x: False)
-    _assert_same_ensemble(got, em_step(e, _MARCH_PARAMS, 0.01, y_max=3.0))
+    _assert_same_ensemble(got, _stepped(e, _MARCH_PARAMS, 0.01, y_max=3.0))
     assert np.isnan(got.phi[5]) and np.isnan(got.y[5])
 
 
@@ -764,10 +760,10 @@ def test_reflection_skip_matches_masked_path():
     e.y[3] = np.nan
     e.y[10:30] = 1.999
     e.y[2 * particles._CHUNK:] = np.minimum(e.y[2 * particles._CHUNK:], 1.0)
-    free = em_step(e, _MARCH_PARAMS, 0.01)
+    free = _stepped(e, _MARCH_PARAMS, 0.01)
     assert np.any(free.y[:particles._CHUNK] > 2.0)
     assert not np.any(free.y[2 * particles._CHUNK:] > 2.0)
-    _assert_same_ensemble(em_step(e, _MARCH_PARAMS, 0.01, y_max=2.0),
+    _assert_same_ensemble(_stepped(e, _MARCH_PARAMS, 0.01, y_max=2.0),
                           em_step_reference(e, _MARCH_PARAMS, 0.01, y_max=2.0))
 
 

@@ -149,6 +149,12 @@ def test_sweep_ladder_validation():
                                            "epsilon_list = 0.04, 0.08"))
     with pytest.raises(ConfigurationError):
         sweep_epsilon(cfg)
+    # a config fills an empty epsilon_list with its epsilon, so only a
+    # list emptied later reaches _check_ladder's empty-list guard; without
+    # the guard the sweep returns no rows
+    cfg.experiment.epsilon_list = []
+    with pytest.raises(ConfigurationError, match="epsilon_list is empty"):
+        sweep_epsilon(cfg)
 
 
 def test_weak_pairing_sweep_requires_no_angular_diffusion():
@@ -326,6 +332,20 @@ def test_cli_particles_nonpositive_speed_exits_3(old, new, tmp_path,
     assert not os.path.exists(out / "particles.csv")
 
 
+def test_cli_particles_refuses_steady_layer_initial(tmp_path, capsys):
+    # the ensemble always starts from the bulk-exponential law, so a
+    # config asking for another initial law exits 2 with one line naming
+    # the key, and writes no CSV; without the check it exits 0
+    path = tmp_path / "steady.ini"
+    path.write_text(CLI_TEXT + "initial = steady_layer\n")
+    out = tmp_path / "out"
+    assert main(["particles", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "[experiment] initial = steady_layer" in err
+    assert not os.path.exists(out)
+
+
 def test_cli_out_dir_precedence(cli_config, tmp_path, monkeypatch):
     env_dir = str(tmp_path / "env")
     monkeypatch.setenv("ACTIVERODS_OUT_DIR", env_dir)
@@ -480,6 +500,20 @@ def test_cli_nonfinite_config_exits_2(command, old, new, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-0.1"])
+def test_cli_nonpositive_epsilon_exits_2(value, tmp_path, capsys):
+    # ModelParams takes the limit's epsilon = 0, a config does not: one
+    # error line naming the key. Kills the config's "> 0" rule removed,
+    # with which run-full marches epsilon = 0 and exits 0.
+    path = tmp_path / "eps.ini"
+    path.write_text(CLI_TEXT.replace("epsilon = 0.05", f"epsilon = {value}"))
+    assert main(["run-full", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"[model] epsilon = '{value}': must be > 0" in err
 
 
 def _exits_4_quietly(command, text, csvs, tmp_path, capsys):
