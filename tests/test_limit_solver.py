@@ -130,7 +130,8 @@ def test_constant_wall_drift_rotates_the_closed_form():
     def rotated(t, yg, pg):
         g = a0 + a1 * math.exp(-D * t) * np.cos(pg.nodes - c * t)
         bulk = np.exp(-(yg.centers[:, None] + t)) * g
-        return BulkWallState(PhaseField(bulk, yg, pg), (1.0 - math.exp(-t)) * g)
+        wall = (1.0 - math.exp(-t)) * g
+        return BulkWallState(PhaseField(bulk, yg, pg), wall)
 
     errors = []
     for n_y, n_phi, dt in [(64, 32, 0.01), (128, 64, 0.005)]:

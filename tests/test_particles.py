@@ -306,7 +306,8 @@ def test_run_particles_at_time_zero_returns_unchanged_copy():
 
 
 def test_ensemble_shape_check():
-    # 1-D arrays of one length, whose length is the read-only n
+    # 1-D arrays of one length, whose length is the read-only n; kills
+    # the 1-D check removed (a 2-D or 0-D pair would pass)
     for y, phi in [(np.zeros(5), np.zeros(4)), (np.zeros((2, 3)),) * 2,
                    (np.float64(1.0),) * 2]:
         with pytest.raises(ConfigurationError):
@@ -414,7 +415,8 @@ _MARCH_PARAMS = ModelParams(epsilon=0.05, D=0.2, T=1.0,
 def test_em_step_in_place_matches_fresh_arrays(chunks, y_max):
     # em_step overwrites e's own arrays and returns e, labelled as its
     # next step, with the bits of the whole-array reference, which writes
-    # fresh arrays; y_max None takes the default, no top wall
+    # fresh arrays; y_max None takes the default, no top wall. Kills a
+    # step into fresh arrays.
     top = {} if y_max is None else {"y_max": y_max}
     e = sample_initial(int(chunks * particles._CHUNK), 11, 3.0)
     e.step = 4
@@ -639,8 +641,7 @@ def test_count_chunk_matches_binary_search(grid):
         np.testing.assert_array_equal(
             particles._count_chunk(e, *cuts, 0.5 * h, slice(0, e.n)), expect)
         # a chunk of the ensemble counts its own particles only
-        part = ParticleEnsemble(y=y[100:-50], phi=phi[100:-50],
-                                seed=1)
+        part = ParticleEnsemble(y=y[100:-50], phi=phi[100:-50], seed=1)
         np.testing.assert_array_equal(
             particles._count_chunk(e, *cuts, 0.5 * h, slice(100, e.n - 50)),
             _count_chunk_reference(part, y_faces, edges_phi, 0.5 * h))
