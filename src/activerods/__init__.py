@@ -9,7 +9,7 @@ from .errors import (ActiveRodsError, AssumptionViolationError,
                      ConfigurationError, FitError, GridError,
                      NumericalFailureError)
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
-                    eval_on_nodes, exp_cell_averages, exp_cell_integrals,
+                    exp_cell_averages, exp_cell_integrals,
                     norms, overlap_average_y, phi_derivative,
                     poly_exp_cell_averages, trace_wall, wall_layer)
 from .full_solver import FullSolverConfig, phi_substep, run_full, steady_layer
@@ -37,7 +37,7 @@ __all__ = [
     "build_inner", "build_line_grid", "build_phi_grid", "build_y_grid",
     "bulk_exp_field", "coercivity_gap", "composite_refined",
     "composite_simple", "decompose", "default_tests", "em_step",
-    "energy_step", "epsilon_from_physical", "eval_on_nodes",
+    "energy_step", "epsilon_from_physical",
     "exp_cell_averages", "exp_cell_integrals", "field_rows", "fit_order",
     "histogram", "load_config", "manufactured_state",
     "mu0", "norms", "overlap_average_y", "p0_coeffs", "parse_config",

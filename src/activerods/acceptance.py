@@ -23,7 +23,7 @@ from .decomposition import decompose, energy_step
 from .errors import ActiveRodsError
 from .full_solver import FullSolverConfig, run_full, steady_layer
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
-                    eval_on_nodes, exp_cell_integrals, norms, overlap_average_y)
+                    exp_cell_integrals, norms, overlap_average_y)
 from .limit_solver import (coercivity_check, manufactured_state,
                            resolvent_check, run_limit)
 from .particles import histogram, run_particles, sample_initial, tv_distance
@@ -118,9 +118,9 @@ def _manufactured_ladder():
 
 def _c1_scale_arithmetic() -> tuple:
     val = epsilon_from_physical(2e3, 3.0, 1e3)
-    target = 6.6e-4
-    ok = abs(val - target) <= 0.05 * target
-    return ok, f"eps={val:.6e}, target {target:.1e} +- 5%"
+    target, rel = 6.6e-4, 0.05
+    return abs(val - target) <= rel * target, (
+        f"eps={val:.6e}, target {target:.1e} +- {rel:.0%}")
 
 
 def _c2_conservation() -> tuple:
@@ -130,9 +130,8 @@ def _c2_conservation() -> tuple:
     m0 = norms(bulk_exp_field(*cfg.build_grids()))["mass"]
     mT = next(r.mass_full for r in _sweep_records()
               if r.epsilon == cfg.model.epsilon)
-    drift = abs(mT - m0) / abs(m0)
-    ok = drift <= 1e-8
-    return ok, f"relative drift {drift:.3e} (tol 1e-08)"
+    drift, tol = abs(mT - m0) / abs(m0), 1e-8
+    return drift <= tol, f"relative drift {drift:.3e} (tol {tol:g})"
 
 
 def _c3_steady_layer() -> tuple:
@@ -144,9 +143,8 @@ def _c3_steady_layer() -> tuple:
     f0 = steady_layer(params.V, eps, y_grid, phi_grid)
     f_T = run_full(f0, params, FullSolverConfig(), [1.0])[-1][1]
     diff = PhaseField(f_T.values - f0.values, y_grid, phi_grid)
-    dev = norms(diff)["l1"]
-    ok = dev <= 1e-6
-    return ok, f"L1 deviation {dev:.3e} at T=1 (tol 1e-06)"
+    dev, tol = norms(diff)["l1"], 1e-6
+    return dev <= tol, f"L1 deviation {dev:.3e} at T=1 (tol {tol:g})"
 
 
 def _c4_rotating_layer() -> tuple:
@@ -170,10 +168,10 @@ def _c4_rotating_layer() -> tuple:
         errs.append(norms(diff)["l1"])
         h_list.append(phi_grid.h)
     slope = float(np.polyfit(np.log(h_list), np.log(errs), 1)[0])
-    ok = 0.8 <= slope <= 1.2
+    lo, hi = 0.8, 1.2
     err_txt = ">".join(f"{e:.2e}" for e in errs)
-    return ok, (f"fitted order {slope:.3f} in [0.8,1.2], "
-                f"L1 errors {err_txt}")
+    return lo <= slope <= hi, (
+        f"fitted order {slope:.3f} in [{lo:g},{hi:g}], L1 errors {err_txt}")
 
 
 def _c5_manufactured() -> tuple:
@@ -187,22 +185,23 @@ def _c5_manufactured() -> tuple:
         m0 = s0.combined_mass()
         drifts.append(abs(s_T.combined_mass() - m0) / abs(m0))
     ratios = [errs[k + 1] / errs[k] for k in range(len(errs) - 1)]
-    ok = (all(0.4 <= r <= 0.6 for r in ratios)
-          and all(d <= 1e-10 for d in drifts))
+    (lo, hi), tol = (0.4, 0.6), 1e-10
+    ok = (all(lo <= r <= hi for r in ratios)
+          and all(d <= tol for d in drifts))
     ratio_txt = ",".join(f"{r:.3f}" for r in ratios)
-    return ok, (f"Linf ratios [{ratio_txt}] in [0.4,0.6], "
-                f"max mass drift {max(drifts):.2e} (tol 1e-10)")
+    return ok, (f"Linf ratios [{ratio_txt}] in [{lo:g},{hi:g}], "
+                f"max mass drift {max(drifts):.2e} (tol {tol:g})")
 
 
 def _c6_composite_error() -> tuple:
     recs = _sweep_records()
     errs = [r.l1_error for r in recs]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
-    order = fit_order(list(recs))
-    ok = decreasing and order >= 0.7
+    order, need = fit_order(list(recs)), 0.7
     err_txt = ">".join(f"{e:.2e}" for e in errs)
-    return ok, (f"l1_error {err_txt}, fitted order {order:.3f} "
-                f"(need decreasing, >=0.7)")
+    return decreasing and order >= need, (
+        f"l1_error {err_txt}, fitted order {order:.3f} "
+        f"(need decreasing, >={need:g})")
 
 
 def _c7_residual_scaling() -> tuple:
@@ -210,8 +209,8 @@ def _c7_residual_scaling() -> tuple:
     eps = np.array([r.epsilon for r in recs])
     tot = np.array([r.l1_R + r.l1_r for r in recs])
     slope = float(np.polyfit(np.log(eps), np.log(tot), 1)[0])
-    ok = 0.75 <= slope <= 1.25
-    return ok, f"slope {slope:.3f} in [0.75,1.25]"
+    lo, hi = 0.75, 1.25
+    return lo <= slope <= hi, f"slope {slope:.3f} in [{lo:g},{hi:g}]"
 
 
 def _c8_orthogonality() -> tuple:
@@ -220,14 +219,14 @@ def _c8_orthogonality() -> tuple:
     worst = 0.0
     for _, f in snaps:
         dec = decompose(f, params.V, eps)
-        V_nodes = eval_on_nodes(params.V, f.phi_grid)
+        V_nodes = params.V(f.phi_grid.nodes)
         I = exp_cell_integrals(V_nodes, eps, f.y_grid.faces)
         defect = float(np.max(np.abs(np.sum(dec.u.values * I, axis=0))))
         scale = norms(f)["l1"]
         worst = max(worst, defect / scale)
-    ok = worst <= 1e-8
-    return ok, (f"max relative defect {worst:.3e} over "
-                f"{len(snaps)} snapshots (tol 1e-08)")
+    tol = 1e-8
+    return worst <= tol, (f"max relative defect {worst:.3e} over "
+                          f"{len(snaps)} snapshots (tol {tol:g})")
 
 
 def _c9_energy_bound() -> tuple:
@@ -301,9 +300,8 @@ def _c13_particle_oracle() -> tuple:
     ens = sample_initial(1_000_000, 20240817, y_max)
     ens = run_particles(ens, params, 1e-3, T, y_max=y_max)
     hist = histogram(ens, coarse_y, coarse_phi)
-    tv = tv_distance(hist, pde)
-    ok = tv <= 0.05
-    return ok, f"TV distance {tv:.4f} at T={T} (tol 0.05)"
+    tv, tol = tv_distance(hist, pde), 0.05
+    return tv <= tol, f"TV distance {tv:.4f} at T={T} (tol {tol:g})"
 
 
 def _c14_compatibility() -> tuple:
@@ -314,9 +312,10 @@ def _c14_compatibility() -> tuple:
         h_phi = s_T.bulk.phi_grid.h
         l1s.append(float(np.sum(np.abs(inner.compat_residual)) * h_phi))
     ratios = [l1s[k] / l1s[k + 1] for k in range(len(l1s) - 1)]
-    ok = all(1.4 <= r <= 2.6 for r in ratios)
+    lo, hi = 1.4, 2.6
     ratio_txt = ",".join(f"{r:.3f}" for r in ratios)
-    return ok, f"compat L1 halving ratios [{ratio_txt}] in [1.4,2.6]"
+    return all(lo <= r <= hi for r in ratios), (
+        f"compat L1 halving ratios [{ratio_txt}] in [{lo:g},{hi:g}]")
 
 
 # Each criterion returns (passed, detail); its name is given here once.

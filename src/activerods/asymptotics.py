@@ -7,7 +7,8 @@ u0_hat. The corrector is a cubic polynomial m3(z) multiplying the layer
 exponential e^{-Vz}; its coefficients (c1, c2, c3) are determined by
 matching powers of z in m3'' - V m3' = A1 + A2 z + A3 z^2, where the
 A-profiles collect the angular transport applied to the leading layer
-by the product rule.
+by the product rule. The composites and the residual report take eps
+in (0, inf) only: grids' layer quadratures refuse any other.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .coefficients import AngularCoefficient, ModelParams
 from .errors import ConfigurationError
-from .grids import (PhaseField, PhiGrid, YGrid, eval_on_nodes, phi_derivative,
+from .grids import (PhaseField, PhiGrid, YGrid, phi_derivative,
                     poly_exp_cell_averages, trace_wall, wall_layer)
 from .limit_solver import BulkWallState
 
@@ -68,8 +69,8 @@ def a_coeffs(w_hat: np.ndarray, u0_hat: np.ndarray, V: AngularCoefficient,
     transport expansion of Q = w_hat V with d_t(w_hat) eliminated through
     the wall equation d_t w = -d_phi(Phi w) + D d_phi^2 w + V u0_hat.
     """
-    Vv, Vp, Vpp = (eval_on_nodes(V, phi_grid, k) for k in range(3))
-    Phiv = eval_on_nodes(Phi, phi_grid)
+    Vv, Vp, Vpp = (V(phi_grid.nodes, k) for k in range(3))
+    Phiv = Phi(phi_grid.nodes)
     w_hat = np.asarray(w_hat, dtype=float)
     dt_w = _wall_rate(w_hat, np.asarray(u0_hat, dtype=float), Vv, Phiv, D)
     return _transport(w_hat * Vv, Vv * dt_w, Vp, Vpp, Phiv, D)
@@ -107,7 +108,7 @@ def build_inner(state: BulkWallState, params: ModelParams) -> InnerExpansion:
     A1, A2, A3 = a_coeffs(state.wall, state.bulk.values[0], params.V,
                           params.Phi, params.D, phi_grid)
     c1, c2, c3, compat = p0_coeffs(A1, A2, A3,
-                                   eval_on_nodes(params.V, phi_grid),
+                                   params.V(phi_grid.nodes),
                                    trace_wall(state.bulk))
     return InnerExpansion(c1=c1, c2=c2, c3=c3, compat_residual=compat)
 
@@ -126,7 +127,7 @@ def composite_refined(base: PhaseField, inner: InnerExpansion, eps: float,
     """Refined composite: the leading composite base, as composite_simple
     returns it, plus the cubic corrector layer m3(y/eps) e^{-V y/eps},
     cell-averaged in closed form on base's grids."""
-    V_nodes = eval_on_nodes(V, base.phi_grid)
+    V_nodes = V(base.phi_grid.nodes)
     coeffs = np.stack([np.zeros_like(inner.c1), inner.c1, inner.c2, inner.c3])
     corr = poly_exp_cell_averages(coeffs, V_nodes, eps, base.y_grid)
     return PhaseField(base.values + corr, base.y_grid, base.phi_grid)
@@ -166,8 +167,8 @@ def residual_report(state: BulkWallState, inner: InnerExpansion,
     phi_grid = state.bulk.phi_grid
     y_lim = state.bulk.y_grid
     eval_y = eval_y_grid or y_lim
-    Vv, Vp, Vpp = (eval_on_nodes(params.V, phi_grid, k) for k in range(3))
-    Phiv = eval_on_nodes(params.Phi, phi_grid)
+    Vv, Vp, Vpp = (params.V(phi_grid.nodes, k) for k in range(3))
+    Phiv = params.Phi(phi_grid.nodes)
     D = params.D
 
     rho = state.bulk.values

@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -96,7 +97,7 @@ def _run(args) -> int:
 
 def _cmd_run_full(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
-    f0 = cfg.initial_field(y_grid, phi_grid)
+    f0, _ = cfg.initial_states(y_grid, phi_grid)
     snaps = run_full(f0, cfg.model, cfg.time, cfg.experiment.snapshot_times)
     write(("full_snapshots.csv", ("t", "y", "phi", "f"),
            [row for t, f in snaps for row in field_rows(t, f)]))
@@ -107,7 +108,7 @@ def _cmd_run_full(cfg, write) -> int:
 
 def _cmd_run_limit(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
-    s0 = cfg.initial_limit_state(y_grid, phi_grid)
+    _, s0 = cfg.initial_states(y_grid, phi_grid)
     snaps = run_limit(s0, cfg.model, cfg.time, cfg.experiment.snapshot_times)
     bulk_rows, wall_rows = [], []
     for t, s in snaps:
@@ -121,7 +122,7 @@ def _cmd_run_limit(cfg, write) -> int:
 
 def _cmd_composite(cfg, write) -> int:
     y_grid, phi_grid = cfg.build_grids()
-    s0 = cfg.initial_limit_state(y_grid, phi_grid)
+    _, s0 = cfg.initial_states(y_grid, phi_grid)
     # overflow shows as one error from _require_finite, not numpy warnings
     with np.errstate(all="ignore"):
         s_T = run_limit(s0, cfg.model, cfg.time, [cfg.model.T])[-1][1]
@@ -142,8 +143,9 @@ def _cmd_sweep(cfg, write) -> int:
     with np.errstate(all="ignore"):
         records = sweep_epsilon(cfg)
     # the last column, order_vs_prev, is NaN by design on the first row
-    _require_finite("sweep", [r.row()[:-1] for r in records])
-    write(("sweep.csv", SWEEP_COLUMNS, [r.row() for r in records]))
+    rows = [astuple(r) for r in records]
+    _require_finite("sweep", [row[:-1] for row in rows])
+    write(("sweep.csv", SWEEP_COLUMNS, rows))
     try:
         order = fit_order(records)
         refined = fit_order(records, "l1_error_refined")
@@ -159,7 +161,7 @@ def _cmd_decompose(cfg, write) -> int:
         raise ConfigurationError(
             "decompose requires D = 0 (set D = 0 in [model])")
     y_grid, phi_grid = cfg.build_grids()
-    f0 = cfg.initial_field(y_grid, phi_grid)
+    f0, _ = cfg.initial_states(y_grid, phi_grid)
     tests = default_tests(phi_grid)
     mode_rows, energy_rows = [], []
     with np.errstate(all="ignore"):

@@ -81,22 +81,19 @@ class RunConfig:
         y_grid = build_y_grid(g.y_max, g.n_y, float(width), g.layer_cells)
         return y_grid, build_phi_grid(g.n_phi)
 
-    def initial_field(self, y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:
+    def initial_states(self, y_grid: YGrid, phi_grid: PhiGrid):
+        """The kinetic start of [experiment] initial and its split for the
+        limiting system, (PhaseField, BulkWallState), sharing no array: an
+        exponential bulk carries no wall mass, a steady layer is all wall."""
+        n_phi = phi_grid.n_phi
         if self.experiment.initial == "steady_layer":
-            return steady_layer(self.model.V, self.model.epsilon, y_grid,
-                                phi_grid)
-        return bulk_exp_field(y_grid, phi_grid)
-
-    def initial_limit_state(self, y_grid: YGrid,
-                            phi_grid: PhiGrid) -> BulkWallState:
-        """The limiting-system split of initial_field: an exponential bulk
-        carries no wall mass, a steady layer is pure wall mass."""
-        if self.experiment.initial == "steady_layer":
-            bulk = PhaseField(np.zeros((y_grid.n_y, phi_grid.n_phi)),
-                              y_grid, phi_grid)
-            return BulkWallState(bulk, np.ones(phi_grid.n_phi))
-        bulk = bulk_exp_field(y_grid, phi_grid)
-        return BulkWallState(bulk, np.zeros(phi_grid.n_phi))
+            f0 = steady_layer(self.model.V, self.model.epsilon, y_grid,
+                              phi_grid)
+            bulk, wall = np.zeros((y_grid.n_y, n_phi)), np.ones(n_phi)
+        else:
+            f0 = bulk_exp_field(y_grid, phi_grid)
+            bulk, wall = f0.values.copy(), np.zeros(n_phi)
+        return f0, BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall)
 
 
 def bulk_exp_field(y_grid: YGrid, phi_grid: PhiGrid) -> PhaseField:

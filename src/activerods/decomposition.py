@@ -12,7 +12,8 @@ factor of the layer profile instead:
 
 with I_i the exact cell integral of the weight. S -> eps/(2V) as the
 grid resolves the layer, so this converges to the 2V scaling while
-making the discrete orthogonality exact to round-off.
+making the discrete orthogonality exact to round-off. The layer weight
+exists only for 0 < eps < inf; exp_cell_integrals refuses any other eps.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import AngularCoefficient
-from .errors import ConfigurationError, NumericalFailureError
-from .grids import PhaseField, eval_on_nodes, exp_cell_integrals, norms
+from .errors import NumericalFailureError
+from .grids import PhaseField, exp_cell_integrals, norms
 
 
 @dataclass
@@ -39,10 +40,8 @@ def decompose(f: PhaseField, V: AngularCoefficient, eps: float) -> Decomposition
     The orthogonality defect max_phi |sum_i u_i I_i| is asserted below
     1e-8 * ||f||_L1; with the Gram normalization it sits at round-off.
     """
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
     y_grid, phi_grid = f.y_grid, f.phi_grid
-    V_nodes = eval_on_nodes(V, phi_grid)
+    V_nodes = V(phi_grid.nodes)
     I = exp_cell_integrals(V_nodes, eps, y_grid.faces)
     w = y_grid.widths[:, None]
 
@@ -71,7 +70,7 @@ def energy_step(dec: Decomposition, V: AngularCoefficient):
     u = dec.u
     y_grid, phi_grid = u.y_grid, u.phi_grid
     h = phi_grid.h
-    V_nodes = eval_on_nodes(V, phi_grid)
+    V_nodes = V(phi_grid.nodes)
 
     E = float(np.sum(u.values ** 2 * y_grid.widths[:, None]) * h
               + np.sum(dec.m ** 2 / (4.0 * V_nodes)) * h)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .coefficients import ModelParams, sup_abs, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
-from .grids import PhaseField, YGrid, PhiGrid, eval_on_nodes, wall_layer
+from .grids import PhaseField, YGrid, PhiGrid, wall_layer
 
 # Most equal steps one snapshot segment, or one angular substep's CFL
 # sub-cycling, may take; a request for more is a configuration error.
@@ -417,7 +417,7 @@ def run_full(f0: PhaseField, params: ModelParams, cfg: FullSolverConfig,
     """
     y_grid, phi_grid = f0.y_grid, f0.phi_grid
     validate_assumptions(params.V)
-    a, b = _fitted_flux_coeffs(eval_on_nodes(params.V, phi_grid),
+    a, b = _fitted_flux_coeffs(params.V(phi_grid.nodes),
                                params.epsilon, y_grid)
     snaps = _march((f0.values,), a, b, params, y_grid, phi_grid, cfg,
                    snapshot_times)

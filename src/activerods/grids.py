@@ -9,7 +9,9 @@ the cell [phi_j - h/2, phi_j + h/2).
 
 Closed-form cell integrals of exp(-V y / eps) and of polynomial times
 exponential layer profiles live here too, since several modules rely on
-them agreeing to machine precision.
+them agreeing to machine precision. The layer e^{-V y/eps}/eps exists
+only for 0 < eps < inf: these two refuse any other eps, the limit's 0
+included, before any arithmetic, and so all that is built on them does.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import AngularCoefficient, eval_coeff
+from .coefficients import AngularCoefficient
 from .errors import GridError, ConfigurationError
 
 _MAX_STRETCH_RATIO = 2.0
@@ -162,20 +164,14 @@ def build_y_grid(y_max: float, n_y: int, layer_width: float,
     return YGrid(faces=faces, centers=centers, widths=widths)
 
 
-def eval_on_nodes(coeff: AngularCoefficient, phi_grid: PhiGrid,
-                  order: int = 0) -> np.ndarray:
-    return np.asarray(eval_coeff(coeff, phi_grid.nodes, order), dtype=float)
-
-
 def norms(field: PhaseField) -> dict:
-    """L1 norm, L2 norm and total mass of a phase field."""
+    """L1 norm and total mass of a phase field."""
     w = field.y_grid.widths[:, None]
     h = field.phi_grid.h
     vol = w * h
     vals = field.values
     return {
         "l1": float(np.sum(np.abs(vals) * vol)),
-        "l2": float(np.sqrt(np.sum(vals * vals * vol))),
         "mass": float(np.sum(vals * vol)),
     }
 
@@ -191,13 +187,21 @@ def trace_wall(field: PhaseField) -> np.ndarray:
     return v1 * c2 / (c2 - c1) - v2 * c1 / (c2 - c1)
 
 
+def _check_layer_eps(eps: float) -> None:
+    if not 0.0 < eps < np.inf:
+        raise ConfigurationError(
+            f"the wall layer needs 0 < eps < inf, got eps = {eps}")
+
+
 def exp_cell_integrals(V_nodes: np.ndarray, eps: float,
                        faces: np.ndarray) -> np.ndarray:
     """Exact integrals of exp(-V y / eps) over every y cell, per angle.
 
     Returns shape (n_y, n_phi). Stable for arbitrarily stiff layers: the
-    exponentials only ever underflow to zero.
+    exponentials only ever underflow to zero. eps outside (0, inf):
+    ConfigurationError.
     """
+    _check_layer_eps(eps)
     V = np.asarray(V_nodes, dtype=float)[None, :]
     y = np.asarray(faces, dtype=float)[:, None]
     E = np.exp(-V * y / eps)
@@ -215,10 +219,8 @@ def wall_layer(w_hat: np.ndarray, V: AngularCoefficient, eps: float,
     """Exact cell averages of the wall layer (1/eps) w_hat(phi) V(phi)
     e^{-V y / eps}, which carries mass w_hat per angle up to domain
     truncation."""
-    if eps <= 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
     w_hat = np.asarray(w_hat, dtype=float)
-    V_nodes = eval_on_nodes(V, phi_grid)
+    V_nodes = V(phi_grid.nodes)
     avg = exp_cell_averages(V_nodes, eps, y_grid)
     return PhaseField((w_hat * V_nodes / eps)[None, :] * avg, y_grid, phi_grid)
 
@@ -228,8 +230,10 @@ def poly_exp_cell_averages(coeffs: np.ndarray, V_nodes: np.ndarray,
     """Exact cell averages of sum_k c_k(phi) * z^k * exp(-V z), z = y/eps.
 
     coeffs has shape (k_max + 1, n_phi). Uses the closed-form
-    antiderivative of z^k exp(-V z); no quadrature error.
+    antiderivative of z^k exp(-V z); no quadrature error. eps outside
+    (0, inf): ConfigurationError.
     """
+    _check_layer_eps(eps)
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
     V = np.asarray(V_nodes, dtype=float)[None, :]
     z = (y_grid.faces / eps)[:, None]

@@ -38,8 +38,7 @@ import numpy as np
 from .coefficients import ModelParams, mu0, validate_assumptions
 from .errors import ConfigurationError, NumericalFailureError
 from .full_solver import FullSolverConfig, _fitted_flux_coeffs, _march
-from .grids import (PhaseField, PhiGrid, YGrid, build_phi_grid,
-                    eval_on_nodes, phi_derivative)
+from .grids import PhaseField, PhiGrid, YGrid, build_phi_grid, phi_derivative
 
 
 @dataclass
@@ -70,7 +69,7 @@ def run_limit(s0: BulkWallState, params: ModelParams, cfg: FullSolverConfig,
     times. Returns a list of (t, BulkWallState) pairs."""
     y_grid, phi_grid = s0.bulk.y_grid, s0.bulk.phi_grid
     validate_assumptions(params.V)
-    V_nodes = eval_on_nodes(params.V, phi_grid)
+    V_nodes = params.V(phi_grid.nodes)
     a, b = _fitted_flux_coeffs(V_nodes, 0.0, y_grid)
     b[0] = V_nodes                              # the open wall face
     snaps = _march((s0.bulk.values, s0.wall), a, b, params, y_grid, phi_grid,
@@ -163,8 +162,8 @@ def _gap_parts(u: LineField, lam: float, params: ModelParams):
     d_phi u."""
     m0 = _checked_mu0(lam, params)
     vals = u.values
-    V_nodes = eval_on_nodes(params.V, u.phi_grid)
-    Phi_nodes = eval_on_nodes(params.Phi, u.phi_grid)
+    V_nodes = params.V(u.phi_grid.nodes)
+    Phi_nodes = params.Phi(u.phi_grid.nodes)
     return (m0, V_nodes[None, :] * np.gradient(vals, u.line_grid.h, axis=0),
             phi_derivative(Phi_nodes[None, :] * vals, 1),
             params.D * phi_derivative(vals, 2), phi_derivative(vals, 1))
@@ -233,8 +232,8 @@ def _resolvent_blocks(p: ResolventProblem, params: ModelParams):
     every row, of lam, the y-diagonal and d_phi(Phi .) - D d_phi^2."""
     hy, phi_grid = p.rhs.line_grid.h, p.rhs.phi_grid
     n_p, hp = phi_grid.n_phi, phi_grid.h
-    V_nodes = eval_on_nodes(params.V, phi_grid)
-    Phi_nodes = eval_on_nodes(params.Phi, phi_grid)
+    V_nodes = params.V(phi_grid.nodes)
+    Phi_nodes = params.Phi(phi_grid.nodes)
     dy2, dp2 = p.eps_reg / hy ** 2, params.D / hp ** 2
     j = np.arange(n_p)
     B = np.diag(np.full(n_p, p.lam + 2.0 * dy2 + 2.0 * dp2))

@@ -192,12 +192,14 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
     Reflects at the wall and at y_max (the zero-flux top face of the
     grid solvers; inf, the default, is no top wall). dt must be finite,
     >= 0 and at most the weak-order bound 0.1 / max(sup|V|, sup|Phi|),
-    which V = Phi = 0 lifts."""
+    which V = Phi = 0 lifts. e's y and phi must be writeable."""
     drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
     bound = 0.1 / drift if drift > 0.0 else np.inf
     if not 0.0 <= dt < np.inf or dt > bound * (1.0 + 1e-12):
         raise ConfigurationError(f"particle step dt = {dt} must be finite and "
                                  f"within the weak-order bound [0, {bound:.3g}]")
+    if not (e.y.flags.writeable and e.phi.flags.writeable):
+        raise ConfigurationError("ensemble arrays y and phi must be writeable")
     seed_key = _mix64(np.array([e.seed % (1 << 64)], dtype=np.uint64),
                       np.empty(1, dtype=np.uint64))[0]
     _run_chunks(e.n, functools.partial(
@@ -477,5 +479,5 @@ def tv_distance(h_field: PhaseField, f_field: PhaseField) -> float:
         raise NumericalFailureError(
             f"mass mismatch {abs(m_h - m_f):.3e} exceeds 1e-6; "
             "normalize both inputs first")
-    vol = h_field.y_grid.widths[:, None] * h_field.phi_grid.h
-    return float(0.5 * np.sum(np.abs(h_field.values - f_field.values) * vol))
+    diff = replace(h_field, values=h_field.values - f_field.values)
+    return 0.5 * norms(diff)["l1"]

@@ -12,7 +12,7 @@ the smooth data for the layer corrector and the residual report.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .config import RunConfig
 from .decomposition import decompose, default_tests, weak_pairings
 from .errors import ConfigurationError, FitError
 from .full_solver import run_full
-from .grids import (build_phi_grid, build_y_grid, eval_on_nodes, norms,
-                    PhaseField)
+from .grids import build_phi_grid, build_y_grid, norms, PhaseField
 from .limit_solver import run_limit
 
 
@@ -38,9 +37,6 @@ class SweepRecord:
     mass_full: float
     mass_limit_combined: float
     order_vs_prev: float
-
-    def row(self):
-        return astuple(self)
 
 
 # the sweep CSV's header, one column per field
@@ -71,7 +67,7 @@ def reference_limit_state(cfg: RunConfig):
     n = max(2 * cfg.grid.n_y, 512)
     y_grid = build_y_grid(cfg.grid.y_max, n, cfg.grid.y_max / 2.0, n // 2)
     phi_grid = build_phi_grid(cfg.grid.n_phi)
-    s0 = cfg.initial_limit_state(y_grid, phi_grid)
+    _, s0 = cfg.initial_states(y_grid, phi_grid)
     snaps = run_limit(s0, cfg.model, cfg.time, [cfg.model.T])
     return snaps[-1][1]
 
@@ -82,9 +78,8 @@ def _paired_solve(cfg: RunConfig, eps: float):
     cfg = replace(cfg, model=replace(cfg.model, epsilon=eps))
     y_grid, phi_grid = cfg.build_grids()
     params = cfg.model
-    f0 = cfg.initial_field(y_grid, phi_grid)
+    f0, s0 = cfg.initial_states(y_grid, phi_grid)
     f_T = run_full(f0, params, cfg.time, [params.T])[-1][1]
-    s0 = cfg.initial_limit_state(y_grid, phi_grid)
     s_T = run_limit(s0, params, cfg.time, [params.T])[-1][1]
     return f_T, s_T, params
 
@@ -166,7 +161,7 @@ def weak_pairing_sweep(cfg: RunConfig) -> list:
         f_T, s_T, _ = _paired_solve(cfg, eps)
         phi_grid = f_T.phi_grid
         dec = decompose(f_T, cfg.model.V, eps)
-        m_limit = eval_on_nodes(cfg.model.V, phi_grid) * s_T.wall
+        m_limit = cfg.model.V(phi_grid.nodes) * s_T.wall
 
         tests = default_tests(phi_grid)
         pair_full = weak_pairings(dec, tests)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from activerods import (BulkWallState, ConfigurationError, ModelParams,
                         PhaseField, a_coeffs, build_inner, build_phi_grid,
                         build_y_grid, bulk_exp_field, composite_refined,
-                        composite_simple, eval_on_nodes, exp_cell_averages,
+                        composite_simple, decompose, exp_cell_averages,
                         exp_cell_integrals, norms, p0_coeffs, phi_derivative,
                         poly_exp_cell_averages, residual_report, steady_layer,
                         trace_wall, wall_layer)
@@ -33,8 +33,53 @@ def test_wall_layer_mass_exact():
 
     zero = wall_layer(np.zeros(16), const(1.0), 0.5, yg, pg)
     assert np.all(zero.values == 0.0)
-    with pytest.raises(ConfigurationError):
-        wall_layer(np.ones(16), const(1.0), 0.0, yg, pg)
+
+
+def _layer_calls():
+    """Every function that puts the layer e^{-V y/eps}/eps on a grid, as
+    a call of eps alone. residual_report reads eps from its ModelParams,
+    which itself refuses a negative, NaN or infinite eps, so the test
+    calls it at 0 only."""
+    yg = build_y_grid(4.0, 48, 0.4, 16)
+    pg = build_phi_grid(16)
+    V, Phi = shifted_sine(1.0, 0.5), shear(0.5)
+    Vv = V(pg.nodes)
+    state = _state(yg, pg)
+    inner = build_inner(state, ModelParams(epsilon=0.05, D=0.2, T=1.0,
+                                           V=V, Phi=Phi))
+    base = composite_simple(state, 0.05, V)
+    return {
+        "exp_cell_integrals": lambda eps: exp_cell_integrals(Vv, eps,
+                                                             yg.faces),
+        "exp_cell_averages": lambda eps: exp_cell_averages(Vv, eps, yg),
+        "poly_exp_cell_averages": lambda eps: poly_exp_cell_averages(
+            np.ones((4, pg.n_phi)), Vv, eps, yg),
+        "wall_layer": lambda eps: wall_layer(state.wall, V, eps, yg, pg),
+        "steady_layer": lambda eps: steady_layer(V, eps, yg, pg),
+        "composite_simple": lambda eps: composite_simple(state, eps, V),
+        "composite_refined": lambda eps: composite_refined(base, inner, eps,
+                                                           V),
+        "decompose": lambda eps: decompose(base, V, eps),
+        "residual_report": lambda eps: residual_report(
+            state, inner, ModelParams(epsilon=eps, D=0.2, T=1.0, V=V,
+                                      Phi=Phi)),
+    }
+
+
+_BAD_EPS = (0.0, -0.1, math.nan, math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, eps", [
+    (name, eps) for name in _layer_calls() if name != "residual_report"
+    for eps in _BAD_EPS] + [("residual_report", 0.0)])
+def test_layer_refuses_eps_outside_open_half_line(name, eps):
+    # the layer exists only for 0 < eps < inf, a rule the two closed-form
+    # quadratures own: every caller refuses 0 (the limit's eps), a
+    # negative eps, NaN and inf before any warning. Kills either
+    # quadrature's guard removed (a warning or finite numbers at eps <= 0).
+    with pytest.raises(ConfigurationError, match="0 < eps < inf"):
+        _layer_calls()[name](eps)
 
 
 def test_wall_layer_sharpens_with_eps():
@@ -50,8 +95,8 @@ def _printed_a2_a3(w, V, Phi, D, pg):
     """A2 and A3 of a previously printed closed form, whose D-proportional
     terms carry an extra factor Phi: the reference the product-rule
     collection of a_coeffs is compared with."""
-    Vv, Vp, Vpp = (eval_on_nodes(V, pg, k) for k in range(3))
-    Phiv = eval_on_nodes(Phi, pg)
+    Vv, Vp, Vpp = (V(pg.nodes, k) for k in range(3))
+    Phiv = Phi(pg.nodes)
     Q = w * Vv
     dQ = phi_derivative(Q, 1)
     return (-Vp * Phiv * Q + D * (Vpp * Phiv * Q + 2.0 * Vp * dQ),
@@ -65,7 +110,7 @@ def test_a_coeffs_no_angular_transport():
     V = shifted_sine(1.0, 0.5)
     A1, A2, A3 = a_coeffs(w, u0, V, const(0.0), 0.0, pg)
     A2p, A3p = _printed_a2_a3(w, V, const(0.0), 0.0, pg)
-    Vv = eval_on_nodes(V, pg)
+    Vv = V(pg.nodes)
     np.testing.assert_allclose(A1, Vv ** 2 * u0, atol=1e-12)
     assert np.all(A2 == 0.0)
     assert np.all(A3 == 0.0)
@@ -80,9 +125,9 @@ def test_a_coeffs_pure_drift():
     V, Phi = shifted_sine(1.0, 0.5), shear(0.5)
     A1, A2, A3 = a_coeffs(w, u0, V, Phi, 0.0, pg)
     A2p, A3p = _printed_a2_a3(w, V, Phi, 0.0, pg)
-    Vv = eval_on_nodes(V, pg)
-    Vp = eval_on_nodes(V, pg, 1)
-    Phiv = eval_on_nodes(Phi, pg)
+    Vv = V(pg.nodes)
+    Vp = V(pg.nodes, 1)
+    Phiv = Phi(pg.nodes)
     np.testing.assert_allclose(A2, -Vp * Phiv * Vv * w, atol=1e-12)
     assert np.all(A3 == 0.0)
     # the two published routes coincide without angular diffusion
@@ -166,7 +211,7 @@ def test_composite_refined_adds_corrector():
     refined = composite_refined(simple, inner, params.epsilon, params.V)
     coeffs = np.stack([np.zeros(16), inner.c1, inner.c2, inner.c3])
     corr = poly_exp_cell_averages(coeffs,
-                                  eval_on_nodes(params.V, pg),
+                                  params.V(pg.nodes),
                                   params.epsilon, yg)
     np.testing.assert_allclose(refined.values - simple.values, corr,
                                rtol=1e-12, atol=1e-14)
@@ -188,7 +233,7 @@ def test_composite_mass_additive():
     eps = 0.05
     V = shifted_sine(1.0, 0.5)
     comp = composite_simple(s, eps, V)
-    Vv = eval_on_nodes(V, pg)
+    Vv = V(pg.nodes)
     layer_mass = float(np.sum(
         s.wall * (1.0 - np.exp(-Vv * 4.0 / eps))) * pg.h)
     bulk_mass = norms(s.bulk)["mass"]
@@ -248,7 +293,7 @@ def test_build_inner_invariants():
     inner = build_inner(s, params)
     A1, A2, A3 = a_coeffs(s.wall, s.bulk.values[0, :], params.V, params.Phi,
                           params.D, pg)
-    Vv = eval_on_nodes(params.V, pg)
+    Vv = params.V(pg.nodes)
     np.testing.assert_allclose(inner.c3, -A3 / (3.0 * Vv), rtol=1e-13)
     np.testing.assert_allclose(inner.c2, (6.0 * inner.c3 - A2) / (2.0 * Vv),
                                rtol=1e-13)
@@ -262,8 +307,8 @@ def test_build_inner_invariants():
 def _reference_a_coeffs(w, u0, V, Phi, D, pg):
     """a_coeffs hand-expanded, with its own copy of the wall rate: the
     reference the shared transport expansion must match bitwise."""
-    Vv, Vp, Vpp = (eval_on_nodes(V, pg, k) for k in range(3))
-    Phiv = eval_on_nodes(Phi, pg)
+    Vv, Vp, Vpp = (V(pg.nodes, k) for k in range(3))
+    Phiv = Phi(pg.nodes)
     Q = w * Vv
     dQ = phi_derivative(Q, 1)
     dt_w = -phi_derivative(Phiv * w, 1) + D * phi_derivative(w, 2) \
@@ -278,8 +323,8 @@ def _reference_residual(s, inner, params, eval_y):
     """(l1_R, l1_r) of residual_report with the q-loop and the wall rate
     hand-expanded."""
     eps, D, pg, yl = params.epsilon, params.D, s.bulk.phi_grid, s.bulk.y_grid
-    Vv, Vp, Vpp = (eval_on_nodes(params.V, pg, k) for k in range(3))
-    Phiv = eval_on_nodes(params.Phi, pg)
+    Vv, Vp, Vpp = (params.V(pg.nodes, k) for k in range(3))
+    Phiv = params.Phi(pg.nodes)
     rho, centers = s.bulk.values, yl.centers
     dt_rho = (Vv[None, :] * np.gradient(rho, centers, axis=0)
               - phi_derivative(Phiv[None, :] * rho, 1)
@@ -318,7 +363,7 @@ def test_wall_layer_algebra_matches_hand_expanded(V, Phi, D, n_phi, yg, eval_y,
     s = BulkWallState(PhaseField(rng.normal(size=(yg.n_y, n_phi)), yg, pg),
                       rng.normal(size=n_phi))
     params = ModelParams(epsilon=eps, D=D, T=1.0, V=V, Phi=Phi)
-    Vv = eval_on_nodes(V, pg)
+    Vv = V(pg.nodes)
 
     inner = build_inner(s, params)
     c1, c2, c3, compat = p0_coeffs(

@@ -160,23 +160,24 @@ def test_build_grids_and_initial_fields():
     # the uniform layer block ends at the auto layer width, 8 epsilon
     assert yg.faces[cfg.grid.layer_cells] == pytest.approx(0.4)
 
-    f0 = cfg.initial_field(yg, pg)
+    f0, s0 = cfg.initial_states(yg, pg)
     ref = steady_layer(cfg.model.V, 0.05, yg, pg)
     np.testing.assert_allclose(f0.values, ref.values, rtol=1e-14)
-
-    s0 = cfg.initial_limit_state(yg, pg)
     assert np.all(s0.bulk.values == 0.0)
     np.testing.assert_array_equal(s0.wall, np.ones(32))
 
     cfg_b = parse_config("[model]\nepsilon = 0.1\n[grid]\ny_max = 4.0\n")
     yg2, pg2 = cfg_b.build_grids()
-    f0b = cfg_b.initial_field(yg2, pg2)
+    f0b, s0b = cfg_b.initial_states(yg2, pg2)
     assert norms(f0b)["mass"] == pytest.approx(1.0 - math.exp(-4.0),
                                                rel=1e-12)
-    s0b = cfg_b.initial_limit_state(yg2, pg2)
+    # the limit's bulk is the kinetic start, in an array of its own
+    np.testing.assert_array_equal(s0b.bulk.values, f0b.values)
     assert np.all(s0b.wall == 0.0)
     assert s0b.combined_mass() == pytest.approx(1.0 - math.exp(-4.0),
                                                 rel=1e-12)
+    for f, s in ((f0, s0), (f0b, s0b)):
+        assert not np.shares_memory(f.values, s.bulk.values)
 
 
 def test_load_config(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from activerods import (AssumptionViolationError, BulkWallState,
                         ConfigurationError, FullSolverConfig, ModelParams,
                         NumericalFailureError, PhaseField, build_phi_grid,
-                        build_y_grid, bulk_exp_field, eval_on_nodes,
+                        build_y_grid, bulk_exp_field,
                         full_solver, manufactured_state, norms, phi_substep,
                         run_full, run_limit, steady_layer, sup_abs)
 from activerods.full_solver import (_angular_setup, _factor_columns,
@@ -224,7 +224,7 @@ def test_step_preserves_mass_and_positivity(yg, n_phi, V, Phi, D, eps, dt,
     f = PhaseField(patchy_values(seed, (yg.n_y, n_phi)), yg, pg)
     params = ModelParams(epsilon=eps, D=D, T=2.0, V=V, Phi=Phi)
     out = _one_step(f, params, dt, splitting)
-    a, b = _fitted_flux_coeffs(eval_on_nodes(V, pg), eps, yg)
+    a, b = _fitted_flux_coeffs(V(pg.nodes), eps, yg)
     rel = round_off_bound(1.0 + dt / yg.widths[:, None] * (a[1:] + b[:-1]))
     assert norms(out)["mass"] == pytest.approx(norms(f)["mass"],
                                                rel=max(rel, 1e-12))
@@ -283,7 +283,7 @@ def _upwind_reference(bulk, wall, V_nodes, widths, dt):
 @given(graded_y_grids(), st.integers(4, 16), positive_speeds,
        st.floats(0.005, 0.5), st.floats(1e-4, 1.0), st.integers(0, 2 ** 32 - 1))
 def test_y_steps_match_row_loop_references(yg, n_phi, V, eps, dt, seed):
-    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    V_nodes = V(build_phi_grid(n_phi).nodes)
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0.0, 1.0, size=(yg.n_y, n_phi))
     wall = rng.uniform(0.0, 1.0, size=n_phi)
@@ -318,7 +318,7 @@ def test_y_steps_match_row_loop_references(yg, n_phi, V, eps, dt, seed):
 def test_y_steps_match_lapack_reference(yg, n_phi, V, eps, dt, seed):
     # LAPACK's pivoted gtsv orders the arithmetic differently again, for
     # the kinetic operator and for the limit's, with the wall face open
-    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    V_nodes = V(build_phi_grid(n_phi).nodes)
     vals = patchy_values(seed, (yg.n_y, n_phi))
     w = yg.widths[:, None]
     for a, b in (_fitted_flux_coeffs(V_nodes, eps, yg),
@@ -337,7 +337,7 @@ def test_open_wall_face_moves_only_the_wall_cell(yg, n_phi, V, dt, seed):
     # the system is upper bidiagonal and no multiplier carries row 0
     # upward, so opening the wall face leaves rows 1..n-1 bit for bit;
     # what the wall gains, cell 0 of the closed step keeps
-    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    V_nodes = V(build_phi_grid(n_phi).nodes)
     vals = patchy_values(seed, (yg.n_y, n_phi))
     wall = patchy_values(seed + 1, n_phi)
     w = yg.widths[:, None]
@@ -472,7 +472,7 @@ def test_non_finite_solve_does_not_reach_the_next(small_grids):
     # a NaN and an inf spread through zero multipliers into the padding
     # rows; the next solve with the same factorization must not see them
     yg, pg = small_grids
-    V_nodes = eval_on_nodes(shifted_sine(1.0, 0.5), pg)
+    V_nodes = shifted_sine(1.0, 0.5)(pg.nodes)
     bad = patchy_values(5, (yg.n_y, pg.n_phi))
     bad[3, 2], bad[-1, 5] = np.nan, np.inf
     vals = patchy_values(6, (yg.n_y, pg.n_phi))
@@ -495,7 +495,7 @@ def test_y_steps_keep_nonnegative_data_nonnegative(yg, n_phi, V, eps, dt,
                                                    exponent, seed):
     # every multiplier of the solve is >= 0, so this holds exactly, at any
     # scale of the data
-    V_nodes = eval_on_nodes(V, build_phi_grid(n_phi))
+    V_nodes = V(build_phi_grid(n_phi).nodes)
     vals = patchy_values(seed, (yg.n_y, n_phi)) * 10.0 ** exponent
     wall = patchy_values(seed + 1, n_phi)
     a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
@@ -511,7 +511,7 @@ def test_y_step_at_peclet_overflow_is_upwind(small_grids):
     # upwind from above, with a no-flux wall; eps = 0 gives the same
     # coefficients exactly
     yg, pg = small_grids
-    V_nodes = eval_on_nodes(shifted_sine(1e308, 0.5), pg)
+    V_nodes = shifted_sine(1e308, 0.5)(pg.nodes)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, b = _fitted_flux_coeffs(V_nodes, 0.05, yg)
@@ -742,7 +742,7 @@ def test_solvers_match_unfactored_reference(splitting, D, Phi):
                          Phi=Phi)
     cfg = FullSolverConfig(dt=0.02, splitting=splitting)
     times = [0.03, 0.1, 0.31]
-    V_nodes = eval_on_nodes(params.V, pg)
+    V_nodes = params.V(pg.nodes)
 
     layer = steady_layer(params.V, params.epsilon, yg, pg).values
     f0 = PhaseField(layer * (1.0 + 0.5 * np.cos(pg.nodes))[None, :], yg, pg)

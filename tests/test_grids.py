@@ -64,7 +64,7 @@ def test_norms_ones_field():
     n = norms(f)
     assert n["mass"] == pytest.approx(8.0 * 2.0 * math.pi, rel=1e-12)
     assert n["l1"] == pytest.approx(n["mass"], rel=1e-12)
-    assert n["l2"] == pytest.approx(math.sqrt(8.0 * 2.0 * math.pi), rel=1e-12)
+    assert set(n) == {"l1", "mass"}
 
 
 def test_trace_wall_quadratic():

@@ -8,7 +8,7 @@ from activerods import (BulkWallState, ConfigurationError, FullSolverConfig,
                         LineField, ModelParams, NumericalFailureError,
                         PhaseField, ResolventProblem, build_line_grid,
                         build_phi_grid, build_y_grid, coercivity_gap,
-                        eval_on_nodes, manufactured_state, mu0,
+                        manufactured_state, mu0,
                         resolvent_solve, run_limit)
 from activerods.grids import PhiGrid
 from activerods.limit_solver import _gap_scale, _resolvent_blocks
@@ -79,7 +79,7 @@ def test_step_limit_preserves_mass_and_positivity(yg, n_phi, V, Phi, D, dt,
     s = BulkWallState(PhaseField(vals[1:], yg, pg), vals[0])
     params = ModelParams(epsilon=0.0, D=D, T=2.0, V=V, Phi=Phi)
     out = _one_step(s, params, dt, splitting)
-    rel = round_off_bound(1.0 + dt * eval_on_nodes(V, pg) / yg.widths[:, None])
+    rel = round_off_bound(1.0 + dt * V(pg.nodes) / yg.widths[:, None])
     assert out.combined_mass() == pytest.approx(s.combined_mass(),
                                                 rel=max(rel, 1e-12))
     assert np.min(out.bulk.values) >= -1e-12
@@ -254,7 +254,7 @@ def test_resolvent_manufactured_second_order(eps_reg):
     def max_error(n_y, n_phi):
         grid, pg = build_line_grid(12.0, n_y), build_phi_grid(n_phi)
         y, phi = grid.nodes[:, None], pg.nodes[None, :]
-        V, Phi, dPhi = (eval_on_nodes(c, pg, k)[None, :] for c, k in
+        V, Phi, dPhi = (c(pg.nodes, k)[None, :] for c, k in
                         ((params.V, 0), (params.Phi, 0), (params.Phi, 1)))
         g = np.exp(-y ** 2)
         A = 1.0 + np.cos(phi) + 0.5 * np.sin(2.0 * phi)
@@ -286,8 +286,8 @@ def _loop_assembled_resolvent(p, params):
     sp = pytest.importorskip("scipy.sparse")
     n_y, n_p = p.rhs.line_grid.n_y, p.rhs.phi_grid.n_phi
     hy, hp = p.rhs.line_grid.h, p.rhs.phi_grid.h
-    V_nodes = eval_on_nodes(params.V, p.rhs.phi_grid)
-    Phi_nodes = eval_on_nodes(params.Phi, p.rhs.phi_grid)
+    V_nodes = params.V(p.rhs.phi_grid.nodes)
+    Phi_nodes = params.Phi(p.rhs.phi_grid.nodes)
 
     def idx(iy, jp):
         return iy * n_p + (jp % n_p)

@@ -427,6 +427,22 @@ def test_em_step_in_place_matches_fresh_arrays(chunks, y_max):
     _assert_same_ensemble(out, fresh)
 
 
+def test_em_step_refuses_read_only_arrays():
+    # em_step writes into e.y and e.phi, so a read-only one is refused
+    # before any chunk runs, leaving both arrays and e.step as they were.
+    # Kills the check removed: numpy's ValueError escapes, and with phi
+    # read-only the chunks have already stepped y.
+    for name in ("y", "phi"):
+        e = sample_initial(int(2.5 * particles._CHUNK), 11, 3.0)
+        e.step = 4
+        before = _copy(e)
+        getattr(e, name).flags.writeable = False
+        with pytest.raises(ConfigurationError,
+                           match="y and phi must be writeable"):
+            em_step(e, _MARCH_PARAMS, 0.01)
+        _assert_same_ensemble(e, before)
+
+
 def test_run_particles_matches_em_step_chain_and_keeps_input():
     e0 = sample_initial(int(2.5 * particles._CHUNK), 12, 3.0)
     e0.step = 2

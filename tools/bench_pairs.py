@@ -17,7 +17,10 @@ configs/example.cfg once, and the file keeps every CSV's sha256 and
 the names of the CSVs that differ between the sides.
 
 The summary of a stored file (medians per side, the parent's
-interquartile range, the pairs the change won, failed operations):
+interquartile range, the pairs the change won, failed operations, and
+two verdicts per metric: whether the pairs show a gain, and whether the
+change is worse than the parent beyond the metric's bound in
+BENCHMARK.json, which the tool reads and never writes):
 
     python3 tools/bench_pairs.py --summary BENCH_pr22.json
 
@@ -40,6 +43,8 @@ import tarfile
 import tempfile
 
 METRICS = ("wall_s", "setup_s", "peak_rss_mib")
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "BENCHMARK.json")
 SIDES = ("parent", "change")
 CONFIG_SUBCOMMANDS = ("run-full", "run-limit", "composite", "sweep",
                       "decompose", "particles", "check-coercivity",
@@ -123,18 +128,46 @@ def summarize(bench_file: dict) -> dict:
     return summary
 
 
+def bounds() -> dict:
+    """Each end-to-end metric's bound from BENCHMARK.json: the fraction
+    of the parent's median by which the change's may be worse."""
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def gain_shown(med: dict) -> bool:
+    """A gain by the pair rule: at least 10 pairs, the change lower in at
+    least nine tenths of them (ties count for neither), and the medians
+    further apart than the parent's interquartile range."""
+    return (med["pairs"] >= 10
+            and 10 * med["pairs_change_lower"] >= 9 * med["pairs"]
+            and med["parent_median"] - med["change_median"]
+            > med["parent_iqr"])
+
+
+def worse_beyond(med: dict, bound: float) -> bool:
+    """The change's median above the parent's by more than bound, a
+    fraction of the parent's median (lower is better for every metric)."""
+    return med["relative_change"] > bound
+
+
 def format_summary(summary: dict) -> str:
+    bound = bounds()
     rows = [f"{'workload':<18}{'metric':<14}{'parent':>10}{'change':>10}"
-            f"{'rel':>8}{'won':>7}{'p IQR':>9}  failed p/c"]
+            f"{'rel':>8}{'won':>7}{'p IQR':>9}  {'gain':<5}"
+            f"{'worse':<12}failed p/c"]
     for workload, rec in summary.items():
         failed = "{parent}/{change}".format(**rec["failed_total"])
         for metric, med in rec["medians"].items():
+            worse = "yes" if worse_beyond(med, bound[metric]) else "no"
             rows.append(
                 f"{workload:<18}{metric:<14}{med['parent_median']:>10.4g}"
                 f"{med['change_median']:>10.4g}"
                 f"{med['relative_change']:>+8.1%}"
                 f"{med['pairs_change_lower']:>4}/{med['pairs']:<2}"
-                f"{med['parent_iqr']:>9.3g}  {failed}")
+                f"{med['parent_iqr']:>9.3g}  "
+                f"{'yes' if gain_shown(med) else 'no':<5}"
+                f"{f'{worse} (>{bound[metric]:.0%})':<12}{failed}")
     return "\n".join(rows)
 
 
