@@ -18,8 +18,8 @@ from .limit_solver import (BulkWallState, LineField, ResolventProblem,
                            resolvent_solve, run_limit)
 from .asymptotics import (a_coeffs, build_inner, composite_refined,
                           composite_simple, p0_coeffs, residual_report)
-from .decomposition import (Decomposition, decompose, default_tests,
-                            energy_step, weak_pairings)
+from .decomposition import (Decomposition, decompose, energy_step,
+                            weak_pairings)
 from .particles import (ParticleEnsemble, em_step, histogram, run_particles,
                         sample_initial, tv_distance)
 from .config import bulk_exp_field, load_config, parse_config
@@ -36,7 +36,7 @@ __all__ = [
     "ResolventProblem", "SweepRecord", "a_coeffs", "aggregate_phi",
     "build_inner", "build_line_grid", "build_phi_grid", "build_y_grid",
     "bulk_exp_field", "coercivity_gap", "composite_refined",
-    "composite_simple", "decompose", "default_tests", "em_step",
+    "composite_simple", "decompose", "em_step",
     "energy_step", "epsilon_from_physical",
     "exp_cell_averages", "exp_cell_integrals", "field_rows", "fit_order",
     "histogram", "load_config", "manufactured_state",

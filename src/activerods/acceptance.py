@@ -23,7 +23,7 @@ from .decomposition import decompose, energy_step
 from .errors import ActiveRodsError
 from .full_solver import FullSolverConfig, run_full, steady_layer
 from .grids import (PhaseField, aggregate_phi, build_phi_grid, build_y_grid,
-                    exp_cell_integrals, norms, overlap_average_y)
+                    norms, overlap_average_y)
 from .limit_solver import (coercivity_check, manufactured_state,
                            resolvent_check, run_limit)
 from .particles import histogram, run_particles, sample_initial, tv_distance
@@ -83,7 +83,8 @@ def _weak_records():
 
 @lru_cache(maxsize=None)
 def _d0_run():
-    """D = 0 kinetic run decomposed at ten snapshot times."""
+    """D = 0 kinetic run decomposed at t = 0 and ten snapshot times;
+    returns (params, [(t, Decomposition)])."""
     eps = 0.05
     params = ModelParams(epsilon=eps, D=0.0, T=1.0, V=_const(1.0),
                          Phi=_shear(0.5))
@@ -92,7 +93,8 @@ def _d0_run():
     f0 = bulk_exp_field(y_grid, phi_grid)
     times = [round(0.1 * k, 10) for k in range(1, 11)]
     snaps = run_full(f0, params, FullSolverConfig(dt=0.01), times)
-    return params, f0, snaps
+    return params, [(t, decompose(f, params.V, eps))
+                    for t, f in [(0.0, f0)] + snaps]
 
 
 @lru_cache(maxsize=None)
@@ -214,27 +216,17 @@ def _c7_residual_scaling() -> tuple:
 
 
 def _c8_orthogonality() -> tuple:
-    params, f0, snaps = _d0_run()
-    eps = params.epsilon
-    worst = 0.0
-    for _, f in snaps:
-        dec = decompose(f, params.V, eps)
-        V_nodes = params.V(f.phi_grid.nodes)
-        I = exp_cell_integrals(V_nodes, eps, f.y_grid.faces)
-        defect = float(np.max(np.abs(np.sum(dec.u.values * I, axis=0))))
-        scale = norms(f)["l1"]
-        worst = max(worst, defect / scale)
+    snaps = _d0_run()[1][1:]
+    worst = max(dec.defect for _, dec in snaps)
     tol = 1e-8
     return worst <= tol, (f"max relative defect {worst:.3e} over "
                           f"{len(snaps)} snapshots (tol {tol:g})")
 
 
 def _c9_energy_bound() -> tuple:
-    params, f0, snaps = _d0_run()
+    params, decs = _d0_run()
     C = sup_abs(params.Phi, 1) + 2.0 * sup_abs(params.V, 0) + 2.0
-    times, energies, diss = zip(*(
-        (t, *energy_step(decompose(f, params.V, params.epsilon), params.V))
-        for t, f in [(0.0, f0)] + snaps))
+    times, energies, diss = zip(*((t, *energy_step(dec)) for t, dec in decs))
     E0 = energies[0]
     ok = True
     worst = -np.inf

@@ -8,7 +8,8 @@ exponential e^{-Vz}; its coefficients (c1, c2, c3) are determined by
 matching powers of z in m3'' - V m3' = A1 + A2 z + A3 z^2, where the
 A-profiles collect the angular transport applied to the leading layer
 by the product rule. The composites and the residual report take eps
-in (0, inf) only: grids' layer quadratures refuse any other.
+in (0, inf) and speeds that are positive and finite only: grids' layer
+quadratures refuse any others, and p0_coeffs refuses the same speeds.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import AngularCoefficient, ModelParams
-from .errors import ConfigurationError
-from .grids import (PhaseField, PhiGrid, YGrid, phi_derivative,
-                    poly_exp_cell_averages, trace_wall, wall_layer)
+from .grids import (PhaseField, PhiGrid, YGrid, _layer_speeds,
+                    phi_derivative, poly_exp_cell_averages, trace_wall,
+                    wall_layer)
 from .limit_solver import BulkWallState
 
 
@@ -33,13 +34,15 @@ class InnerExpansion:
     limit stepper feeds the wall), while compat_residual compares c1
     against -V times the second-order extrapolated wall trace u0_hat, so
     it measures the consistency of the limiting solve instead of being
-    zero by construction.
+    zero by construction. V_nodes are the nodal speeds the coefficients
+    were built with, and the decay rates of the corrector layer.
     """
 
     c1: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
     compat_residual: np.ndarray
+    V_nodes: np.ndarray
 
 
 @dataclass
@@ -87,11 +90,10 @@ def p0_coeffs(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray,
 
     The wall flux condition demands c1 = -V u0_hat exactly when the
     wall equation holds exactly; the residual measures the gap.
-    Returns (c1, c2, c3, compat_residual).
+    Returns (c1, c2, c3, compat_residual). A speed that is not positive
+    and finite: AssumptionViolationError.
     """
-    V = np.asarray(V_nodes, dtype=float)
-    if np.any(V <= 0):
-        raise ConfigurationError("corrector coefficients need pointwise V > 0")
+    V = _layer_speeds(V_nodes)
     A1 = np.asarray(A1, dtype=float)
     A2 = np.asarray(A2, dtype=float)
     A3 = np.asarray(A3, dtype=float)
@@ -105,12 +107,13 @@ def p0_coeffs(A1: np.ndarray, A2: np.ndarray, A3: np.ndarray,
 def build_inner(state: BulkWallState, params: ModelParams) -> InnerExpansion:
     """Assemble the corrector data from a limiting solve."""
     phi_grid = state.bulk.phi_grid
+    V_nodes = params.V(phi_grid.nodes)
     A1, A2, A3 = a_coeffs(state.wall, state.bulk.values[0], params.V,
                           params.Phi, params.D, phi_grid)
-    c1, c2, c3, compat = p0_coeffs(A1, A2, A3,
-                                   params.V(phi_grid.nodes),
+    c1, c2, c3, compat = p0_coeffs(A1, A2, A3, V_nodes,
                                    trace_wall(state.bulk))
-    return InnerExpansion(c1=c1, c2=c2, c3=c3, compat_residual=compat)
+    return InnerExpansion(c1=c1, c2=c2, c3=c3, compat_residual=compat,
+                          V_nodes=V_nodes)
 
 
 def composite_simple(state: BulkWallState, eps: float,
@@ -122,14 +125,13 @@ def composite_simple(state: BulkWallState, eps: float,
     return PhaseField(layer.values + state.bulk.values, y_grid, phi_grid)
 
 
-def composite_refined(base: PhaseField, inner: InnerExpansion, eps: float,
-                      V: AngularCoefficient) -> PhaseField:
+def composite_refined(base: PhaseField, inner: InnerExpansion,
+                      eps: float) -> PhaseField:
     """Refined composite: the leading composite base, as composite_simple
-    returns it, plus the cubic corrector layer m3(y/eps) e^{-V y/eps},
-    cell-averaged in closed form on base's grids."""
-    V_nodes = V(base.phi_grid.nodes)
+    returns it, plus the cubic corrector layer m3(y/eps) e^{-V y/eps}
+    with inner's speeds, cell-averaged in closed form on base's grids."""
     coeffs = np.stack([np.zeros_like(inner.c1), inner.c1, inner.c2, inner.c3])
-    corr = poly_exp_cell_averages(coeffs, V_nodes, eps, base.y_grid)
+    corr = poly_exp_cell_averages(coeffs, inner.V_nodes, eps, base.y_grid)
     return PhaseField(base.values + corr, base.y_grid, base.phi_grid)
 
 

@@ -14,9 +14,9 @@ Subcommands:
 
 Each config subcommand is a function of the loaded config and a writer.
 One runner loads the config and resolves the output directory: --out,
-else ACTIVERODS_OUT_DIR, else the config's [output] directory, an empty
-value counting as unset.  Its write(*tables) writes all the CSVs of a
-subcommand there at once, all or none, with one "wrote" line per CSV.
+else the config's [output] directory, an empty --out counting as unset.
+Its write(*tables) writes all the CSVs of a subcommand there at once,
+all or none, with one "wrote" line per CSV.
 
 Exit codes: 0 success, 1 failed check, 2 configuration problem or out of
 memory, 3 violated model assumption, 4 numerical failure.
@@ -37,7 +37,7 @@ from .asymptotics import build_inner, composite_refined, composite_simple, \
     residual_report
 from .coefficients import validate_assumptions
 from .config import load_config
-from .decomposition import decompose, default_tests, energy_step, weak_pairings
+from .decomposition import decompose, energy_step, weak_pairings
 from .errors import (ActiveRodsError, ConfigurationError, FitError,
                      NumericalFailureError)
 from .full_solver import run_full
@@ -60,7 +60,7 @@ def _run(args) -> int:
     """Load the config, resolve the output directory and run the config
     subcommand args.cmd with a CSV writer into that directory."""
     cfg = load_config(args.config)
-    out_dir = args.out or os.environ.get("ACTIVERODS_OUT_DIR") or cfg.out_dir
+    out_dir = args.out or cfg.out_dir
 
     def write(*tables):
         """Write each (name, header, rows) table to out_dir/name, all or
@@ -128,7 +128,7 @@ def _cmd_composite(cfg, write) -> int:
         s_T = run_limit(s0, cfg.model, cfg.time, [cfg.model.T])[-1][1]
         inner = build_inner(s_T, cfg.model)
         f_bar = composite_simple(s_T, cfg.model.epsilon, cfg.model.V)
-        f_hat = composite_refined(f_bar, inner, cfg.model.epsilon, cfg.model.V)
+        f_hat = composite_refined(f_bar, inner, cfg.model.epsilon)
         resid = residual_report(s_T, inner, cfg.model)
     _require_finite("composite", f_bar.values, f_hat.values, resid.l1_R,
                     resid.l1_r)
@@ -162,20 +162,19 @@ def _cmd_decompose(cfg, write) -> int:
             "decompose requires D = 0 (set D = 0 in [model])")
     y_grid, phi_grid = cfg.build_grids()
     f0, _ = cfg.initial_states(y_grid, phi_grid)
-    tests = default_tests(phi_grid)
     mode_rows, energy_rows = [], []
     with np.errstate(all="ignore"):
         snaps = run_full(f0, cfg.model, cfg.time,
                          cfg.experiment.snapshot_times)
         for t, f in snaps:
             dec = decompose(f, cfg.model.V, cfg.model.epsilon)
-            E, diss = energy_step(dec, cfg.model.V)
+            E, diss = energy_step(dec)
             mode_rows.extend(profile_rows(t, phi_grid.nodes, dec.m))
             energy_rows.append((t, E, diss))
-        pairings = weak_pairings(dec, tests)
-    _require_finite("decompose", mode_rows, energy_rows, pairings)
-    pair_rows = [(cfg.model.epsilon, name, val) for (name, _), val in
-                 zip(tests, pairings)]
+        pair_rows = [(cfg.model.epsilon, name, val)
+                     for name, val in weak_pairings(dec.m, phi_grid)]
+    _require_finite("decompose", mode_rows, energy_rows,
+                    [val for *_, val in pair_rows])
     write(("modes.csv", ("t", "phi", "m"), mode_rows),
           ("energy.csv", ("t", "E", "dissipation"), energy_rows),
           ("pairings.csv", ("epsilon", "test", "pairing"), pair_rows))
@@ -248,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to a run config")
         p.add_argument("--out", default=None, help="output directory "
-                       "(overrides config and environment)")
+                       "(overrides the config's [output] directory)")
         p.set_defaults(func=_run, cmd=fn)
     p_all = sub.add_parser("check-all", help="run the full acceptance suite")
     p_all.set_defaults(func=_cmd_check_all)

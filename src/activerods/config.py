@@ -18,8 +18,7 @@ entries > 0, at least one seed, integer seeds, n_particles > 0,
 particle_dt > 0 and initial bulk_exp | steady_layer. ModelParams (D,
 T >= 0), FullSolverConfig (dt > 0, splitting lie | strang) and
 AngularCoefficient (the families) check the rest while the config
-loads. The environment variable ACTIVERODS_OUT_DIR overrides [output]
-directory; a CLI --out flag overrides both.
+loads. A CLI --out flag overrides [output] directory.
 """
 
 from __future__ import annotations

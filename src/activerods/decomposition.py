@@ -13,7 +13,8 @@ factor of the layer profile instead:
 with I_i the exact cell integral of the weight. S -> eps/(2V) as the
 grid resolves the layer, so this converges to the 2V scaling while
 making the discrete orthogonality exact to round-off. The layer weight
-exists only for 0 < eps < inf; exp_cell_integrals refuses any other eps.
+exists only for 0 < eps < inf and positive finite speeds;
+exp_cell_integrals refuses any others.
 """
 
 from __future__ import annotations
@@ -29,16 +30,21 @@ from .grids import PhaseField, exp_cell_integrals, norms
 
 @dataclass
 class Decomposition:
+    """Layer amplitude m and remainder u at eps, the nodal speeds V_nodes
+    of the layer weight, and the defect max_phi |sum_i u_i I_i| / ||f||_L1."""
+
     m: np.ndarray
     u: PhaseField
     epsilon: float
+    V_nodes: np.ndarray
+    defect: float
 
 
 def decompose(f: PhaseField, V: AngularCoefficient, eps: float) -> Decomposition:
     """Split f into layer amplitude m and orthogonal remainder u.
 
-    The orthogonality defect max_phi |sum_i u_i I_i| is asserted below
-    1e-8 * ||f||_L1; with the Gram normalization it sits at round-off.
+    The orthogonality defect is asserted below 1e-8; with the Gram
+    normalization it sits at round-off.
     """
     y_grid, phi_grid = f.y_grid, f.phi_grid
     V_nodes = V(phi_grid.nodes)
@@ -53,27 +59,26 @@ def decompose(f: PhaseField, V: AngularCoefficient, eps: float) -> Decomposition
     u_vals = f.values - (m / eps)[None, :] * layer_avg
     u = PhaseField(u_vals, y_grid, phi_grid)
 
-    defect = float(np.max(np.abs(np.sum(u_vals * I, axis=0))))
-    scale = norms(f)["l1"]
-    if defect > 1e-8 * max(scale, 1e-300):
+    defect = float(np.max(np.abs(np.sum(u_vals * I, axis=0)))) \
+        / max(norms(f)["l1"], 1e-300)
+    if defect > 1e-8:
         raise NumericalFailureError(
             f"decomposition lost orthogonality: defect {defect:.3e} "
-            f"exceeds 1e-8 * ||f|| = {1e-8 * scale:.3e}"
-        )
-    return Decomposition(m=m, u=u, epsilon=eps)
+            f"of ||f||_L1 exceeds 1e-8")
+    return Decomposition(m=m, u=u, epsilon=eps, V_nodes=V_nodes,
+                         defect=defect)
 
 
-def energy_step(dec: Decomposition, V: AngularCoefficient):
+def energy_step(dec: Decomposition):
     """Energy E = integral(u^2) + integral(m^2 / 4V) and the wall-normal
     dissipation eps * integral((d_y u)^2), with the wall derivative by
     first-order one-sided difference. Returns (E, dissipation)."""
     u = dec.u
     y_grid, phi_grid = u.y_grid, u.phi_grid
     h = phi_grid.h
-    V_nodes = V(phi_grid.nodes)
 
     E = float(np.sum(u.values ** 2 * y_grid.widths[:, None]) * h
-              + np.sum(dec.m ** 2 / (4.0 * V_nodes)) * h)
+              + np.sum(dec.m ** 2 / (4.0 * dec.V_nodes)) * h)
 
     d = np.diff(y_grid.centers)[:, None]
     slopes = (u.values[1:, :] - u.values[:-1, :]) / d
@@ -85,19 +90,12 @@ def energy_step(dec: Decomposition, V: AngularCoefficient):
     return E, dissipation
 
 
-def weak_pairings(dec: Decomposition, tests) -> list:
-    """Angular pairings of m against test profiles: integral(m h dphi).
-
-    tests is a list of (name, values) pairs, as default_tests gives."""
-    h = dec.u.phi_grid.h
-    return [float(np.sum(dec.m * np.asarray(vals, dtype=float)) * h)
-            for _, vals in tests]
-
-
-def default_tests(phi_grid) -> list:
-    return [
-        ("one", np.ones(phi_grid.n_phi)),
-        ("cos", np.cos(phi_grid.nodes)),
-        ("sin", np.sin(phi_grid.nodes)),
-    ]
+def weak_pairings(m: np.ndarray, phi_grid) -> list:
+    """Angular pairings integral(m h dphi) of a wall profile m at the
+    nodes of phi_grid against the test profiles h = 1, cos phi and
+    sin phi, as (name, value) pairs."""
+    tests = (("one", np.ones(phi_grid.n_phi)), ("cos", np.cos(phi_grid.nodes)),
+             ("sin", np.sin(phi_grid.nodes)))
+    return [(name, float(np.sum(m * vals) * phi_grid.h))
+            for name, vals in tests]
 

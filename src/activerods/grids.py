@@ -10,8 +10,8 @@ the cell [phi_j - h/2, phi_j + h/2).
 Closed-form cell integrals of exp(-V y / eps) and of polynomial times
 exponential layer profiles live here too, since several modules rely on
 them agreeing to machine precision. The layer e^{-V y/eps}/eps exists
-only for 0 < eps < inf: these two refuse any other eps, the limit's 0
-included, before any arithmetic, and so all that is built on them does.
+only for 0 < eps < inf and finite speeds V > 0: these two refuse any
+other eps or speed before any arithmetic, and so all built on them does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import AngularCoefficient
-from .errors import GridError, ConfigurationError
+from .errors import AssumptionViolationError, ConfigurationError, GridError
 
 _MAX_STRETCH_RATIO = 2.0
 
@@ -193,16 +193,28 @@ def _check_layer_eps(eps: float) -> None:
             f"the wall layer needs 0 < eps < inf, got eps = {eps}")
 
 
+def _layer_speeds(V_nodes) -> np.ndarray:
+    """The nodal speeds as a float array, once every one is known to be
+    positive and finite, as the wall layer needs."""
+    V = np.asarray(V_nodes, dtype=float)
+    if not np.all((0.0 < V) & (V < np.inf)):
+        raise AssumptionViolationError(
+            f"the wall layer needs a positive finite speed at every node; "
+            f"min {np.min(V):.6g}")
+    return V
+
+
 def exp_cell_integrals(V_nodes: np.ndarray, eps: float,
                        faces: np.ndarray) -> np.ndarray:
     """Exact integrals of exp(-V y / eps) over every y cell, per angle.
 
     Returns shape (n_y, n_phi). Stable for arbitrarily stiff layers: the
     exponentials only ever underflow to zero. eps outside (0, inf):
-    ConfigurationError.
+    ConfigurationError; a speed not positive and finite:
+    AssumptionViolationError.
     """
     _check_layer_eps(eps)
-    V = np.asarray(V_nodes, dtype=float)[None, :]
+    V = _layer_speeds(V_nodes)[None, :]
     y = np.asarray(faces, dtype=float)[:, None]
     E = np.exp(-V * y / eps)
     return (eps / V) * (E[:-1, :] - E[1:, :])
@@ -230,12 +242,12 @@ def poly_exp_cell_averages(coeffs: np.ndarray, V_nodes: np.ndarray,
     """Exact cell averages of sum_k c_k(phi) * z^k * exp(-V z), z = y/eps.
 
     coeffs has shape (k_max + 1, n_phi). Uses the closed-form
-    antiderivative of z^k exp(-V z); no quadrature error. eps outside
-    (0, inf): ConfigurationError.
+    antiderivative of z^k exp(-V z); no quadrature error. eps or speeds
+    as exp_cell_integrals refuses them: the same errors.
     """
     _check_layer_eps(eps)
+    V = _layer_speeds(V_nodes)[None, :]
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    V = np.asarray(V_nodes, dtype=float)[None, :]
     z = (y_grid.faces / eps)[:, None]
     E = np.exp(-V * z)
     out = np.zeros((y_grid.n_y, V.shape[1]))

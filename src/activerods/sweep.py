@@ -19,7 +19,7 @@ import numpy as np
 from .asymptotics import (build_inner, composite_refined, composite_simple,
                           residual_report)
 from .config import RunConfig
-from .decomposition import decompose, default_tests, weak_pairings
+from .decomposition import decompose, weak_pairings
 from .errors import ConfigurationError, FitError
 from .full_solver import run_full
 from .grids import build_phi_grid, build_y_grid, norms, PhaseField
@@ -97,7 +97,7 @@ def sweep_epsilon(cfg: RunConfig) -> list:
         f_T, s_T, params = _paired_solve(cfg, eps)
         y_grid, phi_grid = f_T.y_grid, f_T.phi_grid
         f_bar = composite_simple(s_T, eps, cfg.model.V)
-        f_hat = composite_refined(f_bar, inner_ref, eps, cfg.model.V)
+        f_hat = composite_refined(f_bar, inner_ref, eps)
 
         diff_bar = PhaseField(f_T.values - f_bar.values, y_grid, phi_grid)
         diff_hat = PhaseField(f_T.values - f_hat.values, y_grid, phi_grid)
@@ -159,14 +159,10 @@ def weak_pairing_sweep(cfg: RunConfig) -> list:
     records = []
     for eps in eps_list:
         f_T, s_T, _ = _paired_solve(cfg, eps)
-        phi_grid = f_T.phi_grid
         dec = decompose(f_T, cfg.model.V, eps)
-        m_limit = cfg.model.V(phi_grid.nodes) * s_T.wall
-
-        tests = default_tests(phi_grid)
-        pair_full = weak_pairings(dec, tests)
-        for (name, tvals), pf in zip(tests, pair_full):
-            pl = float(np.sum(m_limit * tvals) * phi_grid.h)
+        for (name, pf), (_, pl) in zip(
+                weak_pairings(dec.m, f_T.phi_grid),
+                weak_pairings(dec.V_nodes * s_T.wall, f_T.phi_grid)):
             records.append(WeakPairingRecord(
                 epsilon=eps, test=name, pairing_full=pf,
                 pairing_limit=pl, abs_diff=abs(pf - pl)))

@@ -117,8 +117,8 @@ def test_energy_bound_fails_when_energy_grows(monkeypatch):
     # 1000 times too large breaks the Gronwall bound
     real, calls = acceptance.energy_step, []
 
-    def growing(dec, V):
-        E, diss = real(dec, V)
+    def growing(dec):
+        E, diss = real(dec)
         calls.append(E)
         return E * (1.0 if len(calls) == 1 else 1e3), diss
 

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from activerods import (BulkWallState, ConfigurationError, ModelParams,
+from activerods import (AssumptionViolationError, BulkWallState,
+                        ConfigurationError, ModelParams,
                         PhaseField, a_coeffs, build_inner, build_phi_grid,
                         build_y_grid, bulk_exp_field, composite_refined,
                         composite_simple, decompose, exp_cell_averages,
@@ -14,7 +16,7 @@ from activerods import (BulkWallState, ConfigurationError, ModelParams,
 from activerods.asymptotics import _d2_y_nonuniform
 
 from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
-                      shear, shifted_sine)
+                      shear, shifted_sine, wall_drive)
 
 
 def _state(yg, pg, wall_amp=0.3, bulk_amp=0.2):
@@ -35,19 +37,22 @@ def test_wall_layer_mass_exact():
     assert np.all(zero.values == 0.0)
 
 
-def _layer_calls():
+def _layer_calls(V=shifted_sine(1.0, 0.5)):
     """Every function that puts the layer e^{-V y/eps}/eps on a grid, as
-    a call of eps alone. residual_report reads eps from its ModelParams,
-    which itself refuses a negative, NaN or infinite eps, so the test
-    calls it at 0 only."""
+    a call of eps alone with the speed V. The state, corrector and leading
+    composite they start from are built with a positive speed, and the
+    corrector then takes V's nodal values. residual_report reads eps from
+    its ModelParams, which itself refuses a negative, NaN or infinite eps,
+    so the eps test calls it at 0 only."""
     yg = build_y_grid(4.0, 48, 0.4, 16)
     pg = build_phi_grid(16)
-    V, Phi = shifted_sine(1.0, 0.5), shear(0.5)
+    Phi = shear(0.5)
     Vv = V(pg.nodes)
     state = _state(yg, pg)
-    inner = build_inner(state, ModelParams(epsilon=0.05, D=0.2, T=1.0,
-                                           V=V, Phi=Phi))
-    base = composite_simple(state, 0.05, V)
+    good = ModelParams(epsilon=0.05, D=0.2, T=1.0, V=shifted_sine(1.0, 0.5),
+                       Phi=Phi)
+    inner = replace(build_inner(state, good), V_nodes=Vv)
+    base = composite_simple(state, 0.05, good.V)
     return {
         "exp_cell_integrals": lambda eps: exp_cell_integrals(Vv, eps,
                                                              yg.faces),
@@ -57,8 +62,7 @@ def _layer_calls():
         "wall_layer": lambda eps: wall_layer(state.wall, V, eps, yg, pg),
         "steady_layer": lambda eps: steady_layer(V, eps, yg, pg),
         "composite_simple": lambda eps: composite_simple(state, eps, V),
-        "composite_refined": lambda eps: composite_refined(base, inner, eps,
-                                                           V),
+        "composite_refined": lambda eps: composite_refined(base, inner, eps),
         "decompose": lambda eps: decompose(base, V, eps),
         "residual_report": lambda eps: residual_report(
             state, inner, ModelParams(epsilon=eps, D=0.2, T=1.0, V=V,
@@ -80,6 +84,36 @@ def test_layer_refuses_eps_outside_open_half_line(name, eps):
     # quadrature's guard removed (a warning or finite numbers at eps <= 0).
     with pytest.raises(ConfigurationError, match="0 < eps < inf"):
         _layer_calls()[name](eps)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_layer_calls()))
+@pytest.mark.parametrize("V", [const(0.0), const(-1.0), wall_drive(0.5, 1.0)],
+                         ids=["V=0", "V=-1", "wall_drive(0.5,1)"])
+def test_layer_refuses_speed_not_positive(name, V):
+    # the layer decays only for a speed V > 0 at every node, a rule the
+    # two quadratures and p0_coeffs own: V = 0 used to give NaN and three
+    # RuntimeWarnings, V = -1 cells down to -1.9e35 and the wall drive
+    # cells down to -7.7e17, all without an error. Kills the speed check
+    # in either quadrature removed (a warning, or finite numbers and no
+    # error), and in p0_coeffs (residual_report warns at V = 0).
+    with pytest.raises(AssumptionViolationError, match="positive finite"):
+        _layer_calls(V)[name](0.05)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_layer_refuses_speed_not_finite(bad):
+    # a nodal speed array can hold inf or NaN, which no coefficient family
+    # yields. Kills the finite half of the speed check dropped: an
+    # infinite speed warns at the wall face or passes p0_coeffs.
+    yg = build_y_grid(4.0, 48, 0.4, 16)
+    Vv = np.array([1.0, bad, 1.0, 1.0])
+    for call in (lambda: exp_cell_integrals(Vv, 0.05, yg.faces),
+                 lambda: poly_exp_cell_averages(np.ones((2, 4)), Vv, 0.05, yg),
+                 lambda: p0_coeffs(*np.zeros((3, 4)), Vv, np.zeros(4))):
+        with pytest.raises(AssumptionViolationError, match="positive finite"):
+            call()
 
 
 def test_wall_layer_sharpens_with_eps():
@@ -173,7 +207,7 @@ def test_p0_coeffs_frozen():
     np.testing.assert_allclose(c2, -3.0, rtol=1e-14)
     np.testing.assert_allclose(c1, -6.0, rtol=1e-14)
 
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(AssumptionViolationError):
         p0_coeffs(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4), u0)
 
 
@@ -208,7 +242,7 @@ def test_composite_refined_adds_corrector():
                          Phi=shear(0.5))
     inner = build_inner(s, params)
     simple = composite_simple(s, params.epsilon, params.V)
-    refined = composite_refined(simple, inner, params.epsilon, params.V)
+    refined = composite_refined(simple, inner, params.epsilon)
     coeffs = np.stack([np.zeros(16), inner.c1, inner.c2, inner.c3])
     corr = poly_exp_cell_averages(coeffs,
                                   params.V(pg.nodes),
@@ -251,7 +285,7 @@ def test_corrector_layer_shrinks_linearly():
 
     def corr_l1(eps):
         simple = composite_simple(s, eps, params.V)
-        refined = composite_refined(simple, inner, eps, params.V)
+        refined = composite_refined(simple, inner, eps)
         diff = PhaseField(refined.values - simple.values, yg, pg)
         return norms(diff)["l1"]
 
@@ -383,7 +417,7 @@ def test_wall_layer_algebra_matches_hand_expanded(V, Phi, D, n_phi, yg, eval_y,
     corr = poly_exp_cell_averages(np.stack([np.zeros(n_phi), c1, c2, c3]),
                                   Vv, eps, yg)
     np.testing.assert_array_equal(
-        composite_refined(composite_simple(s, eps, V), inner, eps, V).values,
+        composite_refined(composite_simple(s, eps, V), inner, eps).values,
         layer + s.bulk.values + corr)
     np.testing.assert_array_equal(steady_layer(V, eps, yg, pg).values,
                                   (Vv[None, :] / eps) * avg)

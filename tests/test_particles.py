@@ -505,6 +505,17 @@ def test_chunk_pool_lives_with_the_process(monkeypatch):
     assert all(pool is pools[0] for pool in pools)
 
 
+def test_cpu_count_without_affinity(monkeypatch):
+    # where the OS has no affinity call, the pool sizes itself by
+    # os.cpu_count(), and by one CPU when that count is unknown (None).
+    # Kills the fallback's "or 1" dropped, which returns None.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert particles._cpu_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert particles._cpu_count() == 1
+
+
 def test_run_chunks_returns_in_order_and_waits_on_error(monkeypatch):
     monkeypatch.setattr(particles, "_CHUNK", 10)
     monkeypatch.setattr(particles, "_cpu_count", lambda: 3)

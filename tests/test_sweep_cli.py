@@ -346,25 +346,15 @@ def test_cli_particles_refuses_steady_layer_initial(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_cli_out_dir_precedence(cli_config, tmp_path, monkeypatch):
-    env_dir = str(tmp_path / "env")
-    monkeypatch.setenv("ACTIVERODS_OUT_DIR", env_dir)
-    assert main(["particles", "--config", cli_config]) == 0
-    assert os.path.exists(os.path.join(env_dir, "particles.csv"))
-
+def test_cli_out_dir_precedence(cli_config, tmp_path):
     flag_dir = str(tmp_path / "flag")
     assert main(["particles", "--config", cli_config, "--out", flag_dir]) == 0
     assert os.path.exists(os.path.join(flag_dir, "particles.csv"))
 
-    # an empty --out or ACTIVERODS_OUT_DIR counts as unset
-    env_dir = str(tmp_path / "env2")
-    monkeypatch.setenv("ACTIVERODS_OUT_DIR", env_dir)
-    assert main(["particles", "--config", cli_config, "--out", ""]) == 0
-    assert os.listdir(env_dir) == ["particles.csv"]
+    # an empty --out counts as unset
     cfg_dir = tmp_path / "cfg"
     with_dir = tmp_path / "with_dir.ini"
     with_dir.write_text(CLI_TEXT + f"\n[output]\ndirectory = {cfg_dir}\n")
-    monkeypatch.setenv("ACTIVERODS_OUT_DIR", "")
     assert main(["particles", "--config", str(with_dir), "--out", ""]) == 0
     assert os.listdir(cfg_dir) == ["particles.csv"]
 
