@@ -17,13 +17,14 @@ which reduces to upwind-from-above as eps -> 0 and to the plain
 two-point diffusive flux as V -> 0, keeps the M-matrix property, and
 annihilates exact cell averages of e^{-V y/eps} on the uniform layer
 block to machine precision. Its tridiagonal matrix changes only with the
-step size, so it is factored once per step size, by cyclic reduction in
-y over all angle columns at once, and every step runs only the
-precomputed eliminations: nine numpy calls per level of the reduction,
-fewer where a multiplier is zero everywhere and its product is left out
-(which changes at most the sign of a zero), log2(n_y) levels, and no
-loop over rows. The work buffer keeps the even rows and the odd rows in
-two halves, so the first level, half of all the work, runs on
+step size, so it is factored once per step size, that is once per
+snapshot segment, by cyclic reduction in y over all angle columns at
+once, and every step runs only the precomputed eliminations: nine numpy
+calls per level of the reduction, fewer where a multiplier is zero
+everywhere and its product is left out (which changes at most the sign
+of a zero), log2(n_y) levels, one shared scratch row for the products,
+and no loop over rows. The work buffer keeps the even rows and the odd
+rows in two halves, so the first level, half of all the work, runs on
 contiguous memory. The matrix is an M-matrix and every multiplier of the
 solve is non-negative, so the step maps non-negative data to exactly
 non-negative data. The phi-substep is explicit conservative upwind plus
@@ -31,6 +32,9 @@ centered diffusion, sub-cycled under a CFL bound. Its set-up (the
 sub-cycle count and the two face weights of the flux with the step
 folded in) is cached per drift, D, h and dt, so each sub-cycle is five
 numpy passes and no gather.
+
+A march keeps a segment's field in the y-solve's work buffer from its
+first step to its last, and takes both substeps in place there.
 """
 
 from __future__ import annotations
@@ -107,10 +111,51 @@ def _fitted_flux_coeffs(V_nodes: np.ndarray, eps: float, y_grid: YGrid):
     return a, b
 
 
+class _ColumnSolve:
+    """A system factored by _factor_columns. Called on rhs, it copies rhs
+    in, solves, and returns the solution, angle-major in memory. A march
+    instead load()s its field once, then per step calls eliminate() and
+    works in place on `rows`, the real rows angle last (2, (n_y + 1) // 2,
+    n_phi), with one padding row in the odd half for an odd n_y, and on
+    `wall`, row 0; and unload()s once. Elimination only adds zero products
+    to padding rows and scales them by 1, and the angular substep keeps a
+    row of +0.0 at +0.0, so for finite data they need no refill."""
+
+    def __init__(self, buf: np.ndarray, ops: list, n_y: int):
+        self.ops, self.n_y = ops, n_y
+        n_even = (n_y + 1) // 2
+        self.real = buf[0, :, :n_even], buf[1, :, :n_y // 2]
+        self.padding = buf[0, :, n_even:], buf[1, :, n_y // 2:]
+        self.rows = buf[:, :, :n_even].transpose(0, 2, 1)
+        self.wall = buf[0, :, 0]
+
+    def load(self, f: np.ndarray):
+        np.copyto(self.real[0], f.T[:, ::2])
+        np.copyto(self.real[1], f.T[:, 1::2])
+
+    def eliminate(self):
+        for op, m, x, out in self.ops:
+            op(m, x, out)
+
+    def unload(self, out: np.ndarray) -> np.ndarray:
+        """Write the field into out, shaped (n_y, n_phi), and return it."""
+        out[::2], out[1::2] = self.real[0].T, self.real[1].T
+        return out
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        self.load(rhs)
+        # a solve of finite data leaves the padding zero; this keeps a
+        # non-finite one from reaching the next
+        for rows in self.padding:
+            rows.fill(0.0)
+        self.eliminate()
+        return self.unload(np.empty((self.wall.size, self.n_y)).T)
+
+
 def _factor_columns(lower: np.ndarray, diag: np.ndarray,
                     upper: np.ndarray):
     """Factor the tridiagonal system of every angle column at once by
-    cyclic reduction and return solve(rhs), which runs only the
+    cyclic reduction and return its _ColumnSolve, which runs only the
     precomputed eliminations.
 
     All arguments are shaped (n_y, n_phi); row i of column j reads
@@ -123,7 +168,8 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
     the multipliers that add the odd rows into the even ones, the negated
     off-diagonals and reciprocal pivots of the back-substitution, and the
     views of one work buffer that each of them acts on, so that a solve is
-    at most nine numpy calls per level and no loop over rows.
+    at most nine numpy calls per level, through one shared scratch row,
+    and no loop over rows.
 
     The columns lie end to end, each padded with identity rows to a
     power-of-two length of at least 2, and the work buffer holds their
@@ -148,6 +194,7 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
     n_y, n_phi = diag.shape
     size = max(2, 1 << (n_y - 1).bit_length())     # rows per padded column
     buf = np.zeros((2, n_phi, size // 2))           # even rows | odd rows
+    scratch = np.empty(n_phi * size // 2)           # for every product
     d = np.ones((n_phi, size))
     d[:, :n_y] = diag.T
     lo, up = np.zeros_like(d), np.zeros_like(d)
@@ -157,10 +204,10 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
     down, back, pivots = [], [], []
 
     def add_product(ops, m, x, acc):
-        """Append acc += m * x, through a work array, to ops, unless m is
-        zero everywhere."""
+        """Append acc += m * x, through the scratch row, to ops, unless m
+        is zero everywhere."""
         if m.any():
-            tmp = np.empty_like(m)
+            tmp = scratch[:m.size]
             ops += [(np.multiply, m, x, tmp), (np.add, acc, tmp, acc)]
 
     # an overflow, a division by zero or an invalid operation stops the
@@ -201,46 +248,23 @@ def _factor_columns(lower: np.ndarray, diag: np.ndarray,
             "finite")
     # the last level's even rows are the wall rows, one per column
     ops = down + [(np.multiply, pivots[-1], even, even)] + back
-    n_even = (n_y + 1) // 2
-    real = buf[0, :, :n_even], buf[1, :, :n_y // 2]
-    padding = buf[0, :, n_even:], buf[1, :, n_y // 2:]
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        np.copyto(real[0], rhs.T[:, ::2])
-        np.copyto(real[1], rhs.T[:, 1::2])
-        # a solve of finite data leaves the padding zero; this keeps a
-        # non-finite one from reaching the next
-        for rows in padding:
-            rows.fill(0.0)
-        for op, m, x, out in ops:
-            op(m, x, out)
-        out = np.empty((n_phi, n_y))
-        out[:, ::2], out[:, 1::2] = real
-        return out.T
-
-    return solve
+    return _ColumnSolve(buf, ops, n_y)
 
 
 def _implicit_y_step(a: np.ndarray, b: np.ndarray, widths: np.ndarray,
                      dt: float):
     """Backward-Euler step of d_t f + (G_{i+1} - G_i)/w_i = 0 with the
     linear flux G_i = a_i f_{i-1} - b_i f_i, factored once for the step
-    size dt by _factor_columns: returns the step (f, *walls) ->
-    (f_new, *walls_new).
+    size dt: returns (solve, gain), for f_new = solve(f) and each wall
+    density wall + gain * f_new[0].
 
-    Each wall density gains exactly what left through the wall face,
-    dt b_0 f_0_new, so the mass of f plus a wall telescopes; with the wall
-    face closed (b_0 = 0) f alone is exactly conservative."""
+    Each wall gains exactly what left through the wall face, dt b_0
+    f_0_new, so the mass of f plus a wall telescopes; with the wall face
+    closed (b_0 = 0) f alone is exactly conservative."""
     r = dt / widths[:, None]
     solve = _factor_columns(-r * a[:-1, :], 1.0 + r * (a[1:, :] + b[:-1, :]),
                             -r * b[1:, :])
-    gain = dt * b[0]
-
-    def step(state):
-        f = solve(state[0])
-        return (f, *(wall + gain * f[0] for wall in state[1:]))
-
-    return step
+    return solve, dt * b[0]
 
 
 def _step_count(span: float, step: float, what: str, remedy: str) -> int:
@@ -259,7 +283,8 @@ def _step_count(span: float, step: float, what: str, remedy: str) -> int:
 def _angular_setup(Phi_bytes: bytes, D: float, h: float, dt: float):
     """Check phi_substep's arguments (the drift as its float64 bytes) and
     return (n_sub, own, nxt): the sub-cycle count, 0 when the substep is
-    the identity, and the face weights as read-only angle-major columns.
+    the identity, and the face weights as read-only arrays over the
+    angles.
 
     With c = (dt / n_sub) / h, the flux through face j + 1/2 times c is
     own_j u_j + nxt_j u_{j+1}, where own = c (max(Phi, 0) + D / h) and
@@ -285,23 +310,25 @@ def _angular_setup(Phi_bytes: bytes, D: float, h: float, dt: float):
                         "angular sub-cycling at the CFL bound",
                         "reduce dt or D, or use fewer angles")
     c = (dt / n_sub) / h
-    Phi = Phi_face[:, None]
-    own = c * (np.maximum(Phi, 0.0) + D / h)
-    nxt = c * (np.minimum(Phi, 0.0) - D / h)
+    own = c * (np.maximum(Phi_face, 0.0) + D / h)
+    nxt = c * (np.minimum(Phi_face, 0.0) - D / h)
     own.flags.writeable = nxt.flags.writeable = False
     return n_sub, own, nxt
 
 
 def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
-                h: float, dt: float) -> np.ndarray:
+                h: float, dt: float, out: np.ndarray = None) -> np.ndarray:
     """Explicit conservative angular substep, sub-cycled at
     FullSolverConfig.safety of the CFL bound.
 
     Upwinds on the sign of Phi at each face, centered two-point
-    diffusion. Works on any array whose last axis is the angle; the
-    result is laid out angle-major in memory. The sub-cycle bound counts
-    the outflow through both faces of a cell (Phi can change sign outward
-    across one), which keeps non-negative values non-negative.
+    diffusion. Works on any array whose last axis is the angle. The
+    result goes into out, any angle-last float array of values' shape
+    (a strided view, or values itself for a step in place), or without
+    out into a new array laid out angle-major in memory; either is
+    returned. The sub-cycle bound counts the outflow through both faces
+    of a cell (Phi can change sign outward across one), which keeps
+    non-negative values non-negative.
 
     Each sub-cycle forms the face fluxes F = own u + nxt u_{j+1} from the
     weights of _angular_setup, which fold in the step and are built once
@@ -312,26 +339,27 @@ def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
     returns a copy."""
     n_sub, own, nxt = _angular_setup(
         np.asarray(Phi_face, dtype=float).tobytes(), D, h, dt)
-    # angle-major, so that shifting the angle by one is a copy of
-    # contiguous blocks; it is also the layout of the y-solve's columns,
-    # so neither substep transposes the other's output. The work arrays
-    # come first, so that the result does not sit above their freed space
-    # on the heap: the other order held up to 1.5 MiB more memory over the
-    # grid criteria.
-    n_phi = values.shape[-1]
-    F, tmp = np.empty((2, n_phi, values.size // n_phi))
-    out = np.array(values.transpose(-1, *range(values.ndim - 1)),
-                   dtype=float, order="C")
-    u = out.reshape(n_phi, -1)
+    if out is None:
+        # angle-major, so that shifting the angle by one is a copy of
+        # contiguous blocks
+        out = np.array(values.transpose(-1, *range(values.ndim - 1)),
+                       dtype=float, order="C").transpose(
+                           *range(1, values.ndim), 0)
+    elif out is not values:
+        np.copyto(out, values)
+    if n_sub:
+        # in out's memory order: C-ordered ones took 2.4 times as long on
+        # the y-solve's 256 x 128 rows
+        F, tmp = np.empty_like(out), np.empty_like(out)
     for _ in range(n_sub):
-        np.multiply(own, u, out=F)
-        np.multiply(nxt[:-1], u[1:], out=tmp[:-1])
-        np.multiply(nxt[-1:], u[:1], out=tmp[-1:])
+        np.multiply(own, out, out=F)
+        np.multiply(nxt[:-1], out[..., 1:], out=tmp[..., :-1])
+        np.multiply(nxt[-1:], out[..., :1], out=tmp[..., -1:])
         np.add(F, tmp, out=F)
-        np.subtract(F[1:], F[:-1], out=tmp[1:])
-        np.subtract(F[:1], F[-1:], out=tmp[:1])
-        np.subtract(u, tmp, out=u)
-    return out.transpose(*range(1, out.ndim), 0)
+        np.subtract(F[..., 1:], F[..., :-1], out=tmp[..., 1:])
+        np.subtract(F[..., :1], F[..., -1:], out=tmp[..., :1])
+        np.subtract(out, tmp, out=out)
+    return out
 
 
 def _check_health(state: tuple, y_grid: YGrid, phi_grid: PhiGrid):
@@ -364,16 +392,19 @@ def _march(state: tuple, a: np.ndarray, b: np.ndarray, params: ModelParams,
     two halves around it (Strang).
 
     Each segment between snapshots takes ceil(span / dt) equal steps,
-    factored once per segment because segments can differ in dt, and ends
-    with _check_health. Returns a list of (t, state copy) pairs, one per
-    requested time (t = 0 gives a copy of the input). A segment that would
-    need more than _MAX_STEPS steps is refused before any step is taken."""
+    factored once per segment because segments can differ in dt. It loads
+    f into the solve's work buffer once, steps it and copies of the walls
+    in place, bit for bit as if each substep made a new array, and
+    unloads f for _check_health and the snapshot. Returns a list of (t,
+    state) pairs of new arrays, one per requested time (t = 0 gives a
+    copy of the input). A segment that would need more than _MAX_STEPS
+    steps is refused before any step is taken."""
     Phi_face = params.Phi(phi_grid.faces)
     dt_target = resolve_dt(params, phi_grid, cfg)
 
-    def phi_step(state, dt):
-        return tuple(phi_substep(v, Phi_face, params.D, phi_grid.h, dt)
-                     for v in state)
+    def phi_step(arrays, dt):
+        for v in arrays:
+            phi_substep(v, Phi_face, params.D, phi_grid.h, dt, out=v)
 
     times = sorted(set(float(t) for t in snapshot_times))
     if not times:
@@ -397,14 +428,22 @@ def _march(state: tuple, a: np.ndarray, b: np.ndarray, params: ModelParams,
     for t_next, span, n in plan:
         if n:
             dt = span / n
-            y = _implicit_y_step(a, b, y_grid.widths, dt)
+            solve, gain = _implicit_y_step(a, b, y_grid.widths, dt)
+            solve.load(state[0])
+            walls = [wall.copy() for wall in state[1:]]
+            arrays = (solve.rows, *walls)
             for _ in range(n):
-                if cfg.splitting == "lie":
-                    state = phi_step(y(state), dt)
-                else:
-                    state = phi_step(y(phi_step(state, 0.5 * dt)), 0.5 * dt)
+                if cfg.splitting == "strang":
+                    phi_step(arrays, 0.5 * dt)
+                solve.eliminate()
+                for wall in walls:
+                    wall += gain * solve.wall
+                phi_step(arrays, dt if cfg.splitting == "lie" else 0.5 * dt)
+            state = (solve.unload(np.empty(state[0].shape)), *walls)
             _check_health(state, y_grid, phi_grid)
-        out.append((t_next, tuple(v.copy() for v in state)))
+        else:
+            state = tuple(v.copy() for v in state)
+        out.append((t_next, state))
     return out
 
 

@@ -91,7 +91,10 @@ def _solve_stretch_ratio(delta: float, rest: float, n_stretch: int) -> float:
     k = np.arange(1, n_stretch + 1, dtype=float)
 
     def total(r: float) -> float:
-        return float(delta * np.sum(r ** k))
+        # past about 512 cells r ** k overflows to inf before r = 4, which
+        # compares right: it is no error
+        with np.errstate(over="ignore"):
+            return float(delta * np.sum(r ** k))
 
     target = rest
     at_one = total(1.0)

@@ -20,6 +20,18 @@ from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
                       wall_drive)
 
 
+def _y_step(a, b, widths, dt):
+    """The y-substep as a copy: (f, *walls) -> (f_new, *walls_new), with
+    f_new solved into a fresh array and each wall + gain * f_new[0]."""
+    solve, gain = _implicit_y_step(a, b, widths, dt)
+
+    def step(state):
+        f = solve(state[0])
+        return (f, *(wall + gain * f[0] for wall in state[1:]))
+
+    return step
+
+
 def _one_step(f, params, dt, splitting="lie"):
     """One split step of exactly dt, with run_full's health check; needs
     params.T >= dt."""
@@ -294,7 +306,7 @@ def test_y_steps_match_row_loop_references(yg, n_phi, V, eps, dt, seed):
     # Thomas: both agree to round-off
     a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
     tol = round_off_bound(1.0 + dt / w * (a[1:] + b[:-1]))
-    out, = _implicit_y_step(a, b, yg.widths, dt)((vals,))
+    out, = _y_step(a, b, yg.widths, dt)((vals,))
     ref = _thomas_reference(vals, a, b, yg.widths, dt)
     assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
     assert abs(np.sum(out * w) - mass) <= tol * mass
@@ -304,7 +316,7 @@ def test_y_steps_match_row_loop_references(yg, n_phi, V, eps, dt, seed):
     # discrete outgoing flux
     a, b = _open_wall_coeffs(V_nodes, yg)
     tol = round_off_bound(1.0 + dt / w * V_nodes)
-    bulk, wall_new = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
+    bulk, wall_new = _y_step(a, b, yg.widths, dt)((vals, wall))
     ref_bulk, _ = _upwind_reference(vals, wall, V_nodes, yg.widths, dt)
     assert np.sum(np.abs(bulk - ref_bulk) * w) <= tol * np.sum(ref_bulk * w)
     np.testing.assert_array_equal(wall_new, wall + dt * V_nodes * bulk[0])
@@ -323,7 +335,7 @@ def test_y_steps_match_lapack_reference(yg, n_phi, V, eps, dt, seed):
     w = yg.widths[:, None]
     for a, b in (_fitted_flux_coeffs(V_nodes, eps, yg),
                  _open_wall_coeffs(V_nodes, yg)):
-        out, = _implicit_y_step(a, b, yg.widths, dt)((vals,))
+        out, = _y_step(a, b, yg.widths, dt)((vals,))
         ref = _solve_banded_reference(
             *_fitted_diagonals(a, b, yg.widths, dt), vals)
         tol = round_off_bound(1.0 + dt / w * (a[1:] + b[:-1]))
@@ -342,9 +354,9 @@ def test_open_wall_face_moves_only_the_wall_cell(yg, n_phi, V, dt, seed):
     wall = patchy_values(seed + 1, n_phi)
     w = yg.widths[:, None]
     a, b = _open_wall_coeffs(V_nodes, yg)
-    bulk, wall_new = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
+    bulk, wall_new = _y_step(a, b, yg.widths, dt)((vals, wall))
     a, b = _fitted_flux_coeffs(V_nodes, 0.0, yg)
-    closed, wall_same = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
+    closed, wall_same = _y_step(a, b, yg.widths, dt)((vals, wall))
     _assert_same_bits(bulk[1:], closed[1:])
     _assert_same_bits(wall_same, wall)
     kept = closed[0] * yg.widths[0]
@@ -480,9 +492,9 @@ def test_non_finite_solve_does_not_reach_the_next(small_grids):
     with np.errstate(invalid="ignore"):
         for a, b in (_fitted_flux_coeffs(V_nodes, 0.05, yg),
                      _open_wall_coeffs(V_nodes, yg)):
-            step = _implicit_y_step(a, b, yg.widths, 0.01)
+            step = _y_step(a, b, yg.widths, 0.01)
             step((bad, wall))
-            for x, y in zip(step((vals, wall)), _implicit_y_step(
+            for x, y in zip(step((vals, wall)), _y_step(
                     a, b, yg.widths, 0.01)((vals, wall))):
                 _assert_same_bits(x, y)
 
@@ -499,9 +511,9 @@ def test_y_steps_keep_nonnegative_data_nonnegative(yg, n_phi, V, eps, dt,
     vals = patchy_values(seed, (yg.n_y, n_phi)) * 10.0 ** exponent
     wall = patchy_values(seed + 1, n_phi)
     a, b = _fitted_flux_coeffs(V_nodes, eps, yg)
-    assert np.min(_implicit_y_step(a, b, yg.widths, dt)((vals,))[0]) >= 0.0
+    assert np.min(_y_step(a, b, yg.widths, dt)((vals,))[0]) >= 0.0
     a, b = _open_wall_coeffs(V_nodes, yg)
-    bulk, wall_new = _implicit_y_step(a, b, yg.widths, dt)((vals, wall))
+    bulk, wall_new = _y_step(a, b, yg.widths, dt)((vals, wall))
     assert np.min(bulk) >= 0.0
     assert np.min(wall_new) >= 0.0
 
@@ -519,7 +531,7 @@ def test_y_step_at_peclet_overflow_is_upwind(small_grids):
         for got in zip((a, b), _fitted_flux_coeffs(V_nodes, 0.0, yg)):
             _assert_same_bits(*got)
         vals = patchy_values(3, (yg.n_y, pg.n_phi))
-        out, = _implicit_y_step(a, b, yg.widths, 0.005)((vals,))
+        out, = _y_step(a, b, yg.widths, 0.005)((vals,))
     ref = _thomas_reference(vals, a, b, yg.widths, 0.005)
     w = yg.widths[:, None]
     tol = round_off_bound(1.0 + 0.005 / w * (a[1:] + b[:-1]))
@@ -676,15 +688,17 @@ def _fitted_y_reference(a, b, widths):
     return y_step
 
 
-def _march_reference(y_step, state, params, pg, cfg, times):
-    """Split steps with every y-operator solved from scratch, marched to
-    the snapshot times in ceil(span / dt) equal steps per segment."""
+def _march_reference(y_step, state, params, pg, cfg, times,
+                     phi=_phi_substep_reference):
+    """Split steps with every y-operator solved from scratch and each
+    angular substep phi(values, Phi_face, D, h, dt) returning a new array,
+    marched to the snapshot times in ceil(span / dt) equal steps per
+    segment."""
     Phi_face = np.asarray(params.Phi(pg.faces), dtype=float) * np.ones(
         pg.n_phi)
 
     def phi_step(state, dt):
-        return tuple(_phi_substep_reference(v, Phi_face, params.D, pg.h, dt,
-                                            cfg.safety) for v in state)
+        return tuple(phi(v, Phi_face, params.D, pg.h, dt) for v in state)
 
     def step(state, dt):
         if cfg.splitting == "lie":
@@ -791,6 +805,125 @@ def test_phi_substep_matches_roll_reference(shape, D):
                     out, _phi_substep_reference(v, Phi_face, D, pg.h, dt))
 
 
+def _angle_last_copy(values, layout):
+    """A copy of values, shaped (2, m, n_phi), laid out: C-contiguous,
+    angle-major, as a strided slice of a NaN-filled array, or as the
+    y-solve's buffer rows (2, m, n_phi) (even rows | odd rows, angle
+    major)."""
+    if layout == "contiguous":
+        return values.copy()
+    if layout == "angle-major":
+        return np.asfortranarray(values)
+    if layout == "slice":
+        big = np.full((2, 2 * values.shape[1] + 1, values.shape[2] + 3),
+                      np.nan)
+        out = big[:, 1::2, 2:-1]
+    else:
+        n_y, n_phi = 2 * values.shape[1], values.shape[2]
+        out = _factor_columns(np.zeros((n_y, n_phi)), np.ones((n_y, n_phi)),
+                              np.zeros((n_y, n_phi))).rows
+    out[...] = values
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(3, 12),
+       st.sampled_from(["contiguous", "angle-major", "slice", "buffer"]),
+       st.booleans(), st.data())
+def test_phi_substep_in_place_matches_copy(m, n_phi, layout, dyadic, data):
+    # into any angle-last layout, and in place, the bits of the copy path; on
+    # dyadic data, where every operation is exact, each row keeps its mass
+    # exactly, because the face fluxes telescope
+    if dyadic:
+        # h = 1 and dt <= 0.5 keep the CFL bound >= 0.6: one sub-cycle of
+        # weights that are multiples of 2^-7
+        h = 1.0
+        Phi_face = np.array(data.draw(st.lists(st.sampled_from(
+            [-0.5, -0.25, -0.0, 0.0, 0.25, 0.5]), min_size=n_phi,
+            max_size=n_phi)))
+        D = data.draw(st.sampled_from([0.0, 0.125, 0.25]))
+        dt = data.draw(st.sampled_from([0.0625, 0.125, 0.25, 0.5]))
+        vals = np.floor(patchy_values(data.draw(st.integers(0, 2 ** 32 - 1)),
+                                      (2, m, n_phi)) * 1024.0) / 1024.0
+    else:
+        h = 2.0 * math.pi / n_phi
+        Phi_face = np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
+                                               min_size=n_phi,
+                                               max_size=n_phi)))
+        D = data.draw(st.floats(0.0, 0.5))
+        dt = data.draw(st.floats(0.0, 3.0))
+        vals = patchy_values(data.draw(st.integers(0, 2 ** 32 - 1)),
+                             (2, m, n_phi))
+    ref = phi_substep(vals, Phi_face, D, h, dt)
+    w = _angle_last_copy(np.full_like(vals, np.nan), layout)
+    assert phi_substep(vals, Phi_face, D, h, dt, out=w) is w
+    _assert_same_bits(w, ref)
+    v = _angle_last_copy(vals, layout)
+    assert phi_substep(v, Phi_face, D, h, dt, out=v) is v
+    _assert_same_bits(v, ref)
+    if layout == "slice":
+        assert np.isnan(v.base).sum() == v.base.size - v.size
+    if dyadic:
+        _assert_same_bits(v.sum(axis=-1), vals.sum(axis=-1))
+
+
+@st.composite
+def _march_cases(draw):
+    """A graded grid of n_y cells, speeds, drift, eps, a step and up to
+    three snapshot times, for a march of at most about 25 steps."""
+    return (draw(st.floats(0.1, 1.0)), draw(st.floats(1.01, 1.1)),
+            draw(st.integers(4, 8)), draw(positive_speeds),
+            draw(angular_drifts), draw(st.floats(0.005, 0.5)),
+            draw(st.floats(0.01, 0.5)), draw(st.floats(0.02, 0.2)),
+            draw(st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3)),
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+
+
+@pytest.mark.parametrize("splitting", ["lie", "strang"])
+@pytest.mark.parametrize("n_y", [9, 17, 48, 64, 100, 256])
+@settings(max_examples=8, deadline=None)
+@given(_march_cases())
+def test_march_in_buffer_matches_copy_composition(n_y, splitting, case):
+    # the in-buffer march against each step solved into a fresh array by
+    # _factor_columns' solve(rhs), walls + gain * f[0] as new arrays, and
+    # the out-of-place angular substep: bit for bit, at D = 0 and D > 0,
+    # with the caller's arrays untouched
+    (width, ratio, n_phi, V, Phi, eps, D, dt, times, seed,
+     angle_major) = case
+    layer = max(8, n_y // 2)
+    k = np.arange(1, n_y - layer + 1)
+    yg = build_y_grid(width * (1.0 + np.sum(ratio ** k) / layer), n_y,
+                      width, layer)
+    pg = build_phi_grid(n_phi)
+    vals = patchy_values(seed, (n_y, n_phi))
+    if angle_major:
+        vals = np.asfortranarray(vals)
+    wall = patchy_values(seed + 1, n_phi)
+    kept = vals.copy(), wall.copy()
+    cfg = FullSolverConfig(dt=dt, splitting=splitting)
+    V_nodes = V(pg.nodes)
+    for D_case in (0.0, D):
+        params = ModelParams(epsilon=eps, D=D_case, T=0.5, V=V, Phi=Phi)
+        for coeffs, run, state in (
+                (_fitted_flux_coeffs(V_nodes, eps, yg),
+                 lambda: [(s.values,) for _, s in run_full(
+                     PhaseField(vals, yg, pg), params, cfg, times)],
+                 (vals,)),
+                (_open_wall_coeffs(V_nodes, yg),
+                 lambda: [(s.bulk.values, s.wall) for _, s in run_limit(
+                     BulkWallState(PhaseField(vals, yg, pg), wall), params,
+                     cfg, times)],
+                 (vals, wall))):
+            ref = _march_reference(
+                lambda state, dt: _y_step(*coeffs, yg.widths, dt)(state),
+                state, params, pg, cfg, times, phi=phi_substep)
+            for got, want in zip(run(), ref, strict=True):
+                for x, y in zip(got, want, strict=True):
+                    _assert_same_bits(x, y)
+    _assert_same_bits(vals, kept[0])
+    _assert_same_bits(wall, kept[1])
+
+
 @pytest.mark.parametrize("shape", [(16,), (5, 16), (2, 3, 16)])
 @pytest.mark.parametrize("D", [0.0, 0.3])
 def test_face_weights_match_flux_form(shape, D):
@@ -810,12 +943,14 @@ def test_face_weights_match_flux_form(shape, D):
 def test_march_calls_phi_substep_per_array_and_half_step(splitting,
                                                          monkeypatch):
     # the march reaches the angular substep through the module attribute:
-    # once per state array and step for Lie, at dt / 2 twice for Strang
+    # once per state array and step for Lie, at dt / 2 twice for Strang,
+    # each in place: on the y-solve's buffer rows, (2, 24, 16) for 48 rows,
+    # and on the wall
     calls = []
 
-    def counted(values, Phi_face, D, h, dt):
-        calls.append((values.shape, dt))
-        return phi_substep(values, Phi_face, D, h, dt)
+    def counted(values, Phi_face, D, h, dt, out=None):
+        calls.append((values.shape, dt, out is values))
+        return phi_substep(values, Phi_face, D, h, dt, out=out)
 
     monkeypatch.setattr(full_solver, "phi_substep", counted)
     yg = build_y_grid(4.0, 48, 0.4, 16)
@@ -832,14 +967,17 @@ def test_march_calls_phi_substep_per_array_and_half_step(splitting,
 
     run_full(steady_layer(params.V, params.epsilon, yg, pg), params, cfg,
              times)
-    assert [shape for shape, _ in calls] == [(48, 16)] * len(subs)
-    assert [dt for _, dt in calls] == subs
+    assert [shape for shape, _, _ in calls] == [(2, 24, 16)] * len(subs)
+    assert [dt for _, dt, _ in calls] == subs
+    assert all(in_place for _, _, in_place in calls)
 
     calls.clear()
     run_limit(manufactured_state(0.0, 1.0, 0.5, 0.2, yg, pg), params, cfg,
               times)
-    assert [shape for shape, _ in calls] == [(48, 16), (16,)] * len(subs)
-    assert [dt for _, dt in calls] == [dt for dt in subs for _ in range(2)]
+    assert [shape for shape, _, _ in calls] == [(2, 24, 16), (16,)] * len(
+        subs)
+    assert [dt for _, dt, _ in calls] == [dt for dt in subs for _ in range(2)]
+    assert all(in_place for _, _, in_place in calls)
 
 
 def test_angular_weights_are_read_only():
@@ -855,7 +993,7 @@ def test_angular_weights_are_read_only():
     # the cache hands the same weights to the next call with equal
     # arguments, and they are unchanged
     assert _angular_setup(Phi_face.copy().tobytes(), 0.3, pg.h, 0.4)[1] is own
-    _assert_same_bits(own[:, 0], 0.4 / n_sub / pg.h
+    _assert_same_bits(own, 0.4 / n_sub / pg.h
                       * (np.maximum(Phi_face, 0.0) + 0.3 / pg.h))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ def test_graded_grid_example():
     # widths never shrink and never more than double
     assert np.all(g.widths[1:] >= g.widths[:-1] * (1 - 1e-9))
     assert np.all(g.widths[1:] <= g.widths[:-1] * (2 + 1e-6))
+
+
+def test_wide_stretch_does_not_overflow():
+    # 896 stretch cells: the bracket's 4 ** k overflows past k = 512, which
+    # warned (a traceback under -W error) though the grid came out right
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_y_grid(8.0, 1024, 0.4, 128)
+    assert g.n_y == 1024 and g.faces[-1] == 8.0
+    np.testing.assert_allclose(g.widths[:128], 0.4 / 128, rtol=1e-13)
+    assert np.all(g.widths[129:] >= g.widths[128:-1])
 
 
 def test_degenerate_uniform_grid():
