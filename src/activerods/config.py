@@ -126,10 +126,7 @@ def _numbers(text: str) -> list:
 
 
 def _integers(text: str) -> list:
-    vals = _numbers(text)
-    if any(v != int(v) for v in vals):
-        raise ConfigurationError("not a list of integers")
-    return [int(v) for v in vals]
+    return [_integer(tok) for tok in text.replace(",", " ").split()]
 
 
 def _auto_or_number(text: str):

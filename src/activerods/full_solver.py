@@ -33,8 +33,10 @@ sub-cycle count and the two face weights of the flux with the step
 folded in) is cached per drift, D, h and dt, so each sub-cycle is five
 numpy passes and no gather.
 
-A march keeps a segment's field in the y-solve's work buffer from its
-first step to its last, and takes both substeps in place there.
+Both kernels step their argument in place, and run_full and run_limit
+copy their input once: a march keeps a segment's field in the y-solve's
+work buffer from its first step to its last, and takes both substeps
+there.
 """
 
 from __future__ import annotations
@@ -112,17 +114,18 @@ def _fitted_flux_coeffs(V_nodes: np.ndarray, eps: float, y_grid: YGrid):
 
 
 class _ColumnSolve:
-    """A system factored by _factor_columns. Called on rhs, it copies rhs
-    in, solves, and returns the solution, angle-major in memory. A march
-    instead load()s its field once, then per step calls eliminate() and
-    works in place on `rows`, the real rows angle last (2, (n_y + 1) // 2,
-    n_phi), with one padding row in the odd half for an odd n_y, and on
-    `wall`, row 0; and unload()s once. Elimination only adds zero products
-    to padding rows and scales them by 1, and the angular substep keeps a
-    row of +0.0 at +0.0, so for finite data they need no refill."""
+    """A system factored by _factor_columns, solved in place in its work
+    buffer: load() copies a field in, each eliminate() advances it by one
+    solve, and unload() copies it out. Between them a march works on
+    `rows`, the real rows angle last (2, (n_y + 1) // 2, n_phi), with one
+    padding row in the odd half for an odd n_y, and on `wall`, row 0.
+    load() zeroes the padding rows. Elimination only adds zero products to
+    them and scales them by 1, and the angular substep keeps a row of +0.0
+    at +0.0, so for finite data they stay zero, and a non-finite solve
+    does not reach the next load."""
 
     def __init__(self, buf: np.ndarray, ops: list, n_y: int):
-        self.ops, self.n_y = ops, n_y
+        self.ops = ops
         n_even = (n_y + 1) // 2
         self.real = buf[0, :, :n_even], buf[1, :, :n_y // 2]
         self.padding = buf[0, :, n_even:], buf[1, :, n_y // 2:]
@@ -132,6 +135,8 @@ class _ColumnSolve:
     def load(self, f: np.ndarray):
         np.copyto(self.real[0], f.T[:, ::2])
         np.copyto(self.real[1], f.T[:, 1::2])
+        for rows in self.padding:
+            rows.fill(0.0)
 
     def eliminate(self):
         for op, m, x, out in self.ops:
@@ -142,21 +147,12 @@ class _ColumnSolve:
         out[::2], out[1::2] = self.real[0].T, self.real[1].T
         return out
 
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        self.load(rhs)
-        # a solve of finite data leaves the padding zero; this keeps a
-        # non-finite one from reaching the next
-        for rows in self.padding:
-            rows.fill(0.0)
-        self.eliminate()
-        return self.unload(np.empty((self.wall.size, self.n_y)).T)
-
 
 def _factor_columns(lower: np.ndarray, diag: np.ndarray,
                     upper: np.ndarray):
     """Factor the tridiagonal system of every angle column at once by
     cyclic reduction and return its _ColumnSolve, which runs only the
-    precomputed eliminations.
+    precomputed eliminations, in place in its work buffer.
 
     All arguments are shaped (n_y, n_phi); row i of column j reads
     lower[i, j] x[i-1, j] + diag[i, j] x[i, j] + upper[i, j] x[i+1, j]
@@ -255,8 +251,9 @@ def _implicit_y_step(a: np.ndarray, b: np.ndarray, widths: np.ndarray,
                      dt: float):
     """Backward-Euler step of d_t f + (G_{i+1} - G_i)/w_i = 0 with the
     linear flux G_i = a_i f_{i-1} - b_i f_i, factored once for the step
-    size dt: returns (solve, gain), for f_new = solve(f) and each wall
-    density wall + gain * f_new[0].
+    size dt: returns (solve, gain), the _ColumnSolve that steps a loaded f
+    in place, and each wall's gain per unit of f_new[0]: a wall steps in
+    place by wall += gain * solve.wall.
 
     Each wall gains exactly what left through the wall face, dt b_0
     f_0_new, so the mass of f plus a wall telescopes; with the wall face
@@ -317,49 +314,45 @@ def _angular_setup(Phi_bytes: bytes, D: float, h: float, dt: float):
 
 
 def phi_substep(values: np.ndarray, Phi_face: np.ndarray, D: float,
-                h: float, dt: float, out: np.ndarray = None) -> np.ndarray:
-    """Explicit conservative angular substep, sub-cycled at
-    FullSolverConfig.safety of the CFL bound.
+                h: float, dt: float) -> np.ndarray:
+    """Explicit conservative angular substep of values, in place,
+    sub-cycled at FullSolverConfig.safety of the CFL bound; returns
+    values.
 
     Upwinds on the sign of Phi at each face, centered two-point
-    diffusion. Works on any array whose last axis is the angle. The
-    result goes into out, any angle-last float array of values' shape
-    (a strided view, or values itself for a step in place), or without
-    out into a new array laid out angle-major in memory; either is
-    returned. The sub-cycle bound counts the outflow through both faces
-    of a cell (Phi can change sign outward across one), which keeps
-    non-negative values non-negative.
+    diffusion. values is any writeable float64 array whose last axis is
+    the angle, a strided view included. The sub-cycle bound counts the
+    outflow through both faces of a cell (Phi can change sign outward
+    across one), which keeps non-negative values non-negative.
 
     Each sub-cycle forms the face fluxes F = own u + nxt u_{j+1} from the
     weights of _angular_setup, which fold in the step and are built once
     per drift, D, h and dt, and takes u -= F_j - F_{j-1}, so that mass
-    telescopes. Raises ConfigurationError for a negative or non-finite dt
-    or D, an h that is not positive and finite, a non-finite Phi_face, or
-    more than _MAX_STEPS sub-cycles; dt = 0 or a vanishing operator
-    returns a copy."""
+    telescopes. Raises ConfigurationError, before any work, for values
+    that are read-only or not float64, a negative or non-finite dt or D,
+    an h that is not positive and finite, a non-finite Phi_face, or more
+    than _MAX_STEPS sub-cycles; dt = 0 or a vanishing operator leaves
+    values as they are."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.writeable):
+        raise ConfigurationError(
+            "angular substep steps its values in place: they must be a "
+            "writeable float64 array")
     n_sub, own, nxt = _angular_setup(
         np.asarray(Phi_face, dtype=float).tobytes(), D, h, dt)
-    if out is None:
-        # angle-major, so that shifting the angle by one is a copy of
-        # contiguous blocks
-        out = np.array(values.transpose(-1, *range(values.ndim - 1)),
-                       dtype=float, order="C").transpose(
-                           *range(1, values.ndim), 0)
-    elif out is not values:
-        np.copyto(out, values)
     if n_sub:
-        # in out's memory order: C-ordered ones took 2.4 times as long on
+        # in values' memory order: C-ordered ones took 2.4 times as long on
         # the y-solve's 256 x 128 rows
-        F, tmp = np.empty_like(out), np.empty_like(out)
+        F, tmp = np.empty_like(values), np.empty_like(values)
     for _ in range(n_sub):
-        np.multiply(own, out, out=F)
-        np.multiply(nxt[:-1], out[..., 1:], out=tmp[..., :-1])
-        np.multiply(nxt[-1:], out[..., :1], out=tmp[..., -1:])
+        np.multiply(own, values, out=F)
+        np.multiply(nxt[:-1], values[..., 1:], out=tmp[..., :-1])
+        np.multiply(nxt[-1:], values[..., :1], out=tmp[..., -1:])
         np.add(F, tmp, out=F)
         np.subtract(F[..., 1:], F[..., :-1], out=tmp[..., 1:])
         np.subtract(F[..., :1], F[..., -1:], out=tmp[..., :1])
-        np.subtract(out, tmp, out=out)
-    return out
+        np.subtract(values, tmp, out=values)
+    return values
 
 
 def _check_health(state: tuple, y_grid: YGrid, phi_grid: PhiGrid):
@@ -404,7 +397,7 @@ def _march(state: tuple, a: np.ndarray, b: np.ndarray, params: ModelParams,
 
     def phi_step(arrays, dt):
         for v in arrays:
-            phi_substep(v, Phi_face, params.D, phi_grid.h, dt, out=v)
+            phi_substep(v, Phi_face, params.D, phi_grid.h, dt)
 
     times = sorted(set(float(t) for t in snapshot_times))
     if not times:

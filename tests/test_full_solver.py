@@ -20,13 +20,20 @@ from conftest import (angular_drifts, const, graded_y_grids, positive_speeds,
                       wall_drive)
 
 
+def _solved(solve, rhs):
+    """rhs solved by the in-place _ColumnSolve solve into a fresh array."""
+    solve.load(rhs)
+    solve.eliminate()
+    return solve.unload(np.empty(rhs.shape))
+
+
 def _y_step(a, b, widths, dt):
     """The y-substep as a copy: (f, *walls) -> (f_new, *walls_new), with
     f_new solved into a fresh array and each wall + gain * f_new[0]."""
     solve, gain = _implicit_y_step(a, b, widths, dt)
 
     def step(state):
-        f = solve(state[0])
+        f = _solved(solve, state[0])
         return (f, *(wall + gain * f[0] for wall in state[1:]))
 
     return step
@@ -161,7 +168,7 @@ def test_phi_substep_positive_where_drift_diverges():
     pg = build_phi_grid(4)
     vals = np.array([[0.0, 0.0, 1.0, 0.0]])
     for dt in np.linspace(0.1, 4.0, 40):
-        out = phi_substep(vals, -np.sin(pg.faces), 0.0, pg.h, dt)
+        out = phi_substep(vals.copy(), -np.sin(pg.faces), 0.0, pg.h, dt)
         assert np.min(out) >= 0.0
         assert np.sum(out) == pytest.approx(1.0, rel=1e-14)
 
@@ -406,14 +413,14 @@ def test_cyclic_reduction_at_every_size():
             lower, diag, upper, w, tol = _random_fitted_system(rng, n_y,
                                                                n_phi)
             rhs = patchy_values(n_y * 10 + n_phi, (n_y, n_phi))
-            out = _factor_columns(lower, diag, upper)(rhs)
+            out = _solved(_factor_columns(lower, diag, upper), rhs)
             ref = _thomas(lower, diag, upper, rhs)
             assert out.shape == (n_y, n_phi)
             assert np.sum(np.abs(out - ref) * w) <= tol * np.sum(ref * w)
             for j in range(n_phi):
                 col = slice(j, j + 1)
-                _assert_same_bits(out[:, col], _factor_columns(
-                    lower[:, col], diag[:, col], upper[:, col])(rhs[:, col]))
+                _assert_same_bits(out[:, col], _solved(_factor_columns(
+                    lower[:, col], diag[:, col], upper[:, col]), rhs[:, col]))
 
 
 def _strided_cyclic_reduction(lower, diag, upper):
@@ -475,9 +482,8 @@ def test_cyclic_reduction_matches_strided_reference_bit_for_bit():
                        (np.zeros_like(r), 1.0 + r, -r)]
             rhs = patchy_values(n_y * 10 + n_phi, (n_y, n_phi))
             for system in systems:
-                out = _factor_columns(*system)(rhs)
+                out = _solved(_factor_columns(*system), rhs)
                 _assert_same_bits(out, _strided_cyclic_reduction(*system)(rhs))
-                assert out.T.flags.c_contiguous
 
 
 def test_non_finite_solve_does_not_reach_the_next(small_grids):
@@ -800,7 +806,7 @@ def test_phi_substep_matches_roll_reference(shape, D):
     for name, Phi_face in _drift_table(pg).items():
         for dt in (0.0, 0.01, 0.4, 3.0):
             for v in (vals, np.asfortranarray(vals)):
-                out = phi_substep(v, Phi_face, D, pg.h, dt)
+                out = phi_substep(v.copy(order="K"), Phi_face, D, pg.h, dt)
                 _assert_same_bits(
                     out, _phi_substep_reference(v, Phi_face, D, pg.h, dt))
 
@@ -831,9 +837,10 @@ def _angle_last_copy(values, layout):
        st.sampled_from(["contiguous", "angle-major", "slice", "buffer"]),
        st.booleans(), st.data())
 def test_phi_substep_in_place_matches_copy(m, n_phi, layout, dyadic, data):
-    # into any angle-last layout, and in place, the bits of the copy path; on
-    # dyadic data, where every operation is exact, each row keeps its mass
-    # exactly, because the face fluxes telescope
+    # in place on any angle-last layout, the bits of a C-contiguous copy,
+    # and the very array it was given back; on dyadic data, where every
+    # operation is exact, each row keeps its mass exactly, because the face
+    # fluxes telescope
     if dyadic:
         # h = 1 and dt <= 0.5 keep the CFL bound >= 0.6: one sub-cycle of
         # weights that are multiples of 2^-7
@@ -854,12 +861,9 @@ def test_phi_substep_in_place_matches_copy(m, n_phi, layout, dyadic, data):
         dt = data.draw(st.floats(0.0, 3.0))
         vals = patchy_values(data.draw(st.integers(0, 2 ** 32 - 1)),
                              (2, m, n_phi))
-    ref = phi_substep(vals, Phi_face, D, h, dt)
-    w = _angle_last_copy(np.full_like(vals, np.nan), layout)
-    assert phi_substep(vals, Phi_face, D, h, dt, out=w) is w
-    _assert_same_bits(w, ref)
+    ref = phi_substep(vals.copy(), Phi_face, D, h, dt)
     v = _angle_last_copy(vals, layout)
-    assert phi_substep(v, Phi_face, D, h, dt, out=v) is v
+    assert phi_substep(v, Phi_face, D, h, dt) is v
     _assert_same_bits(v, ref)
     if layout == "slice":
         assert np.isnan(v.base).sum() == v.base.size - v.size
@@ -885,9 +889,9 @@ def _march_cases(draw):
 @given(_march_cases())
 def test_march_in_buffer_matches_copy_composition(n_y, splitting, case):
     # the in-buffer march against each step solved into a fresh array by
-    # _factor_columns' solve(rhs), walls + gain * f[0] as new arrays, and
-    # the out-of-place angular substep: bit for bit, at D = 0 and D > 0,
-    # with the caller's arrays untouched
+    # load / eliminate / unload, walls + gain * f[0] as new arrays, and
+    # the angular substep on a copy: bit for bit, at D = 0 and D > 0, with
+    # the caller's arrays untouched
     (width, ratio, n_phi, V, Phi, eps, D, dt, times, seed,
      angle_major) = case
     layer = max(8, n_y // 2)
@@ -916,7 +920,8 @@ def test_march_in_buffer_matches_copy_composition(n_y, splitting, case):
                  (vals, wall))):
             ref = _march_reference(
                 lambda state, dt: _y_step(*coeffs, yg.widths, dt)(state),
-                state, params, pg, cfg, times, phi=phi_substep)
+                state, params, pg, cfg, times,
+                phi=lambda v, *args: phi_substep(v.copy(), *args))
             for got, want in zip(run(), ref, strict=True):
                 for x, y in zip(got, want, strict=True):
                     _assert_same_bits(x, y)
@@ -943,14 +948,15 @@ def test_face_weights_match_flux_form(shape, D):
 def test_march_calls_phi_substep_per_array_and_half_step(splitting,
                                                          monkeypatch):
     # the march reaches the angular substep through the module attribute:
-    # once per state array and step for Lie, at dt / 2 twice for Strang,
-    # each in place: on the y-solve's buffer rows, (2, 24, 16) for 48 rows,
-    # and on the wall
+    # once per state array and step for Lie, at dt / 2 twice for Strang:
+    # on the y-solve's buffer rows, (2, 24, 16) for 48 rows, and on the
+    # wall, each stepped in place and handed back
     calls = []
 
-    def counted(values, Phi_face, D, h, dt, out=None):
+    def counted(values, Phi_face, D, h, dt):
+        out = phi_substep(values, Phi_face, D, h, dt)
         calls.append((values.shape, dt, out is values))
-        return phi_substep(values, Phi_face, D, h, dt, out=out)
+        return out
 
     monkeypatch.setattr(full_solver, "phi_substep", counted)
     yg = build_y_grid(4.0, 48, 0.4, 16)
@@ -1018,12 +1024,28 @@ def test_phi_substep_rejects_bad_arguments(D, h, dt, Phi):
 
 @pytest.mark.parametrize("Phi, D, dt", [(0.3, 0.2, 0.0), (0.0, 0.0, 0.1)],
                          ids=["dt_zero", "operator_zero"])
-def test_phi_substep_identity_returns_copy(Phi, D, dt):
+def test_phi_substep_identity_leaves_values(Phi, D, dt):
     pg = build_phi_grid(16)
     vals = patchy_values(7, (4, 16))
-    out = phi_substep(vals, np.full(16, Phi), D, pg.h, dt)
-    assert not np.shares_memory(out, vals)
-    _assert_same_bits(out, vals)
+    kept = vals.copy()
+    assert phi_substep(vals, np.full(16, Phi), D, pg.h, dt) is vals
+    _assert_same_bits(vals, kept)
+
+
+@pytest.mark.parametrize("values", [
+    np.ones((4, 16)), np.ones((4, 16), dtype=np.int64),
+    np.ones((4, 16), dtype=np.float32)],
+    ids=["read_only", "int64", "float32"])
+def test_phi_substep_refuses_what_it_cannot_step_in_place(values):
+    # before any work, and also for a step that would be the identity
+    values.flags.writeable = values.dtype != np.float64
+    kept = values.copy()
+    pg = build_phi_grid(16)
+    for dt in (0.1, 0.0):
+        with pytest.raises(ConfigurationError, match="writeable float64"):
+            phi_substep(values, np.full(16, 0.3), 0.2, pg.h, dt)
+        np.testing.assert_array_equal(values, kept)
+        assert values.dtype == kept.dtype
 
 
 @pytest.mark.parametrize("splitting", ["lie", "strang"])
