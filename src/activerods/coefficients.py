@@ -12,14 +12,12 @@ shifted_sine  : g0 + a * (1 + sin(phi))
 paper_shear   : -gamma * sin(phi)**2
 wall_drive    : g - v_prop * sin(phi)
 
-Their bounds, taken where sin and cos of phi or 2 phi are exactly 0 or
-+-1 (phi = 0, pi/4, pi/2, 3 pi/2), are exact to the last bit:
-
-family        min c             sup|c|               sup|c'|   sup|c''|
-constant      c                 |c|                  0         0
-shifted_sine  min(g0, g0 + 2a)  max(|g0|, |g0 + 2a|) |a|       |a|
-paper_shear   min(0, -gamma)    |gamma|              |gamma|   2|gamma|
-wall_drive    g - |v_prop|      |g| + |v_prop|       |v_prop|  |v_prop|
+The bounds (min c and the sup norms of c, c' and c'') are read from the
+family's own values at _EXTREMES, phi = 0, pi/4, pi/2 and 3 pi/2. That
+is exact: each family and derivative is affine in one of sin phi, cos
+phi, sin 2 phi and cos 2 phi (sin(phi)**2 = (1 - cos 2 phi) / 2), so its
+minimum and its largest magnitude lie where that function is +-1, and
+these angles give those values exactly, in floating point too.
 """
 
 from __future__ import annotations
@@ -37,6 +35,9 @@ _FAMILIES = {
     "paper_shear": ("gamma",),
     "wall_drive": ("g", "v_prop"),
 }
+# The angles at which every family's bounds are attained (module docstring).
+_EXTREMES = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi, 1.5 * np.pi])
+_EXTREMES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -151,29 +152,13 @@ def _values(coeff: AngularCoefficient, sin_phi, out: np.ndarray,
     return out
 
 
-def _bounds(coeff: AngularCoefficient) -> tuple:
-    """(min c, sup|c|, sup|c'|, sup|c''|), the module docstring's table."""
-    p = {k: float(v) for k, v in coeff.params.items()}
-    if coeff.family == "constant":
-        c = p["value"]
-        return c, abs(c), 0.0, 0.0
-    if coeff.family == "shifted_sine":
-        g0, top = p["g0"], p["g0"] + 2.0 * p["a"]
-        return min(g0, top), max(abs(g0), abs(top)), abs(p["a"]), abs(p["a"])
-    if coeff.family == "paper_shear":
-        gamma = p["gamma"]
-        return min(0.0, -gamma), abs(gamma), abs(gamma), 2.0 * abs(gamma)
-    g, v = p["g"], p["v_prop"]
-    return g - abs(v), abs(g) + abs(v), abs(v), abs(v)
-
-
 def validate_assumptions(V: AngularCoefficient) -> float:
     """Check that the speed field stays strictly positive.
 
     Returns the exact minimum g_min = min_phi V(phi). Raises
     AssumptionViolationError when min <= 0.
     """
-    g_min = _bounds(V)[0]
+    g_min = float(eval_coeff(V, _EXTREMES).min())
     if g_min <= 0.0:
         raise AssumptionViolationError(
             f"speed field must be strictly positive; min {g_min:.6g}")
@@ -182,9 +167,7 @@ def validate_assumptions(V: AngularCoefficient) -> float:
 
 def sup_abs(coeff: AngularCoefficient, order: int = 0) -> float:
     """Exact sup norm of a coefficient or one of its derivatives."""
-    if order not in (0, 1, 2):
-        raise ConfigurationError(f"derivative order must be 0, 1 or 2, got {order}")
-    return _bounds(coeff)[1 + order]
+    return float(np.abs(eval_coeff(coeff, _EXTREMES, order)).max())
 
 
 def mu0(Phi: AngularCoefficient) -> float:

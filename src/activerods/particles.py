@@ -6,8 +6,9 @@
 Randomness is counter-based: every draw is one splitmix64 hash of a
 (key, counter) input, so ensembles are bitwise reproducible no matter
 how steps are scheduled or partitioned across workers. No generator
-state is carried between calls. For one fixed odd 64-bit S and the
-golden-ratio constant G (all sums mod 2^64):
+state is carried between calls. For a seed in [0, 2^64), which
+ParticleEnsemble checks, one fixed odd 64-bit S and the golden-ratio
+constant G (all sums mod 2^64):
 
 - sample_initial (counter slot 0) keys particle k by seed XOR (k S) and
   hashes key + c G with c = 3 for its y draw and c = 4 for its angle.
@@ -119,6 +120,9 @@ class ParticleEnsemble:
         if self.y.ndim != 1 or self.phi.shape != self.y.shape:
             raise ConfigurationError(
                 "particle arrays y and phi must be 1-D and of one length")
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError(
+                f"seed must be an integer in [0, 2^64), got {self.seed}")
 
     @property
     def n(self) -> int:
@@ -138,10 +142,10 @@ def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 
 def _keys(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Substream keys seed XOR (k * _STRIDE) of particles lo..hi-1."""
-    keys = np.arange(lo, hi, dtype=np.uint64)
-    keys *= np.uint64(_STRIDE)
-    keys ^= np.uint64(seed % (1 << 64))
+    """Substream keys seed XOR (k * _STRIDE) of particles lo..hi-1, at
+    most _CHUNK of them."""
+    keys = _STRIDES[:hi - lo] + np.uint64(lo * _STRIDE % (1 << 64))
+    keys ^= np.uint64(seed)
     return keys
 
 
@@ -164,10 +168,10 @@ def sample_initial(n: int, seed: int, y_max: float) -> ParticleEnsemble:
     truncated to [0, y_max] (inverse CDF), phi uniform on [0, 2 pi).
     Uses counter slot 0; dynamics steps start at slot 1 (see the module
     docstring)."""
-    y, phi = np.empty(n), np.empty(n)
+    e = ParticleEnsemble(y=np.empty(n), phi=np.empty(n), seed=seed)
     _run_chunks(n, functools.partial(
-        _initial_chunk, seed, 1.0 - np.exp(-y_max), y, phi))
-    return ParticleEnsemble(y=y, phi=phi, seed=seed)
+        _initial_chunk, seed, 1.0 - np.exp(-y_max), e.y, e.phi))
+    return e
 
 
 def _initial_chunk(seed: int, mass: float, y: np.ndarray, phi: np.ndarray,
@@ -200,7 +204,7 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
                                  f"within the weak-order bound [0, {bound:.3g}]")
     if not (e.y.flags.writeable and e.phi.flags.writeable):
         raise ConfigurationError("ensemble arrays y and phi must be writeable")
-    seed_key = _mix64(np.array([e.seed % (1 << 64)], dtype=np.uint64),
+    seed_key = _mix64(np.array([e.seed], dtype=np.uint64),
                       np.empty(1, dtype=np.uint64))[0]
     _run_chunks(e.n, functools.partial(
         _step_chunk, e, params, dt,

@@ -1,7 +1,7 @@
 """The pair runner's summary and its verdicts, on the stored
 BENCH_pr22.json and on every committed BENCH file, its
-standard-library-only imports, and the one list of config subcommands
-that it, the CLI and the CI workflow each spell out."""
+standard-library-only imports, and the config subcommands it reads from
+a checkout's own CLI."""
 
 import ast
 import glob
@@ -149,12 +149,13 @@ def test_gain_rule_and_bound_edges():
 
 
 def test_config_subcommand_lists_agree():
-    # the pair runner's config subcommands and the CLI's, which the CI
-    # workflow iterates. Kills a subcommand added to the CLI but not to the
-    # pair runner.
+    # the pair runner asks each checkout's own CLI for its config
+    # subcommands, so a parent that lacks a new one runs those it has;
+    # on this checkout the lookup gives the CLI's list, which the CI
+    # workflow iterates too
     from activerods import cli
 
-    assert tuple(_tool().CONFIG_SUBCOMMANDS) == tuple(cli._CONFIG_COMMANDS)
+    assert _tool().config_subcommands(ROOT) == list(cli._CONFIG_COMMANDS)
 
 
 def test_tool_imports_only_the_standard_library():

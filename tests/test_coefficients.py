@@ -8,7 +8,7 @@ from activerods import (AngularCoefficient, AssumptionViolationError,
                         ConfigurationError, ModelParams,
                         epsilon_from_physical, mu0, sup_abs,
                         validate_assumptions)
-from activerods.coefficients import _bounds, _values, eval_coeff
+from activerods.coefficients import _values, eval_coeff
 
 from conftest import (angular_drifts, coeff_value_reference, const,
                       positive_speeds, shear, shifted_sine, wall_drive)
@@ -117,27 +117,25 @@ def test_sup_abs():
 
 def _sampled(coeff, order):
     # the 4096-angle sampling that validate_assumptions, sup_abs and mu0
-    # used before their closed forms, kept as their reference
+    # used before they read the bounds at _EXTREMES, kept as their
+    # reference; its angles hold the four of _EXTREMES exactly
     phi = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     return eval_coeff(coeff, phi, order)
 
 
 @given(st.one_of(angular_drifts, positive_speeds))
-def test_closed_form_bounds_match_sampled(coeff):
+def test_bounds_match_sampled_angles(coeff):
     # sup|.| has no signed zero, so == is bit for bit there; the minimum
-    # may differ from the sampled one only in the sign of a zero
+    # may differ from the sampled one only in the sign of a zero, which
+    # validate_assumptions refuses either way
     for order in (0, 1, 2):
         assert sup_abs(coeff, order) == np.max(np.abs(_sampled(coeff, order)))
-    assert _bounds(coeff)[0] == np.min(_sampled(coeff, 0))
-
-
-@given(st.one_of(angular_drifts, positive_speeds))
-def test_closed_form_bounds_attained_at_documented_angles(coeff):
-    phi = np.array([0.0, 0.25 * np.pi, 0.5 * np.pi, 1.5 * np.pi])
-    for order in (0, 1, 2):
-        assert sup_abs(coeff, order) == np.max(np.abs(eval_coeff(coeff, phi,
-                                                                 order)))
-    assert _bounds(coeff)[0] == np.min(eval_coeff(coeff, phi))
+    g_min = np.min(_sampled(coeff, 0))
+    if g_min > 0.0:
+        assert validate_assumptions(coeff) == g_min
+    else:
+        with pytest.raises(AssumptionViolationError):
+            validate_assumptions(coeff)
 
 
 def test_sup_abs_rejects_order():

@@ -50,12 +50,17 @@ CASES = [
     (("grid", "n_phi", "3"), "particles", 2, "at least 4 angular nodes"),
     (("grid", "layer_width", "1e-300"), "run-limit", 2,
      "stretched region cannot reach y_max"),
-    # seeds, read exactly however large, and the particles' starting law
-    (("experiment", "seeds", "-5"), "particles", 0, "seed -5,"),
-    (("experiment", "seeds", str(2 ** 80)), "particles", 0,
-     f"seed {2 ** 80},"),
+    # seeds, read exactly however large, each naming its own stream, so
+    # only those in [0, 2^64) run; and the particles' starting law
+    (("experiment", "seeds", "-5"), "particles", 2,
+     "seed must be an integer in [0, 2^64), got -5"),
+    (("experiment", "seeds", str(2 ** 80)), "particles", 2,
+     f"seed must be an integer in [0, 2^64), got {2 ** 80}"),
+    (("experiment", "seeds", "0"), "particles", 0, "seed 0,"),
     (("experiment", "seeds", f"{2 ** 53 + 1} 11"), "particles", 0,
      f"seed {2 ** 53 + 1},"),
+    (("experiment", "seeds", str(2 ** 64 - 1)), "particles", 0,
+     f"seed {2 ** 64 - 1},"),
     (("experiment", "seeds", "11.0"), "particles", 2, "not an integer"),
     (("experiment", "initial", "steady_layer"), "particles", 2,
      "cannot run [experiment] initial = steady_layer"),

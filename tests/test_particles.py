@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import sys
@@ -41,7 +42,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 def _xor_key_uniforms(seed, n, counter):
     # one 53-bit uniform per particle, keyed by seed XOR (k * stride): the
     # stream of sample_initial (counters 3 and 4) and of the two-hash step
-    keys = np.uint64(seed % (1 << 64)) ^ (
+    keys = np.uint64(seed) ^ (
         np.arange(n, dtype=np.uint64) * np.uint64(particles._STRIDE))
     offset = np.uint64((_GOLDEN * counter) % (1 << 64))
     bits = _mix64_reference(keys + offset)
@@ -51,7 +52,7 @@ def _xor_key_uniforms(seed, n, counter):
 def _uniforms_reference(seed, n, slot):
     # the step's radius and angle uniforms at a counter slot, both from
     # one hash of mix64(seed) + k * stride + slot * golden per particle
-    seed_key = _mix64_reference(np.array([seed % (1 << 64)], dtype=np.uint64))
+    seed_key = _mix64_reference(np.array([seed], dtype=np.uint64))
     bits = _mix64_reference(
         seed_key + np.arange(n, dtype=np.uint64) * np.uint64(particles._STRIDE)
         + np.uint64((slot * _GOLDEN) % (1 << 64)))
@@ -316,6 +317,34 @@ def test_ensemble_shape_check():
     assert e.n == 3
     with pytest.raises(AttributeError):
         e.n = 4
+
+
+def test_seed_outside_64_bits_refused_before_any_draw(monkeypatch):
+    # each seed names its own stream: -1 and 2^64 were folded mod 2^64
+    # onto the streams of 2^64 - 1 and 0. Kills the check removed, or
+    # moved after sample_initial's draws.
+    drawn = []
+    monkeypatch.setattr(particles, "_initial_chunk",
+                        lambda *args: drawn.append(args))
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ConfigurationError, match=r"in \[0, 2\^64\)"):
+            ParticleEnsemble(y=np.zeros(3), phi=np.zeros(3), seed=seed)
+        with pytest.raises(ConfigurationError, match=r"in \[0, 2\^64\)"):
+            sample_initial(1000, seed, 8.0)
+    assert drawn == []
+
+
+def test_seeds_at_the_ends_of_the_range():
+    # 0 and 2^64 - 1 sample and step; the top seed's initial draws keep
+    # the bits they had when seeds were folded mod 2^64 (sha256 of y then
+    # phi, pinned before the fold went)
+    for seed in (0, 2 ** 64 - 1):
+        e = em_step(sample_initial(1000, seed, 8.0), _MARCH_PARAMS, 0.01)
+        assert (e.seed, e.step) == (seed, 1)
+        assert np.isfinite(e.y).all() and np.isfinite(e.phi).all()
+    e = sample_initial(1000, 2 ** 64 - 1, 8.0)
+    assert hashlib.sha256(e.y.tobytes() + e.phi.tobytes()).hexdigest() == (
+        "5092bdcb5c2e4bbaf0659ef6485f574c7e8fc4e7ab93958a3fa11a914f86f221")
 
 
 def test_sample_initial_matches_reference_draws():

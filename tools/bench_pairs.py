@@ -12,8 +12,8 @@ a temporary directory, so both run from clean checkouts. For each
 workload, pair k runs `python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0` from each checkout's root, the parent first in
 odd pairs and the change first in even ones; then each side runs once
-with `--trace 1`. Each side also runs the eight config subcommands on
-configs/example.cfg once, and the file keeps every CSV's sha256 and
+with `--trace 1`. Each side also runs its own CLI's config subcommands
+on configs/example.cfg once, and the file keeps every CSV's sha256 and
 the names of the CSVs that differ between the sides.
 
 The summary of a stored file (medians per side, the parent's
@@ -46,9 +46,6 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mib")
 BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "BENCHMARK.json")
 SIDES = ("parent", "change")
-CONFIG_SUBCOMMANDS = ("run-full", "run-limit", "composite", "sweep",
-                      "decompose", "particles", "check-coercivity",
-                      "check-resolvent")
 # perfbench's report line of wall_s, e.g.
 #   wall_s   0.578 s   median of 52 passes, min 0.488983, max 0.687895
 _WALL_LINE = re.compile(r"^\s*wall_s\s.*median of (\d+) passes, "
@@ -85,10 +82,21 @@ def bench(root: str, workload: str, seed: int, seconds: float,
     return run
 
 
-def csv_hashes(root: str, out_dir: str) -> dict:
-    """sha256 of every CSV that the config subcommands write from root."""
+def config_subcommands(root: str) -> list:
+    """The config subcommands of root's own CLI, in its order."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    for sub in CONFIG_SUBCOMMANDS:
+    return subprocess.run(
+        [sys.executable, "-c",
+         "from activerods.cli import _CONFIG_COMMANDS as c; print(*c)"],
+        cwd=root, env=env, capture_output=True, text=True,
+        check=True).stdout.split()
+
+
+def csv_hashes(root: str, out_dir: str) -> dict:
+    """sha256 of every CSV that root's config subcommands write; each
+    side runs the subcommands its own CLI has."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for sub in config_subcommands(root):
         subprocess.run([sys.executable, "-m", "activerods.cli", sub,
                         "--config", os.path.join("configs", "example.cfg"),
                         "--out", out_dir], cwd=root, env=env,
