@@ -120,13 +120,17 @@ class ParticleEnsemble:
         if self.y.ndim != 1 or self.phi.shape != self.y.shape:
             raise ConfigurationError(
                 "particle arrays y and phi must be 1-D and of one length")
-        if not 0 <= self.seed < 1 << 64:
-            raise ConfigurationError(
-                f"seed must be an integer in [0, 2^64), got {self.seed}")
+        _check_seed(self.seed)
 
     @property
     def n(self) -> int:
         return len(self.y)
+
+
+def _check_seed(seed: int):
+    if not 0 <= seed < 1 << 64:
+        raise ConfigurationError(
+            f"seed must be an integer in [0, 2^64), got {seed}")
 
 
 def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -196,7 +200,8 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
     Reflects at the wall and at y_max (the zero-flux top face of the
     grid solvers; inf, the default, is no top wall). dt must be finite,
     >= 0 and at most the weak-order bound 0.1 / max(sup|V|, sup|Phi|),
-    which V = Phi = 0 lifts. e's y and phi must be writeable."""
+    which V = Phi = 0 lifts. e's y and phi must be writeable and its
+    seed in [0, 2^64)."""
     drift = max(sup_abs(params.Phi, 0), sup_abs(params.V, 0))
     bound = 0.1 / drift if drift > 0.0 else np.inf
     if not 0.0 <= dt < np.inf or dt > bound * (1.0 + 1e-12):
@@ -204,6 +209,7 @@ def em_step(e: ParticleEnsemble, params: ModelParams, dt: float,
                                  f"within the weak-order bound [0, {bound:.3g}]")
     if not (e.y.flags.writeable and e.phi.flags.writeable):
         raise ConfigurationError("ensemble arrays y and phi must be writeable")
+    _check_seed(e.seed)
     seed_key = _mix64(np.array([e.seed], dtype=np.uint64),
                       np.empty(1, dtype=np.uint64))[0]
     _run_chunks(e.n, functools.partial(

@@ -334,6 +334,18 @@ def test_seed_outside_64_bits_refused_before_any_draw(monkeypatch):
     assert drawn == []
 
 
+def test_seed_reassigned_outside_64_bits_refused_by_em_step():
+    # the dataclass is not frozen: a seed set after construction reaches
+    # em_step's uint64 conversion, which would raise OverflowError
+    for seed in (-1, 2 ** 64):
+        e = sample_initial(10, 1, 8.0)
+        y0 = e.y.copy()
+        e.seed = seed
+        with pytest.raises(ConfigurationError, match=r"in \[0, 2\^64\)"):
+            em_step(e, _MARCH_PARAMS, 0.01)
+        assert e.step == 0 and np.array_equal(e.y, y0)
+
+
 def test_seeds_at_the_ends_of_the_range():
     # 0 and 2^64 - 1 sample and step; the top seed's initial draws keep
     # the bits they had when seeds were folded mod 2^64 (sha256 of y then
