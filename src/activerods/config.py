@@ -82,8 +82,10 @@ class RunConfig:
 
     def initial_states(self, y_grid: YGrid, phi_grid: PhiGrid):
         """The kinetic start of [experiment] initial and its split for the
-        limiting system, (PhaseField, BulkWallState), sharing no array: an
-        exponential bulk carries no wall mass, a steady layer is all wall."""
+        limiting system, (PhaseField, BulkWallState): an exponential bulk
+        carries no wall mass, and the limit's bulk is the kinetic start's
+        array (run_full and run_limit copy their input); a steady layer is
+        all wall."""
         n_phi = phi_grid.n_phi
         if self.experiment.initial == "steady_layer":
             f0 = steady_layer(self.model.V, self.model.epsilon, y_grid,
@@ -91,7 +93,7 @@ class RunConfig:
             bulk, wall = np.zeros((y_grid.n_y, n_phi)), np.ones(n_phi)
         else:
             f0 = bulk_exp_field(y_grid, phi_grid)
-            bulk, wall = f0.values.copy(), np.zeros(n_phi)
+            bulk, wall = f0.values, np.zeros(n_phi)
         return f0, BulkWallState(PhaseField(bulk, y_grid, phi_grid), wall)
 
 

@@ -52,7 +52,8 @@ from .errors import ConfigurationError, NumericalFailureError
 from .grids import PhaseField, YGrid, PhiGrid, wall_layer
 
 # Most equal steps one snapshot segment, or one angular substep's CFL
-# sub-cycling, may take; a request for more is a configuration error.
+# sub-cycling, may take, and most angular sub-cycles in one segment; a
+# request for more is a configuration error.
 _MAX_STEPS = 10 ** 6
 
 
@@ -391,9 +392,12 @@ def _march(state: tuple, a: np.ndarray, b: np.ndarray, params: ModelParams,
     unloads f for _check_health and the snapshot. Returns a list of (t,
     state) pairs of new arrays, one per requested time (t = 0 gives a
     copy of the input). A segment that would need more than _MAX_STEPS
-    steps is refused before any step is taken."""
+    steps, or more than _MAX_STEPS angular sub-cycles in all, or whose
+    angular substep _angular_setup refuses, is refused before any step
+    is taken."""
     Phi_face = params.Phi(phi_grid.faces)
     dt_target = resolve_dt(params, phi_grid, cfg)
+    halves = 2 if cfg.splitting == "strang" else 1
 
     def phi_step(arrays, dt):
         for v in arrays:
@@ -410,28 +414,37 @@ def _march(state: tuple, a: np.ndarray, b: np.ndarray, params: ModelParams,
     t = 0.0
     for t_next in times:
         span = t_next - t
-        n = 0
+        n = dt = 0
         if span > 1e-14:
             n = _step_count(span, dt_target,
                             f"reaching t = {t_next:g} at dt = {dt_target:g}",
                             "increase dt")
-            t = t_next
-        plan.append((t_next, span, n))
-    out = []
-    for t_next, span, n in plan:
-        if n:
             dt = span / n
+            # phi_substep then reads this set-up from the cache
+            n_sub = _angular_setup(np.asarray(Phi_face, dtype=float).tobytes(),
+                                   params.D, phi_grid.h, dt / halves)[0]
+            if n * halves * n_sub > _MAX_STEPS:
+                raise ConfigurationError(
+                    f"reaching t = {t_next:g} needs {n} steps of "
+                    f"{halves * n_sub} angular sub-cycles each, more than "
+                    f"{_MAX_STEPS} sub-cycles in all; reduce Phi, D, n_phi "
+                    "or T")
+            t = t_next
+        plan.append((t_next, dt, n))
+    out = []
+    for t_next, dt, n in plan:
+        if n:
             solve, gain = _implicit_y_step(a, b, y_grid.widths, dt)
             solve.load(state[0])
             walls = [wall.copy() for wall in state[1:]]
             arrays = (solve.rows, *walls)
             for _ in range(n):
-                if cfg.splitting == "strang":
-                    phi_step(arrays, 0.5 * dt)
+                if halves == 2:
+                    phi_step(arrays, dt / halves)
                 solve.eliminate()
                 for wall in walls:
                     wall += gain * solve.wall
-                phi_step(arrays, dt if cfg.splitting == "lie" else 0.5 * dt)
+                phi_step(arrays, dt / halves)
             state = (solve.unload(np.empty(state[0].shape)), *walls)
             _check_health(state, y_grid, phi_grid)
         else:

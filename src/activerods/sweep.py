@@ -92,7 +92,7 @@ def sweep_epsilon(cfg: RunConfig) -> list:
     inner_ref = build_inner(ref_state, cfg.model)
 
     records = []
-    prev_err = None
+    prev = None
     for eps in eps_list:
         f_T, s_T, params = _paired_solve(cfg, eps)
         y_grid, phi_grid = f_T.y_grid, f_T.phi_grid
@@ -107,16 +107,17 @@ def sweep_epsilon(cfg: RunConfig) -> list:
         resid = residual_report(ref_state, inner_ref, params,
                                 eval_y_grid=y_grid)
 
-        order = float("nan") if prev_err is None else \
-            math.log2(prev_err / err) if err > 0 and prev_err > 0 else \
-            float("nan")
+        # log error ratio over log epsilon ratio, for any decreasing ladder
+        order = float("nan") if prev is None else \
+            math.log2(prev[1] / err) / math.log2(prev[0] / eps) \
+            if err > 0 and prev[1] > 0 else float("nan")
         records.append(SweepRecord(
             epsilon=eps, t_final=cfg.model.T, l1_error=err,
             l1_error_refined=err_hat, l1_R=resid.l1_R, l1_r=resid.l1_r,
             mass_full=norms(f_T)["mass"],
             mass_limit_combined=s_T.combined_mass(),
             order_vs_prev=order))
-        prev_err = err
+        prev = eps, err
     return records
 
 

@@ -41,6 +41,23 @@ def with_key(text, section, key, value):
     return text
 
 
+def _small_example():
+    """The example config shrunk to a few cheap steps: T = 0.02 on a
+    24 x 8 grid, and a thousand particles."""
+    with open(os.path.join(ROOT, "configs", "example.cfg"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    for edit in (("model", "T", "0.02"), ("grid", "n_y", "24"),
+                 ("grid", "n_phi", "8"), ("grid", "layer_cells", "8"),
+                 ("experiment", "snapshot_times", "0.0 0.02"),
+                 ("experiment", "n_particles", "1000")):
+        text = with_key(text, *edit)
+    return text
+
+
+SMALL_EXAMPLE = _small_example()
+
+
 def const(v):
     return AngularCoefficient("constant", {"value": v})
 
