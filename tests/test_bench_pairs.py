@@ -82,7 +82,8 @@ _GAINS = {"BENCH_pr22.json": {("acceptance-grid", "wall_s"),
                               ("acceptance-grid", "peak_rss_mib"),
                               ("particle-oracle", "peak_rss_mib")},
           "BENCH_pr31.json": {("acceptance-grid", "wall_s"),
-                              ("acceptance-grid", "peak_rss_mib")}}
+                              ("acceptance-grid", "peak_rss_mib")},
+          "BENCH_pr34.json": {("acceptance-grid", "peak_rss_mib")}}
 
 
 @pytest.mark.parametrize("name", sorted(

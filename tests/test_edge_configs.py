@@ -155,8 +155,8 @@ def _case_id(case):
 def run_edited(edits, command):
     """Run command in process on SMALL_EXAMPLE with the (section, key,
     value) edits, warnings as errors, and check the contract every exit
-    keeps (the module docstring). Returns (code, stdout, {CSV name: its
-    text})."""
+    keeps (the module docstring). Returns (code, stdout, stderr, {CSV
+    name: its text})."""
     text = SMALL_EXAMPLE
     for edit in edits:
         text = with_key(text, *edit)
@@ -188,7 +188,7 @@ def run_edited(edits, command):
             (code, stderr)
         assert stderr == ""
         assert code == 0 or "FAIL" in verdicts
-    return code, stdout, written
+    return code, stdout, stderr, written
 
 
 def _check_csvs(stdout, written):
@@ -213,10 +213,10 @@ def _check_csvs(stdout, written):
 @pytest.mark.parametrize("case", CASES, ids=[_case_id(c) for c in CASES])
 def test_edge_config(case):
     edit, command, code, says = case
-    got, stdout, written = run_edited(_edits(edit), command)
-    assert got == code, stdout
+    got, stdout, stderr, written = run_edited(_edits(edit), command)
+    assert got == code, stderr
+    assert says in (stdout if code == 0 else stderr)
     if code == 0:
-        assert says in stdout
         _check_csvs(stdout, written)
 
 
