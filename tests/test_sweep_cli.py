@@ -313,6 +313,20 @@ def test_cli_error_codes(cli_config, tmp_path):
                      "--out", str(tmp_path / "o9")]) == 3
 
 
+def test_cli_particles_refuses_steady_layer_initial(tmp_path, capsys):
+    # the ensemble always starts from the bulk-exponential law, so a
+    # config asking for another initial law exits 2 with one line naming
+    # the key, and writes no CSV; without the check it exits 0
+    path = tmp_path / "steady.ini"
+    path.write_text(CLI_TEXT + "initial = steady_layer\n")
+    out = tmp_path / "out"
+    assert main(["particles", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "[experiment] initial = steady_layer" in err
+    assert not os.path.exists(out)
+
+
 def test_cli_out_dir_precedence(cli_config, tmp_path):
     flag_dir = str(tmp_path / "flag")
     assert main(["particles", "--config", cli_config, "--out", flag_dir]) == 0
